@@ -3,9 +3,14 @@
 Alignments pair a trace with a model execution under the standard cost
 function: synchronous and silent moves are free, log moves and visible
 model moves cost one each. The search is uniform-cost best-first over the
-synchronous product; an optional marking-equation lower bound (LP
-relaxation) can be enabled as an admissible heuristic, and equality of the
-two modes is covered by the test-suite oracles.
+synchronous product of the trace and a :class:`~pathminer.petri.CompiledNet`
+(count-tuple markings, indexed presets); an optional marking-equation lower
+bound (LP relaxation) can be enabled as an admissible heuristic, and
+equality of the two modes is covered by the test-suite oracles.
+
+:func:`conformance_report` compiles the net once and aligns each variant of
+the log once; fitness, precision and generalization all read those
+alignments, walking each variant once with its number of cases as weight.
 
 Metric conventions, fixed here so results are deterministic:
 
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, ModelError, ResourceError
 from .model import Event, EventLog
-from .petri import Marking, PetriNet, semantics
+from .petri import CompiledNet, PetriNet
 
 SYNC = "synchronous"
 LOG = "log"
@@ -83,29 +88,23 @@ class _MarkingEquationBound:
     markings, so the LP optimum never exceeds the true remaining cost.
     """
 
-    def __init__(self, net: PetriNet, labels: tuple[str, ...]):
+    def __init__(self, compiled: CompiledNet, labels: tuple[str, ...]):
         import numpy as np
 
         self._np = np
-        sem = semantics(net)
-        model_places = sorted(net.places)
-        place_index = {p: i for i, p in enumerate(model_places)}
-        n_model = len(model_places)
+        n_model = len(compiled.places)
         n_pos = len(labels) + 1
 
         columns = []
         costs = []
-        for t in net.transitions:
+        for t, transition in enumerate(compiled.transitions):
             effect = np.zeros(n_model + n_pos)
-            for p in sem.pre[t.id]:
-                effect[place_index[p]] -= 1
-            for p in sem.post[t.id]:
-                effect[place_index[p]] += 1
+            effect[:n_model] = compiled.delta[t]
             columns.append(effect)
-            costs.append(0.0 if t.silent else 1.0)
-            if not t.silent:
+            costs.append(0.0 if transition.silent else 1.0)
+            if not transition.silent:
                 for i, label in enumerate(labels):
-                    if label == t.label:
+                    if label == transition.label:
                         sync = effect.copy()
                         sync[n_model + i] -= 1
                         sync[n_model + i + 1] += 1
@@ -120,14 +119,13 @@ class _MarkingEquationBound:
 
         self._matrix = np.column_stack(columns) if columns else np.zeros((n_model + n_pos, 0))
         self._costs = np.array(costs)
-        self._place_index = place_index
         self._n_model = n_model
         self._n_pos = n_pos
-        self._final = net.final_marking
+        self._final = compiled.final
         self._cache: dict[tuple, float] = {}
 
-    def __call__(self, marking: Marking, pos: int) -> float:
-        key = (marking.key(), pos)
+    def __call__(self, marking: tuple[int, ...], pos: int) -> float:
+        key = (marking, pos)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -135,11 +133,8 @@ class _MarkingEquationBound:
 
         np = self._np
         target = np.zeros(self._n_model + self._n_pos)
-        for place, count in self._final.items():
-            target[self._place_index[place]] += count
+        target[: self._n_model] = np.subtract(self._final, marking)
         target[-1] += 1
-        for place, count in marking.items():
-            target[self._place_index[place]] -= count
         target[self._n_model + pos] -= 1
 
         result = linprog(
@@ -152,7 +147,7 @@ class _MarkingEquationBound:
 
 
 def align(
-    net: PetriNet,
+    net: PetriNet | CompiledNet,
     trace,
     *,
     cap: int = DEFAULT_CAP,
@@ -160,32 +155,56 @@ def align(
 ) -> Alignment:
     """Compute a minimal-cost alignment of ``trace`` against ``net``.
 
-    Raises :class:`ModelError` when the final marking cannot be reached and
-    :class:`ResourceError` when more than ``cap`` search states are
-    expanded.
+    ``net`` may be a :class:`CompiledNet`, so that a caller aligning many
+    traces compiles the net once. Raises :class:`ModelError` when the final
+    marking cannot be reached and :class:`ResourceError` when more than
+    ``cap`` search states are expanded.
     """
+    compiled = CompiledNet.of(net)
     labels = _as_labels(trace)
-    sem = semantics(net)
     if heuristic == "none":
-        h = lambda marking, pos: 0.0
+        h = lambda marking, pos: 0
     elif heuristic == "marking_eq":
-        h = _MarkingEquationBound(net, labels)
+        h = _MarkingEquationBound(compiled, labels)
     else:
         raise InputError(f"unknown heuristic {heuristic!r}")
 
+    model_moves = []
+    sync_moves = []
+    for t in compiled.transitions:
+        if t.silent:
+            model_moves.append(Move(SILENT, transition=t.id))
+            sync_moves.append(None)
+        else:
+            model_moves.append(Move(MODEL, activity=t.label, transition=t.id))
+            sync_moves.append(Move(SYNC, activity=t.label, transition=t.id))
+    log_moves = [Move(LOG, activity=label) for label in labels]
+    transition_labels = [t.label for t in compiled.transitions]
+
     n = len(labels)
-    start = (net.initial_marking.key(), 0)
-    goal = (net.final_marking.key(), n)
+    start = (compiled.initial, 0)
+    goal = (compiled.final, n)
     best: dict[tuple, int] = {start: 0}
     parent: dict[tuple, tuple[tuple, Move]] = {}
     tie = itertools.count()
-    heap = [(h(net.initial_marking, 0), next(tie), 0, net.initial_marking, 0)]
+    heap = [(h(compiled.initial, 0), next(tie), 0, compiled.initial, 0)]
+    # Successors of each marking, shared by the states at every trace position.
+    successors: dict[tuple, tuple] = {}
     expanded = 0
+
+    def push(state, g: int, next_marking: tuple, next_pos: int, move: Move):
+        next_state = (next_marking, next_pos)
+        if g < best.get(next_state, math.inf):
+            best[next_state] = g
+            parent[next_state] = (state, move)
+            bound = h(next_marking, next_pos)
+            if math.isfinite(bound):
+                heapq.heappush(heap, (g + bound, next(tie), g, next_marking, next_pos))
 
     while heap:
         _, _, g, marking, pos = heapq.heappop(heap)
-        state = (marking.key(), pos)
-        if g > best.get(state, math.inf):
+        state = (marking, pos)
+        if g > best[state]:
             continue
         if state == goal:
             moves: list[Move] = []
@@ -199,124 +218,139 @@ def align(
         if expanded > cap:
             raise ResourceError(cap)
 
-        def push(cost: int, next_marking: Marking, next_pos: int, move: Move):
-            next_state = (next_marking.key(), next_pos)
-            next_g = g + cost
-            if next_g < best.get(next_state, math.inf):
-                best[next_state] = next_g
-                parent[next_state] = (state, move)
-                bound = h(next_marking, next_pos)
-                if math.isfinite(bound):
-                    heapq.heappush(
-                        heap, (next_g + bound, next(tie), next_g, next_marking, next_pos)
-                    )
-
-        for t in sem.enabled(marking):
-            fired = sem.fire(marking, t.id)
-            if t.silent:
-                push(0, fired, pos, Move(SILENT, transition=t.id))
+        steps = successors.get(marking)
+        if steps is None:
+            steps = tuple((t, compiled.fire(marking, t)) for t in compiled.enabled(marking))
+            successors[marking] = steps
+        label = labels[pos] if pos < n else None
+        for t, fired in steps:
+            if transition_labels[t] is None:
+                push(state, g, fired, pos, model_moves[t])
             else:
-                if pos < n and t.label == labels[pos]:
-                    push(0, fired, pos + 1, Move(SYNC, activity=t.label, transition=t.id))
-                push(1, fired, pos, Move(MODEL, activity=t.label, transition=t.id))
+                if transition_labels[t] == label:
+                    push(state, g, fired, pos + 1, sync_moves[t])
+                push(state, g + 1, fired, pos, model_moves[t])
         if pos < n:
-            push(1, marking, pos + 1, Move(LOG, activity=labels[pos]))
+            push(state, g + 1, marking, pos + 1, log_moves[pos])
 
     raise ModelError("final marking is unreachable for this trace")
 
 
 def align_log(
-    net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP, heuristic: str = "none"
+    net: PetriNet | CompiledNet,
+    log: EventLog,
+    *,
+    cap: int = DEFAULT_CAP,
+    heuristic: str = "none",
 ) -> dict[str, Alignment]:
-    """Align every trace of ``log``, reusing results across equal variants."""
+    """Align every trace of ``log``, reusing results across equal variants.
+
+    The net is compiled once for the whole log. A :class:`ResourceError`
+    names the first case of the variant that exceeded ``cap``.
+    """
+    compiled = CompiledNet.of(net)
     cache: dict[tuple[str, ...], Alignment] = {}
     out: dict[str, Alignment] = {}
     for case, trace in log.traces().items():
         labels = _as_labels(trace)
         if labels not in cache:
-            cache[labels] = align(net, labels, cap=cap, heuristic=heuristic)
+            try:
+                cache[labels] = align(compiled, labels, cap=cap, heuristic=heuristic)
+            except ResourceError as err:
+                raise ResourceError(
+                    err.cap, f"{err} aligning case {case!r} (a variant of {len(labels)} events)"
+                ) from None
         out[case] = cache[labels]
     return out
 
 
-def model_path_cost(net: PetriNet, *, cap: int = DEFAULT_CAP) -> int:
+def model_path_cost(net: PetriNet | CompiledNet, *, cap: int = DEFAULT_CAP) -> int:
     """Cost of the cheapest model-only run (the empty-trace alignment)."""
     return align(net, (), cap=cap).total_cost
 
 
-def fitness(
-    net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP, heuristic: str = "none"
-) -> float:
-    traces = log.traces()
-    if not traces:
-        return 1.0
-    worst_model = model_path_cost(net, cap=cap)
-    alignments = align_log(net, log, cap=cap, heuristic=heuristic)
-    total_cost = sum(a.total_cost for a in alignments.values())
-    total_worst = sum(len(t) + worst_model for t in traces.values())
+def _weighted(alignments: dict[str, Alignment]) -> list[tuple[Alignment, int]]:
+    """Each distinct alignment object with the number of cases that share it.
+
+    :func:`align_log` hands one object to every case of a variant, so the
+    metrics below, which only add up integers over cases, walk each variant
+    once.
+    """
+    by_id: dict[int, list] = {}
+    for alignment in alignments.values():
+        by_id.setdefault(id(alignment), [alignment, 0])[1] += 1
+    return [(alignment, cases) for alignment, cases in by_id.values()]
+
+
+def _fitness(weighted: list[tuple[Alignment, int]], worst_model: int) -> float:
+    total_cost = sum(a.total_cost * cases for a, cases in weighted)
+    total_worst = sum((len(a.log_projection()) + worst_model) * cases for a, cases in weighted)
     if total_worst == 0:
         return 1.0
     return 1.0 - total_cost / total_worst
 
 
-def _silent_closure_enabled(net: PetriNet, sem, marking: Marking, cache: dict) -> frozenset[str]:
+def fitness(
+    net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP, heuristic: str = "none"
+) -> float:
+    if not log.events:
+        return 1.0
+    compiled = CompiledNet(net)
+    worst_model = model_path_cost(compiled, cap=cap)
+    alignments = align_log(compiled, log, cap=cap, heuristic=heuristic)
+    return _fitness(_weighted(alignments), worst_model)
+
+
+def _silent_closure_enabled(compiled: CompiledNet, marking: tuple, cache: dict) -> frozenset[int]:
     """Visible transitions fireable from ``marking`` after any run of silents."""
-    key = marking.key()
-    cached = cache.get(key)
+    cached = cache.get(marking)
     if cached is not None:
         return cached
-    seen = {key}
+    seen = {marking}
     frontier = [marking]
-    visible: set[str] = set()
+    visible: set[int] = set()
     while frontier:
         current = frontier.pop()
-        for t in sem.enabled(current):
-            if t.silent:
-                nxt = sem.fire(current, t.id)
-                if nxt.key() not in seen:
-                    seen.add(nxt.key())
+        for t in compiled.enabled(current):
+            if compiled.silent[t]:
+                nxt = compiled.fire(current, t)
+                if nxt not in seen:
+                    seen.add(nxt)
                     frontier.append(nxt)
             else:
-                visible.add(t.id)
+                visible.add(t)
     result = frozenset(visible)
-    cache[key] = result
+    cache[marking] = result
     return result
 
 
-def precision(
-    net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP, heuristic: str = "none"
-) -> float:
-    sem = semantics(net)
-    alignments = align_log(net, log, cap=cap, heuristic=heuristic)
-    by_transition = {t.id: t for t in net.transitions}
-
+def _precision(compiled: CompiledNet, weighted: list[tuple[Alignment, int]]) -> float:
     weight: dict[tuple, int] = {}
-    observed: dict[tuple, set[str]] = {}
-    markings_at: dict[tuple, set[Marking]] = {}
+    observed: dict[tuple, set[int]] = {}
+    markings_at: dict[tuple, set[tuple]] = {}
 
-    for case in sorted(alignments):
-        marking = net.initial_marking
-        prefix: tuple[str, ...] = ()
-        weight[prefix] = weight.get(prefix, 0) + 1
+    for alignment, cases in weighted:
+        marking = compiled.initial
+        prefix: tuple[int, ...] = ()
+        weight[prefix] = weight.get(prefix, 0) + cases
         markings_at.setdefault(prefix, set()).add(marking)
-        for tid in alignments[case].model_projection():
-            transition = by_transition[tid]
-            if transition.silent:
-                marking = sem.fire(marking, tid)
+        for tid in alignment.model_projection():
+            t = compiled.index[tid]
+            marking = compiled.fire(marking, t)
+            if compiled.silent[t]:
                 continue
-            observed.setdefault(prefix, set()).add(tid)
-            marking = sem.fire(marking, tid)
-            prefix = prefix + (tid,)
-            weight[prefix] = weight.get(prefix, 0) + 1
+            observed.setdefault(prefix, set()).add(t)
+            prefix = prefix + (t,)
+            weight[prefix] = weight.get(prefix, 0) + cases
             markings_at.setdefault(prefix, set()).add(marking)
 
     closure_cache: dict = {}
     escaping_mass = 0
     enabled_mass = 0
     for prefix, w in weight.items():
-        enabled: set[str] = set()
+        enabled: set[int] = set()
         for marking in markings_at[prefix]:
-            enabled |= _silent_closure_enabled(net, sem, marking, closure_cache)
+            enabled |= _silent_closure_enabled(compiled, marking, closure_cache)
         seen = observed.get(prefix, set())
         enabled_mass += w * len(enabled)
         escaping_mass += w * len(enabled - seen)
@@ -325,20 +359,34 @@ def precision(
     return 1.0 - escaping_mass / enabled_mass
 
 
-def generalization(
+def precision(
     net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP, heuristic: str = "none"
 ) -> float:
+    compiled = CompiledNet(net)
+    alignments = align_log(compiled, log, cap=cap, heuristic=heuristic)
+    return _precision(compiled, _weighted(alignments))
+
+
+def _generalization(net: PetriNet, weighted: list[tuple[Alignment, int]]) -> float:
     visible = net.visible_transitions()
     if not visible:
         return 1.0
     counts = {t.id: 0 for t in visible}
-    for alignment in align_log(net, log, cap=cap, heuristic=heuristic).values():
+    for alignment, cases in weighted:
         for tid in alignment.visible_model_projection():
-            counts[tid] += 1
+            counts[tid] += cases
     penalty = sum(
         1.0 if c == 0 else 1.0 / math.sqrt(c) for c in counts.values()
     )
     return 1.0 - penalty / len(visible)
+
+
+def generalization(
+    net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP, heuristic: str = "none"
+) -> float:
+    if not net.visible_transitions():
+        return 1.0
+    return _generalization(net, _weighted(align_log(net, log, cap=cap, heuristic=heuristic)))
 
 
 def simplicity(net: PetriNet) -> float:
@@ -371,8 +419,16 @@ class ConformanceReport:
 def conformance_report(
     net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP, heuristic: str = "none"
 ) -> ConformanceReport:
-    """Evaluate the full metric suite of a model against a log."""
-    fit = fitness(net, log, cap=cap, heuristic=heuristic)
-    prec = precision(net, log, cap=cap, heuristic=heuristic)
-    gen = generalization(net, log, cap=cap, heuristic=heuristic)
+    """Evaluate the full metric suite of a model against a log.
+
+    The net is compiled once and each variant aligned once; the metrics
+    share those alignments, and the empty trace is aligned once more for
+    fitness's model-only cost.
+    """
+    compiled = CompiledNet(net)
+    worst_model = model_path_cost(compiled, cap=cap) if log.events else 0
+    weighted = _weighted(align_log(compiled, log, cap=cap, heuristic=heuristic))
+    fit = _fitness(weighted, worst_model)
+    prec = _precision(compiled, weighted)
+    gen = _generalization(net, weighted)
     return ConformanceReport(fit, prec, gen, simplicity(net), f1(fit, prec))

@@ -17,7 +17,7 @@ from .classifiers import DecisionTreeClassifier, make_classifier
 from .conformance import align_log
 from .errors import InputError
 from .model import AttrValue, EventLog
-from .petri import PetriNet, decision_points, semantics
+from .petri import CompiledNet, PetriNet, decision_points
 from .stats import case_phenotype
 
 SILENT_CHOICE = "None"
@@ -44,9 +44,9 @@ def extract_instances(
     if place not in {dp.place for dp in decision_points(net)}:
         raise InputError(f"{place!r} is not a decision point of the net")
 
-    sem = semantics(net)
-    by_id = {t.id: t for t in net.transitions}
-    alignments = align_log(net, log, heuristic=heuristic)
+    compiled = CompiledNet(net)
+    place_index = compiled.place_index[place]
+    alignments = align_log(compiled, log, heuristic=heuristic)
     traces = log.traces()
 
     instances: list[DecisionInstance] = []
@@ -59,29 +59,30 @@ def extract_instances(
         events = traces[case]
         first_attrs = events[0].attributes if events else {}
 
-        queues: dict[str, deque] = {p: deque() for p in net.places}
-        for p, count in net.initial_marking.items():
+        queues = [deque() for _ in compiled.places]
+        for p, count in enumerate(compiled.initial):
             for _ in range(count):
                 queues[p].append(None)  # resolved to the first event later
 
         latest_attrs = None
         event_cursor = 0
         for tid in alignment.model_projection():
-            transition = by_id[tid]
+            t = compiled.index[tid]
+            transition = compiled.transitions[t]
             event_attrs = None
             if not transition.silent:
                 event_attrs = events[event_cursor].attributes
                 event_cursor += 1
-            for p in sem.pre[tid]:
+            for p in compiled.pre[t]:
                 deposit_context = queues[p].popleft()
-                if p == place:
+                if p == place_index:
                     features = deposit_context if deposit_context is not None else first_attrs
                     chosen = transition.label if transition.label else SILENT_CHOICE
                     instances.append(DecisionInstance(case, place, features, chosen))
             produced_context = event_attrs if event_attrs is not None else latest_attrs
             if event_attrs is not None:
                 latest_attrs = event_attrs
-            for p in sem.post[tid]:
+            for p in compiled.post[t]:
                 queues[p].append(produced_context)
     return ExtractionResult(tuple(instances), tuple(skipped))
 

@@ -4,11 +4,13 @@ The file is comma-separated UTF-8 with a header row. Required columns (case
 insensitive): PatID, LVEF, HFrEF, HFmrEF, HFpEF, Weight, HF diagnosis,
 NT pro-BNP, Diabetes, CKD, Outcome, WBC, hsTNT, IL-6, Urea, Beta-Blocker,
 ACE-I/ARNI, SGLT-2, MRA, Timestamp. Extra columns are carried along as text
-attributes. An empty cell means the value is absent.
+attributes. An empty cell means the value is absent; numbers must be
+finite (``nan`` and ``inf`` are rejected).
 """
 
 import csv
 import io
+import math
 from datetime import date
 
 from .errors import RowError, SchemaError
@@ -79,9 +81,12 @@ def _parse_cell(field: str, text: str, row: int):
         except ValueError:
             raise RowError(row, f"bad integer {text!r} in column for {field}") from None
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise RowError(row, f"bad number {text!r} in column for {field}") from None
+    if not math.isfinite(value):
+        raise RowError(row, f"non-finite number {text!r} in column for {field}")
+    return value
 
 
 def parse_patient_csv(data: bytes | str) -> list[PatientDatum]:

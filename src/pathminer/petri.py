@@ -1,6 +1,7 @@
 """Labeled Petri nets with silent transitions and token-firing semantics."""
 
 from dataclasses import dataclass
+from operator import add
 
 from .errors import InputError, SemanticsError
 from .model import VISIT_AFTER, VISIT_BEFORE, Outcome
@@ -142,45 +143,95 @@ class DecisionPoint:
     transitions: tuple[Transition, ...]
 
 
-class _Semantics:
-    """Cached preset/postset lookup for repeated firing on one net."""
+class CompiledNet:
+    """A net indexed for repeated firing, built once and reused.
+
+    Places are numbered in sorted order and a marking is a tuple with one
+    token count per place. ``pre[t]`` and ``post[t]`` hold the place indices
+    of transition ``t`` (its position in ``net.transitions``); every input
+    arc needs one token, so ``delta[t]`` (post minus pre, one entry per
+    place) is the whole effect of firing. ``enabled`` looks only at the
+    transitions fed by marked places, plus those with an empty preset.
+    """
+
+    __slots__ = (
+        "places", "place_index", "transitions", "index", "silent",
+        "pre", "post", "delta", "consumers", "unconditional", "initial", "final",
+    )
 
     def __init__(self, net: PetriNet):
-        self.net = net
-        self.pre: dict[str, tuple[str, ...]] = {}
-        self.post: dict[str, tuple[str, ...]] = {}
-        for t in net.transitions:
-            self.pre[t.id] = net.preset(t.id)
-            self.post[t.id] = net.postset(t.id)
+        self.places = tuple(sorted(net.places))
+        self.place_index = {p: i for i, p in enumerate(self.places)}
+        self.transitions = net.transitions
+        self.index = {t.id: i for i, t in enumerate(net.transitions)}
+        self.silent = tuple(t.silent for t in net.transitions)
+        pre: list[list[int]] = [[] for _ in net.transitions]
+        post: list[list[int]] = [[] for _ in net.transitions]
+        for source, target in net.arcs:
+            if source in self.place_index:
+                pre[self.index[target]].append(self.place_index[source])
+            else:
+                post[self.index[source]].append(self.place_index[target])
+        self.pre = tuple(tuple(sorted(places)) for places in pre)
+        self.post = tuple(tuple(sorted(places)) for places in post)
+        deltas = []
+        for inputs, outputs in zip(self.pre, self.post):
+            delta = [0] * len(self.places)
+            for p in inputs:
+                delta[p] -= 1
+            for p in outputs:
+                delta[p] += 1
+            deltas.append(tuple(delta))
+        self.delta = tuple(deltas)
+        consumers: list[list[int]] = [[] for _ in self.places]
+        for t, inputs in enumerate(self.pre):
+            for p in inputs:
+                consumers[p].append(t)
+        self.consumers = tuple(tuple(ts) for ts in consumers)
+        self.unconditional = tuple(t for t, inputs in enumerate(self.pre) if not inputs)
+        self.initial = self.counts(net.initial_marking)
+        self.final = self.counts(net.final_marking)
 
-    def enabled(self, marking: Marking) -> list[Transition]:
-        out = []
-        for t in self.net.transitions:
-            need: dict[str, int] = {}
-            for place in self.pre[t.id]:
-                need[place] = need.get(place, 0) + 1
-            if all(marking[p] >= n for p, n in need.items()):
-                out.append(t)
-        return out
+    @classmethod
+    def of(cls, net: "PetriNet | CompiledNet") -> "CompiledNet":
+        return net if isinstance(net, CompiledNet) else cls(net)
 
-    def fire(self, marking: Marking, tid: str) -> Marking:
-        counts = dict(marking.items())
-        for place in self.pre[tid]:
-            if counts.get(place, 0) <= 0:
-                raise SemanticsError(f"transition {tid} is not enabled")
-            counts[place] -= 1
-        for place in self.post[tid]:
-            counts[place] = counts.get(place, 0) + 1
-        return Marking({p: n for p, n in counts.items() if n})
+    def counts(self, marking: Marking) -> tuple[int, ...]:
+        """The count tuple of a :class:`Marking`."""
+        counts = [0] * len(self.places)
+        for place, n in marking.items():
+            index = self.place_index.get(place)
+            if index is None:
+                raise InputError(f"marking references unknown place {place}")
+            counts[index] = n
+        return tuple(counts)
 
+    def marking(self, counts: tuple[int, ...]) -> Marking:
+        """The :class:`Marking` of a count tuple."""
+        return Marking({p: n for p, n in zip(self.places, counts) if n})
 
-def semantics(net: PetriNet) -> _Semantics:
-    return _Semantics(net)
+    def enabled(self, counts: tuple[int, ...]) -> list[int]:
+        """Indices of the enabled transitions, in ``net.transitions`` order.
+
+        The alignment search pushes successors in this order, and the order
+        breaks its ties, so it decides which optimal alignment is returned.
+        """
+        candidates = set(self.unconditional)
+        for p, n in enumerate(counts):
+            if n:
+                candidates.update(self.consumers[p])
+        pre = self.pre
+        return [t for t in sorted(candidates) if all(counts[p] for p in pre[t])]
+
+    def fire(self, counts: tuple[int, ...], t: int) -> tuple[int, ...]:
+        """The marking after firing ``t``, which the caller knows is enabled."""
+        return tuple(map(add, counts, self.delta[t]))
 
 
 def enabled(net: PetriNet, marking: Marking) -> list[Transition]:
     """Transitions whose every input place holds a token under ``marking``."""
-    return semantics(net).enabled(marking)
+    compiled = CompiledNet(net)
+    return [net.transitions[t] for t in compiled.enabled(compiled.counts(marking))]
 
 
 def fire(net: PetriNet, marking: Marking, transition: str | Transition) -> Marking:
@@ -188,7 +239,12 @@ def fire(net: PetriNet, marking: Marking, transition: str | Transition) -> Marki
     output arc. Firing a disabled transition is an error."""
     tid = transition.id if isinstance(transition, Transition) else transition
     net.transition(tid)
-    return semantics(net).fire(marking, tid)
+    compiled = CompiledNet(net)
+    t = compiled.index[tid]
+    counts = compiled.counts(marking)
+    if not all(counts[p] for p in compiled.pre[t]):
+        raise SemanticsError(f"transition {tid} is not enabled")
+    return compiled.marking(compiled.fire(counts, t))
 
 
 def decision_points(net: PetriNet) -> list[DecisionPoint]:

@@ -4,10 +4,13 @@ Only the concept and time extensions are used: the activity lives under
 ``concept:name``, the timestamp under ``time:timestamp`` (dates are emitted
 as midnight UTC), and the case id is the trace-level ``concept:name``. Event
 attributes are typed string/int/float/boolean/date elements; absent values
-are simply omitted and come back as absent on read.
+are simply omitted and come back as absent on read. Reading is strict: a
+boolean must be one of the xs:boolean forms ``true``/``false``/``1``/``0``,
+a float must be finite, and no two traces may share a case id.
 """
 
 import xml.etree.ElementTree as ET
+import math
 from datetime import date, datetime, timezone
 
 from .errors import FormatError
@@ -17,6 +20,9 @@ _EXTENSIONS = (
     ("Concept", "concept", "http://www.xes-standard.org/concept.xesext"),
     ("Time", "time", "http://www.xes-standard.org/time.xesext"),
 )
+
+# The xs:boolean lexical forms.
+_BOOLEANS = {"true": True, "false": False, "1": True, "0": False}
 
 
 def _attr_element(key: str, value: AttrValue) -> ET.Element:
@@ -67,9 +73,14 @@ def _parse_value(node: ET.Element, where: str) -> AttrValue:
         if tag == "int":
             return int(text)
         if tag == "float":
-            return float(text)
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError
+            return value
         if tag == "boolean":
-            return text.lower() == "true"
+            if text not in _BOOLEANS:
+                raise ValueError
+            return _BOOLEANS[text]
         if tag == "date":
             return datetime.fromisoformat(text.replace("Z", "+00:00")).date()
     except ValueError:
@@ -87,6 +98,7 @@ def read_xes(data: bytes | str) -> EventLog:
         raise FormatError(f"expected <log> root, found <{root.tag}>")
 
     events: list[Event] = []
+    trace_of_case: dict[str, int] = {}
     for t_index, trace in enumerate(root.iter("trace")):
         case_id = None
         for child in trace:
@@ -94,6 +106,12 @@ def read_xes(data: bytes | str) -> EventLog:
                 case_id = child.get("value")
         if case_id is None:
             raise FormatError(f"trace {t_index}: missing concept:name")
+        if case_id in trace_of_case:
+            raise FormatError(
+                f"trace {t_index}: concept:name {case_id!r} already names trace "
+                f"{trace_of_case[case_id]}"
+            )
+        trace_of_case[case_id] = t_index
         for e_index, node in enumerate(trace.iter("event")):
             where = f"trace {t_index} event {e_index}"
             activity = None

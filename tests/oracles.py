@@ -1,9 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 These deliberately avoid the production search/statistics code paths: the
-alignment oracle is a label-correcting exhaustive search, and the random
-model generator builds nets compositionally so the final marking is always
-reachable.
+firing semantics are plain dicts of place ids, the alignment oracle is a
+label-correcting exhaustive search, and the random model generator builds
+nets compositionally so the final marking is always reachable.
 """
 
 import math
@@ -11,7 +11,8 @@ import random
 from datetime import date, timedelta
 
 from pathminer.model import Event, EventLog
-from pathminer.petri import Marking, PetriNet, Transition, semantics
+from pathminer.errors import SemanticsError
+from pathminer.petri import Marking, PetriNet, Transition
 
 PHENOTYPE_FLAGS = {
     "HFrEF": {"hfref": True, "hfmref": False, "hfpef": False},
@@ -42,10 +43,37 @@ def cohort_log(seed: str, cases_per_group: int, death_probability) -> EventLog:
     return EventLog(tuple(events))
 
 
+class ReferenceSemantics:
+    """Token firing on :class:`Marking` objects, with presets and postsets
+    as dicts of place ids: the semantics the compiled net must agree with."""
+
+    def __init__(self, net: PetriNet):
+        self.net = net
+        self.pre = {t.id: net.preset(t.id) for t in net.transitions}
+        self.post = {t.id: net.postset(t.id) for t in net.transitions}
+
+    def enabled(self, marking: Marking) -> list[Transition]:
+        """Enabled transitions in ``net.transitions`` order."""
+        return [
+            t for t in self.net.transitions
+            if all(marking[p] >= 1 for p in self.pre[t.id])
+        ]
+
+    def fire(self, marking: Marking, tid: str) -> Marking:
+        counts = dict(marking.items())
+        for place in self.pre[tid]:
+            if counts.get(place, 0) <= 0:
+                raise SemanticsError(f"transition {tid} is not enabled")
+            counts[place] -= 1
+        for place in self.post[tid]:
+            counts[place] = counts.get(place, 0) + 1
+        return Marking(counts)
+
+
 def brute_force_cost(net: PetriNet, labels) -> float:
     """Minimal alignment cost by exhaustive label-correcting search."""
     labels = tuple(labels)
-    sem = semantics(net)
+    sem = ReferenceSemantics(net)
     n = len(labels)
     goal = (net.final_marking.key(), n)
     best: dict = {}
@@ -156,7 +184,7 @@ def random_trace(rng: random.Random, net: PetriNet, max_length: int = 6) -> tupl
         length = rng.randint(0, max_length)
         return tuple(rng.choice(_LABELS + ("z",)) for _ in range(length))
 
-    sem = semantics(net)
+    sem = ReferenceSemantics(net)
     marking = net.initial_marking
     walked: list[str] = []
     for _ in range(40):

@@ -3,9 +3,11 @@ import random
 import pytest
 
 from conftest import make_log
-from oracles import brute_force_cost, random_trace, random_workflow_net
+from oracles import ReferenceSemantics, brute_force_cost, random_trace, random_workflow_net
+import pathminer.conformance as conformance
 from pathminer.conformance import (
     align,
+    align_log,
     conformance_report,
     f1,
     fitness,
@@ -16,7 +18,7 @@ from pathminer.conformance import (
 )
 from pathminer.errors import ModelError, ResourceError
 from pathminer.model import EventLog
-from pathminer.petri import Marking, PetriNet, Transition
+from pathminer.petri import CompiledNet, Marking, PetriNet, Transition
 
 
 def linear_net(*activities):
@@ -118,6 +120,13 @@ class TestAlign:
             align(dejure, ("Visit before CO", "HF", "Death_HF"), cap=2)
         assert err.value.cap == 2
 
+    def test_align_log_cap_error_names_case_and_variant(self, dejure):
+        log = make_log(("Visit before CO",), ("Visit before CO", "HF", "Death_HF"))
+        with pytest.raises(ResourceError, match=r"case 'c000' \(a variant of 1 events\)") as err:
+            align_log(dejure, log, cap=2)
+        assert err.value.cap == 2
+        assert str(err.value).startswith("state-space cap of 2 markings exceeded")
+
     def test_accepts_event_objects(self, dejure, example_log):
         trace = example_log.traces()["007"]
         assert align(dejure, trace).total_cost == 0
@@ -133,20 +142,25 @@ class TestAlignOptimalityOracle:
             assert align(net, trace).total_cost == expected
 
     def test_alignment_projections_are_valid(self):
-        from pathminer.petri import semantics
-
         rng = random.Random(99)
         for _ in range(60):
             net = random_workflow_net(rng)
             trace = random_trace(rng, net)
             alignment = align(net, trace)
             assert alignment.log_projection() == tuple(trace)
-            sem = semantics(net)
+            sem = ReferenceSemantics(net)
             marking = net.initial_marking
             for tid in alignment.model_projection():
                 marking = sem.fire(marking, tid)
             assert marking == net.final_marking
             assert alignment.total_cost == sum(m.cost for m in alignment.moves)
+
+    def test_compiled_net_gives_the_same_alignment(self):
+        rng = random.Random(4242)
+        for _ in range(60):
+            net = random_workflow_net(rng)
+            trace = random_trace(rng, net)
+            assert align(CompiledNet(net), trace) == align(net, trace)
 
     def test_marking_equation_heuristic_agrees(self):
         rng = random.Random(77)
@@ -249,6 +263,26 @@ class TestSimplicityAndF1:
 
 
 class TestReport:
+    def test_each_variant_is_aligned_once(self, dejure, monkeypatch):
+        from pathminer.simulate import SimulationConfig, simulate
+        from pathminer.transform import transform_log
+
+        log = transform_log(simulate(SimulationConfig(patients=240, seed=7)))
+        variants = len(set(log.activity_sequences().values()))
+        calls = []
+        original = conformance.align
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(conformance, "align", counting)
+        report = conformance_report(dejure, log)
+        assert len(calls) == variants + 1
+        assert report.fitness == fitness(dejure, log)
+        assert report.precision == precision(dejure, log)
+        assert report.generalization == generalization(dejure, log)
+
     def test_all_metrics_within_unit_interval(self):
         rng = random.Random(5)
         for _ in range(12):

@@ -94,3 +94,19 @@ def test_empty_patid_rejected():
     data = csv_of(",50,0,0,1,,,,,,,,,,,,,,,2023-02-20")
     with pytest.raises(RowError):
         parse_patient_csv(data)
+
+
+@pytest.mark.parametrize("wbc,urea", [("nan", "38"), ("7.1", "inf"), ("7.1", "-inf")])
+def test_non_finite_numbers_are_row_errors(wbc, urea):
+    data = csv_of(
+        "007,50,0,0,1,80,2017,750.5,1,,,7.1,24.9,10.5,38,100,50,10,12.5,2023-02-20",
+        f"007,50,0,0,1,80,2017,750.5,1,,,{wbc},24.9,10.5,{urea},100,50,10,12.5,2023-02-21",
+    )
+    with pytest.raises(RowError, match="row 2: non-finite number"):
+        parse_patient_csv(data)
+
+
+def test_non_finite_dose_is_row_error():
+    data = csv_of("007,50,0,0,1,80,2017,750.5,1,,,7.1,24.9,10.5,38,nan,50,10,12.5,2023-02-20")
+    with pytest.raises(RowError, match="row 1: non-finite number 'nan' in column for beta_blocker"):
+        parse_patient_csv(data)

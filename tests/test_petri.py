@@ -1,8 +1,14 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import ReferenceSemantics, random_workflow_net
 from pathminer.conformance import align
 from pathminer.errors import InputError, SemanticsError
 from pathminer.petri import (
+    CompiledNet,
     Marking,
     PetriNet,
     Transition,
@@ -140,3 +146,59 @@ class TestDejureReplays:
             "Death_AnyCause",
         )
         assert align(dejure, trace).total_cost == 0
+
+
+class TestCompiledNet:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32), st.lists(st.integers(0, 2), max_size=40))
+    def test_agrees_with_reference_semantics(self, seed, counts):
+        net = random_workflow_net(random.Random(seed), max_transitions=12)
+        reference = ReferenceSemantics(net)
+        compiled = CompiledNet(net)
+        places = sorted(net.places)
+        marking = Marking(dict(zip(places, counts)))
+        assert compiled.marking(compiled.counts(marking)) == marking
+        ids = [net.transitions[t].id for t in compiled.enabled(compiled.counts(marking))]
+        assert ids == [t.id for t in reference.enabled(marking)]
+        for tid in ids:
+            fired = compiled.fire(compiled.counts(marking), compiled.index[tid])
+            assert compiled.marking(fired) == reference.fire(marking, tid)
+            assert fire(net, marking, tid) == reference.fire(marking, tid)
+
+    def test_agrees_along_random_walks(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            net = random_workflow_net(rng, max_transitions=12)
+            reference = ReferenceSemantics(net)
+            compiled = CompiledNet(net)
+            marking, counts = net.initial_marking, compiled.initial
+            for _ in range(30):
+                expected = reference.enabled(marking)
+                assert [net.transitions[t] for t in compiled.enabled(counts)] == expected
+                if not expected:
+                    break
+                chosen = rng.choice(expected)
+                marking = reference.fire(marking, chosen.id)
+                counts = compiled.fire(counts, compiled.index[chosen.id])
+                assert compiled.marking(counts) == marking
+
+    def test_transition_without_inputs_is_always_enabled(self):
+        # the alpha miner leaves such transitions for unpreceded self-loops
+        net = PetriNet(
+            places=frozenset({"p0", "p1"}),
+            transitions=(Transition("a", "a"), Transition("gen", "g"), Transition("b", "b")),
+            arcs=frozenset({("p0", "a"), ("a", "p1"), ("gen", "p1"), ("p1", "b"), ("b", "p0")}),
+            initial_marking=Marking(["p0"]),
+            final_marking=Marking(["p1"]),
+        )
+        reference = ReferenceSemantics(net)
+        compiled = CompiledNet(net)
+        for marking in (Marking(), Marking(["p0"]), Marking(["p1", "p1"])):
+            ids = [net.transitions[t].id for t in compiled.enabled(compiled.counts(marking))]
+            assert ids == [t.id for t in reference.enabled(marking)]
+            assert "gen" in ids
+        assert fire(net, Marking(), "gen") == Marking(["p1"])
+
+    def test_marking_with_unknown_place_is_rejected(self):
+        with pytest.raises(InputError, match="unknown place"):
+            enabled(linear_net(), Marking(["nowhere"]))

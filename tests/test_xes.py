@@ -94,3 +94,37 @@ def test_trace_without_case_id_rejected():
     data = b"<log><trace><event/></trace></log>"
     with pytest.raises(FormatError, match="trace 0"):
         read_xes(data)
+
+
+def _one_event_trace(case_id: str, attribute: str = "") -> str:
+    return (
+        f'<trace><string key="concept:name" value="{case_id}"/><event>'
+        '<string key="concept:name" value="X"/>'
+        '<date key="time:timestamp" value="2020-01-01T00:00:00+00:00"/>'
+        f"{attribute}</event></trace>"
+    )
+
+
+@pytest.mark.parametrize("text", ["true", "false", "1", "0"])
+def test_xs_boolean_forms_accepted(text):
+    data = "<log>" + _one_event_trace("A", f'<boolean key="b" value="{text}"/>') + "</log>"
+    assert read_xes(data).events[0].attributes["b"] is (text in ("true", "1"))
+
+
+def test_boolean_outside_xs_forms_rejected():
+    data = "<log>" + _one_event_trace("A", '<boolean key="diabetes" value="yes"/>') + "</log>"
+    with pytest.raises(FormatError, match="trace 0 event 0: bad boolean value 'yes'"):
+        read_xes(data)
+
+
+def test_duplicate_case_id_rejected():
+    data = "<log>" + _one_event_trace("A") + _one_event_trace("B") + _one_event_trace("A") + "</log>"
+    with pytest.raises(FormatError, match="trace 2: concept:name 'A' already names trace 0"):
+        read_xes(data)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_non_finite_float_rejected(text):
+    data = "<log>" + _one_event_trace("A", f'<float key="wbc" value="{text}"/>') + "</log>"
+    with pytest.raises(FormatError, match=f"bad float value '{text}'"):
+        read_xes(data)
