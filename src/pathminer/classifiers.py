@@ -17,12 +17,16 @@ Nothing here draws randomness: training is deterministic given the rows.
 """
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from functools import partial
+from typing import TYPE_CHECKING
 
 from .errors import InputError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MISSING = "⊥"  # rendering of an absent categorical value
 
@@ -173,7 +177,9 @@ class LogisticClassifier:
         self.learning_rate = learning_rate
         self.l2 = l2
 
-    def _encode(self, row) -> np.ndarray:
+    def _encode(self, row) -> "np.ndarray":
+        import numpy as np
+
         parts = []
         for name, kind in self.space_.items():
             value = row.get(name)
@@ -191,6 +197,8 @@ class LogisticClassifier:
         return np.array(parts)
 
     def fit(self, rows, labels):
+        import numpy as np
+
         self.space_ = _feature_space(rows)
         self.classes_ = sorted(set(labels))
         self.scaling_ = {}
@@ -227,6 +235,8 @@ class LogisticClassifier:
         return self
 
     def predict(self, row) -> str:
+        import numpy as np
+
         scores = self._encode(row) @ self.weights_
         return self.classes_[int(np.argmax(scores))]
 
@@ -242,10 +252,68 @@ class _TreeNode:
     right: "_TreeNode | None" = None
 
 
+@dataclass(frozen=True)
+class _Column:
+    """One feature of a tree's training rows, encoded once per fit.
+
+    A numeric column holds float values with a missing mask (the values
+    under the mask are placeholders); a categorical column holds codes into
+    its sorted categories and no mask.
+    """
+
+    name: str
+    values: "np.ndarray"
+    missing: "np.ndarray | None" = None
+    categories: tuple[str, ...] = ()
+
+    @classmethod
+    def encode(cls, rows, name: str, kind: str) -> "_Column":
+        import numpy as np
+
+        raw = [row.get(name) for row in rows]
+        if kind == "numeric":
+            values = np.array([0.0 if v is None else float(v) for v in raw], dtype=np.float64)
+            return cls(name, values, np.array([v is None for v in raw], dtype=bool))
+        text = [_categorical(v) for v in raw]
+        categories = tuple(sorted(set(text)))
+        code = {category: i for i, category in enumerate(categories)}
+        return cls(name, np.array([code[t] for t in text], dtype=np.intp), categories=categories)
+
+
+def _first_seen(codes) -> tuple[list[int], list[int]]:
+    """The distinct codes in order of first appearance, and the position of
+    each first appearance."""
+    import numpy as np
+
+    distinct, first = np.unique(codes, return_index=True)
+    order = np.argsort(first)
+    return distinct[order].tolist(), first[order].tolist()
+
+
 class DecisionTreeClassifier:
-    """CART-style tree on gini impurity with explicit missing handling."""
+    """CART-style tree on gini impurity with explicit missing handling.
+
+    ``fit`` encodes the rows once: each numeric feature as a float column
+    with a missing mask, each categorical feature as codes over its sorted
+    categories (``⊥`` among them), and the labels as codes over the sorted
+    labels. Each node then screens every split in vector form, from
+    cumulative class counts over one stable sort of each numeric column and
+    one category-by-class count table per categorical column.
+
+    A split's gain is defined by the float expression in ``_gini``, with
+    each side's class shares summed in order of first appearance: rows in
+    their order, a numeric side in sorted order, and classes seen only in
+    missing rows last, in missing-row order. Vector powers and other orders
+    can move its last bit, and that bit decides between splits of equal
+    partitions such as ``hfref`` and ``lvef <= 40.5``. So the splits whose
+    screened gain lies within ``_RESCORE_WINDOW`` of the best are scored
+    again that way, and the key ``(-gain, feature, threshold or category,
+    not missing_left)`` picks among them.
+    """
 
     kind = "decision-tree"
+
+    _RESCORE_WINDOW = 1e-9  # far above the screen's rounding error
 
     def __init__(self, max_depth: int = 6, min_leaf: int = 5, min_split: int = 10):
         self.max_depth = max_depth
@@ -253,127 +321,178 @@ class DecisionTreeClassifier:
         self.min_split = min_split
 
     @staticmethod
-    def _gini(counter: Counter, n: int) -> float:
+    def _gini(counts: list[int], n: int) -> float:
         if n == 0:
             return 0.0
-        return 1.0 - sum((c / n) ** 2 for c in counter.values())
+        return 1.0 - sum((c / n) ** 2 for c in counts)
 
-    @staticmethod
-    def _majority(labels) -> str:
-        counts = Counter(labels)
-        top = max(counts.values())
-        return min(l for l, c in counts.items() if c == top)
+    def _screen_gains(self, parent, n, left, n_left, right, n_right):
+        """Approximate gains of many splits at once, with the splits that
+        leave a side below ``min_leaf`` marked by -inf."""
+        import numpy as np
 
-    def _best_split(self, rows, labels):
-        n = len(rows)
-        parent = self._gini(Counter(labels), n)
-        best = None  # (gain, feature, kind-specific payload)
-        for name, kind in self.space_.items():
-            if kind == "numeric":
-                present = [
-                    (float(r[name]), l)
-                    for r, l in zip(rows, labels)
-                    if r.get(name) is not None
-                ]
-                missing_labels = [l for r, l in zip(rows, labels) if r.get(name) is None]
-                if len(present) < 2:
-                    continue
-                present.sort(key=lambda pair: pair[0])
-                missing_counter = Counter(missing_labels)
-                left_counter: Counter = Counter()
-                right_counter = Counter(l for _, l in present)
-                n_left = 0
-                n_right = len(present)
-                for i in range(len(present) - 1):
-                    value, label = present[i]
-                    left_counter[label] += 1
-                    right_counter[label] -= 1
-                    n_left += 1
-                    n_right -= 1
-                    if present[i + 1][0] == value:
-                        continue
-                    threshold = (value + present[i + 1][0]) / 2.0
-                    for missing_left in (True, False):
-                        lc = left_counter.copy()
-                        rc = right_counter.copy()
-                        ln, rn = n_left, n_right
-                        if missing_labels:
-                            if missing_left:
-                                lc.update(missing_counter)
-                                ln += len(missing_labels)
-                            else:
-                                rc.update(missing_counter)
-                                rn += len(missing_labels)
-                        if ln < self.min_leaf or rn < self.min_leaf:
-                            continue
-                        score = (
-                            ln / n * self._gini(lc, ln)
-                            + rn / n * self._gini(rc, rn)
-                        )
-                        gain = parent - score
-                        key = (-gain, name, threshold, not missing_left)
-                        if best is None or key < best[0]:
-                            best = (key, name, "numeric", threshold, missing_left, gain)
+        def gini(counts, size):
+            return 1.0 - ((counts / np.maximum(size, 1)[:, None]) ** 2).sum(axis=1)
+
+        gains = parent - (n_left / n * gini(left, n_left) + n_right / n * gini(right, n_right))
+        allowed = (n_left >= self.min_leaf) & (n_right >= self.min_leaf)
+        return np.where(allowed, gains, -np.inf)
+
+    def _numeric_splits(self, column: _Column, idx, y, parent: float):
+        """Screened gains and a re-scorer for every threshold of a numeric
+        column, per missing side."""
+        import numpy as np
+
+        n = len(idx)
+        missing = column.missing[idx]
+        values = column.values[idx][~missing]
+        if len(values) < 2:
+            return []
+        order = np.argsort(values, kind="stable")
+        values, ranked = values[order], y[~missing][order]
+        k = len(self.classes_)
+        cumulative = np.cumsum(np.eye(k, dtype=np.int64)[ranked], axis=0)
+        cuts = np.flatnonzero(values[:-1] != values[1:])  # last row left of a boundary
+        left = cumulative[cuts]
+        right = cumulative[-1] - left
+        n_left = cuts + 1
+        n_right = len(values) - n_left
+        missing_labels = y[missing]
+        n_missing = len(missing_labels)
+        missing_counts = np.bincount(missing_labels, minlength=k)
+
+        present_order, present_first = _first_seen(ranked)
+        missing_order, _ = _first_seen(missing_labels)
+        total = cumulative[-1].tolist()
+        extra = missing_counts.tolist()
+
+        def rescore(j: int, missing_left: bool):
+            i = int(cuts[j])
+            threshold = (float(values[i]) + float(values[i + 1])) / 2.0
+            lc = cumulative[i].tolist()
+            rc = [t - c for t, c in zip(total, lc)]
+            left_keys = present_order[: bisect_right(present_first, i)]
+            right_keys = present_order
+            ln, rn = i + 1, len(values) - i - 1
+            if missing_left:
+                left_keys = left_keys + [c for c in missing_order if c not in left_keys]
+                lc = [c + e for c, e in zip(lc, extra)]
+                ln += n_missing
             else:
-                values = [_categorical(r.get(name)) for r in rows]
-                for category in sorted(set(values)):
-                    left_idx = [i for i, v in enumerate(values) if v == category]
-                    right_idx = [i for i, v in enumerate(values) if v != category]
-                    if len(left_idx) < self.min_leaf or len(right_idx) < self.min_leaf:
-                        continue
-                    lc = Counter(labels[i] for i in left_idx)
-                    rc = Counter(labels[i] for i in right_idx)
-                    score = (
-                        len(left_idx) / n * self._gini(lc, len(left_idx))
-                        + len(right_idx) / n * self._gini(rc, len(right_idx))
-                    )
-                    gain = parent - score
-                    key = (-gain, name, category, False)
-                    if best is None or key < best[0]:
-                        best = (key, name, "categorical", category, True, gain)
-        if best is None or best[5] <= 1e-12:
-            return None
-        return best[1:]
+                right_keys = right_keys + [c for c in missing_order if c not in right_keys]
+                rc = [c + e for c, e in zip(rc, extra)]
+                rn += n_missing
+            score = ln / n * self._gini([lc[c] for c in left_keys], ln) + rn / n * self._gini(
+                [rc[c] for c in right_keys], rn
+            )
+            return parent - score, threshold, missing_left
 
-    def _build(self, rows, labels, depth: int) -> _TreeNode:
-        node = _TreeNode(prediction=self._majority(labels))
+        # with nothing missing both sides score alike and missing-left wins the key
+        sides = [(True, left + missing_counts, n_left + n_missing, right, n_right)]
+        if n_missing:
+            sides.append((False, left, n_left, right + missing_counts, n_right + n_missing))
+        return [
+            (self._screen_gains(parent, n, lc, ln, rc, rn), partial(rescore, missing_left=missing_left))
+            for missing_left, lc, ln, rc, rn in sides
+        ]
+
+    def _categorical_splits(self, column: _Column, idx, y, counts, parent: float):
+        """Screened gains and a re-scorer for every category of a
+        categorical column; index j of the gains is category code j."""
+        import numpy as np
+
+        k = len(self.classes_)
+        n = len(idx)
+        codes = column.values[idx]
+        table = np.bincount(codes * k + y, minlength=len(column.categories) * k).reshape(-1, k)
+        n_left = table.sum(axis=1)
+        gains = self._screen_gains(parent, n, table, n_left, counts - table, n - n_left)
+        gains[n_left == 0] = -np.inf  # categories absent from this node
+
+        def rescore(j: int):
+            on_left = codes == j
+            lc, rc = table[j].tolist(), (counts - table[j]).tolist()
+            ln = int(n_left[j])
+            left_keys, _ = _first_seen(y[on_left])
+            right_keys, _ = _first_seen(y[~on_left])
+            score = ln / n * self._gini([lc[c] for c in left_keys], ln) + (n - ln) / n * self._gini(
+                [rc[c] for c in right_keys], n - ln
+            )
+            return parent - score, column.categories[j], True
+
+        return [(gains, rescore)]
+
+    def _best_split(self, columns: list[_Column], idx, y):
+        """The best split of the rows ``idx`` as ``(column, threshold or
+        category, missing_left)``, or None when no split gains more than
+        1e-12."""
+        import numpy as np
+
+        n = len(idx)
+        counts = np.bincount(y, minlength=len(self.classes_))
+        order, _ = _first_seen(y)
+        parent = self._gini([int(counts[c]) for c in order], n)
+        screened = []  # (column, gains, rescore)
+        for column in columns:
+            if column.missing is None:
+                splits = self._categorical_splits(column, idx, y, counts, parent)
+            else:
+                splits = self._numeric_splits(column, idx, y, parent)
+            screened.extend((column, gains, rescore) for gains, rescore in splits)
+        top = max((float(gains.max()) for _, gains, _ in screened if len(gains)), default=-math.inf)
+        if top == -math.inf:
+            return None
+
+        best = None
+        for column, gains, rescore in screened:
+            for j in np.flatnonzero(gains >= top - self._RESCORE_WINDOW).tolist():
+                gain, pivot, missing_left = rescore(j)
+                key = (-gain, column.name, pivot, not missing_left)
+                if best is None or key < best[0]:
+                    best = (key, column, pivot, missing_left)
+        key, column, pivot, missing_left = best
+        if -key[0] <= 1e-12:  # the gain
+            return None
+        return column, pivot, missing_left
+
+    def _build(self, columns: list[_Column], labels, idx, depth: int) -> _TreeNode:
+        import numpy as np
+
+        y = labels[idx]
+        counts = np.bincount(y, minlength=len(self.classes_))
+        # codes follow the sorted labels, so the first maximum is the
+        # lexicographically smallest of the most frequent labels
+        node = _TreeNode(prediction=self.classes_[int(np.argmax(counts))])
         if (
             depth >= self.max_depth
-            or len(rows) < self.min_split
-            or len(set(labels)) == 1
+            or len(idx) < self.min_split
+            or np.count_nonzero(counts) == 1
         ):
             return node
-        split = self._best_split(rows, labels)
+        split = self._best_split(columns, idx, y)
         if split is None:
             return node
-        name, kind, pivot, missing_left, _gain = split
-        if kind == "numeric":
-            left_idx, right_idx = [], []
-            for i, row in enumerate(rows):
-                value = row.get(name)
-                if value is None:
-                    (left_idx if missing_left else right_idx).append(i)
-                elif float(value) <= pivot:
-                    left_idx.append(i)
-                else:
-                    right_idx.append(i)
-            node.feature, node.threshold, node.missing_left = name, pivot, missing_left
+        column, pivot, missing_left = split
+        if column.missing is None:
+            goes_left = column.values[idx] == column.categories.index(pivot)
+            node.feature, node.category = column.name, pivot
         else:
-            values = [_categorical(r.get(name)) for r in rows]
-            left_idx = [i for i, v in enumerate(values) if v == pivot]
-            right_idx = [i for i, v in enumerate(values) if v != pivot]
-            node.feature, node.category = name, pivot
-        node.left = self._build(
-            [rows[i] for i in left_idx], [labels[i] for i in left_idx], depth + 1
-        )
-        node.right = self._build(
-            [rows[i] for i in right_idx], [labels[i] for i in right_idx], depth + 1
-        )
+            goes_left = np.where(column.missing[idx], missing_left, column.values[idx] <= pivot)
+            node.feature, node.threshold, node.missing_left = column.name, pivot, missing_left
+        node.left = self._build(columns, labels, idx[goes_left], depth + 1)
+        node.right = self._build(columns, labels, idx[~goes_left], depth + 1)
         return node
 
     def fit(self, rows, labels):
+        import numpy as np
+
+        rows = list(rows)
         self.space_ = _feature_space(rows)
-        self.root_ = self._build(list(rows), list(labels), 0)
+        self.classes_ = sorted(set(labels))
+        code = {label: i for i, label in enumerate(self.classes_)}
+        codes = np.array([code[label] for label in labels], dtype=np.intp)
+        columns = [_Column.encode(rows, name, kind) for name, kind in self.space_.items()]
+        self.root_ = self._build(columns, codes, np.arange(len(rows)), 0)
         return self
 
     def predict(self, row) -> str:

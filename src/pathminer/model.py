@@ -8,6 +8,7 @@ empty string; no stage of the pipeline may impute over it silently.
 import enum
 from dataclasses import dataclass, field
 from datetime import date
+from functools import cached_property
 
 from .errors import InputError
 
@@ -145,7 +146,7 @@ class EventLog:
 
     Traces group events by case and order them by timestamp; events with
     equal timestamps keep their insertion order, which for transformed
-    patient data is source-row order.
+    patient data is source-row order. The grouping is computed once per log.
     """
 
     events: tuple[Event, ...] = ()
@@ -162,14 +163,19 @@ class EventLog:
     def activities(self) -> set[str]:
         return {e.activity for e in self.events}
 
-    def traces(self) -> dict[str, tuple[Event, ...]]:
+    @cached_property
+    def _traces(self) -> tuple[tuple[str, tuple[Event, ...]], ...]:
         grouped: dict[str, list[Event]] = {}
         for event in self.events:
             grouped.setdefault(event.case_id, []).append(event)
-        return {
-            case: tuple(sorted(grouped[case], key=lambda e: e.timestamp))
+        return tuple(
+            (case, tuple(sorted(grouped[case], key=lambda e: e.timestamp)))
             for case in sorted(grouped)
-        }
+        )
+
+    def traces(self) -> dict[str, tuple[Event, ...]]:
+        """Case id -> its events, in case id order; a fresh dict per call."""
+        return dict(self._traces)
 
     def activity_sequences(self) -> dict[str, tuple[str, ...]]:
         return {

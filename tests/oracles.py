@@ -1,15 +1,18 @@
 """Independent reference implementations used to cross-check the package.
 
 These deliberately avoid the production search/statistics code paths: the
-firing semantics are plain dicts of place ids, the alignment oracle is a
+decision tree rescans ``Counter``s of row dicts for every candidate split,
+the firing semantics are plain dicts of place ids, the alignment oracle is a
 label-correcting exhaustive search, and the random model generator builds
 nets compositionally so the final marking is always reachable.
 """
 
 import math
 import random
+from collections import Counter
 from datetime import date, timedelta
 
+from pathminer.classifiers import _TreeNode, _categorical, _feature_space
 from pathminer.model import Event, EventLog
 from pathminer.errors import SemanticsError
 from pathminer.petri import Marking, PetriNet, Transition
@@ -41,6 +44,165 @@ def cohort_log(seed: str, cases_per_group: int, death_probability) -> EventLog:
                         Event(cid, "Death_HF", day + timedelta(days=30), dict(attrs))
                     )
     return EventLog(tuple(events))
+
+
+class ReferenceDecisionTree:
+    """CART-style tree on gini impurity with explicit missing handling."""
+
+    kind = "decision-tree"
+
+    def __init__(self, max_depth: int = 6, min_leaf: int = 5, min_split: int = 10):
+        self.max_depth = max_depth
+        self.min_leaf = min_leaf
+        self.min_split = min_split
+
+    @staticmethod
+    def _gini(counter: Counter, n: int) -> float:
+        if n == 0:
+            return 0.0
+        return 1.0 - sum((c / n) ** 2 for c in counter.values())
+
+    @staticmethod
+    def _majority(labels) -> str:
+        counts = Counter(labels)
+        top = max(counts.values())
+        return min(l for l, c in counts.items() if c == top)
+
+    def _best_split(self, rows, labels):
+        n = len(rows)
+        parent = self._gini(Counter(labels), n)
+        best = None  # (gain, feature, kind-specific payload)
+        for name, kind in self.space_.items():
+            if kind == "numeric":
+                present = [
+                    (float(r[name]), l)
+                    for r, l in zip(rows, labels)
+                    if r.get(name) is not None
+                ]
+                missing_labels = [l for r, l in zip(rows, labels) if r.get(name) is None]
+                if len(present) < 2:
+                    continue
+                present.sort(key=lambda pair: pair[0])
+                missing_counter = Counter(missing_labels)
+                left_counter: Counter = Counter()
+                right_counter = Counter(l for _, l in present)
+                n_left = 0
+                n_right = len(present)
+                for i in range(len(present) - 1):
+                    value, label = present[i]
+                    left_counter[label] += 1
+                    right_counter[label] -= 1
+                    n_left += 1
+                    n_right -= 1
+                    if present[i + 1][0] == value:
+                        continue
+                    threshold = (value + present[i + 1][0]) / 2.0
+                    for missing_left in (True, False):
+                        lc = left_counter.copy()
+                        rc = right_counter.copy()
+                        ln, rn = n_left, n_right
+                        if missing_labels:
+                            if missing_left:
+                                lc.update(missing_counter)
+                                ln += len(missing_labels)
+                            else:
+                                rc.update(missing_counter)
+                                rn += len(missing_labels)
+                        if ln < self.min_leaf or rn < self.min_leaf:
+                            continue
+                        score = (
+                            ln / n * self._gini(lc, ln)
+                            + rn / n * self._gini(rc, rn)
+                        )
+                        gain = parent - score
+                        key = (-gain, name, threshold, not missing_left)
+                        if best is None or key < best[0]:
+                            best = (key, name, "numeric", threshold, missing_left, gain)
+            else:
+                values = [_categorical(r.get(name)) for r in rows]
+                for category in sorted(set(values)):
+                    left_idx = [i for i, v in enumerate(values) if v == category]
+                    right_idx = [i for i, v in enumerate(values) if v != category]
+                    if len(left_idx) < self.min_leaf or len(right_idx) < self.min_leaf:
+                        continue
+                    lc = Counter(labels[i] for i in left_idx)
+                    rc = Counter(labels[i] for i in right_idx)
+                    score = (
+                        len(left_idx) / n * self._gini(lc, len(left_idx))
+                        + len(right_idx) / n * self._gini(rc, len(right_idx))
+                    )
+                    gain = parent - score
+                    key = (-gain, name, category, False)
+                    if best is None or key < best[0]:
+                        best = (key, name, "categorical", category, True, gain)
+        if best is None or best[5] <= 1e-12:
+            return None
+        return best[1:]
+
+    def _build(self, rows, labels, depth: int) -> _TreeNode:
+        node = _TreeNode(prediction=self._majority(labels))
+        if (
+            depth >= self.max_depth
+            or len(rows) < self.min_split
+            or len(set(labels)) == 1
+        ):
+            return node
+        split = self._best_split(rows, labels)
+        if split is None:
+            return node
+        name, kind, pivot, missing_left, _gain = split
+        if kind == "numeric":
+            left_idx, right_idx = [], []
+            for i, row in enumerate(rows):
+                value = row.get(name)
+                if value is None:
+                    (left_idx if missing_left else right_idx).append(i)
+                elif float(value) <= pivot:
+                    left_idx.append(i)
+                else:
+                    right_idx.append(i)
+            node.feature, node.threshold, node.missing_left = name, pivot, missing_left
+        else:
+            values = [_categorical(r.get(name)) for r in rows]
+            left_idx = [i for i, v in enumerate(values) if v == pivot]
+            right_idx = [i for i, v in enumerate(values) if v != pivot]
+            node.feature, node.category = name, pivot
+        node.left = self._build(
+            [rows[i] for i in left_idx], [labels[i] for i in left_idx], depth + 1
+        )
+        node.right = self._build(
+            [rows[i] for i in right_idx], [labels[i] for i in right_idx], depth + 1
+        )
+        return node
+
+    def fit(self, rows, labels):
+        self.space_ = _feature_space(rows)
+        self.root_ = self._build(list(rows), list(labels), 0)
+        return self
+
+    def predict(self, row) -> str:
+        node = self.root_
+        while node.left is not None:
+            if node.threshold is not None:
+                value = row.get(node.feature)
+                if value is None:
+                    node = node.left if node.missing_left else node.right
+                elif float(value) <= node.threshold:
+                    node = node.left
+                else:
+                    node = node.right
+            else:
+                value = _categorical(row.get(node.feature))
+                node = node.left if value == node.category else node.right
+        return node.prediction
+
+    def root_split(self) -> dict:
+        root = self.root_
+        if root.left is None:
+            return {}
+        if root.threshold is not None:
+            return {"feature": root.feature, "threshold": root.threshold}
+        return {"feature": root.feature, "category": root.category}
 
 
 class ReferenceSemantics:

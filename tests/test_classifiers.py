@@ -1,7 +1,11 @@
 import random
+from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import ReferenceDecisionTree
 from pathminer.classifiers import (
     DecisionTreeClassifier,
     LogisticClassifier,
@@ -9,7 +13,11 @@ from pathminer.classifiers import (
     NaiveBayesClassifier,
     make_classifier,
 )
+from pathminer.decision_mining import extract_instances
 from pathminer.errors import InputError
+from pathminer.petri import build_dejure
+from pathminer.simulate import SimulationConfig, simulate
+from pathminer.transform import transform_log
 
 
 def planted_rows(n, seed, threshold=1000.0, missing_rate=0.0):
@@ -102,6 +110,124 @@ class TestDecisionTree:
         model = DecisionTreeClassifier(min_leaf=2, min_split=4).fit(rows, labels)
         assert model.predict({"flag": True}) == "recorded"
         assert model.predict({"flag": None}) == "absent"
+
+
+_NUMBERS = st.one_of(st.none(), st.integers(-3, 3), st.sampled_from([-1.5, 0.25, 0.5, 2.0, 2.75]))
+
+
+@st.composite
+def tree_training_sets(draw):
+    """Rows with repeated and missing numeric, boolean and string values.
+
+    ``low_x`` is ``x <= cut`` and ``x_text`` is ``x`` as text, so they
+    partition rows exactly as some thresholds on ``x`` do. Labels lean on
+    ``low_x``, so those equal partitions are often the best split, and the
+    top classes occur only in rows without an ``x``, which exercises the
+    class order on each missing side.
+    """
+    k = draw(st.integers(2, 6))
+    only_missing = draw(st.integers(1, k - 1))
+    cut = draw(st.sampled_from([-1, 0.5, 2]))
+    drawn = draw(st.lists(
+        st.tuples(
+            st.fixed_dictionaries({
+                "x": _NUMBERS,
+                "dose": _NUMBERS,
+                "flag": st.one_of(st.none(), st.booleans()),
+                "site": st.one_of(st.none(), st.sampled_from(["a", "b", "c"])),
+            }),
+            st.integers(0, k - 1),
+            st.integers(0, k - 1),
+        ),
+        min_size=2,
+        max_size=120,
+    ))
+    rows, labels = [], []
+    for row, a, b in drawn:
+        x = row["x"]
+        if x is None:
+            label = a
+        else:
+            label = (min(a, b) if x <= cut else max(a, b)) % (k - only_missing)
+        row["low_x"] = None if x is None else x <= cut
+        row["x_text"] = None if x is None else str(x)
+        if row["dose"] is None and label % 2:
+            del row["dose"]
+        rows.append(row)
+        labels.append(f"class{label}")
+    return rows, labels
+
+
+# Near ties decided by the order in which one side's class shares are
+# summed: in another order a gini moves in its last bit and another split
+# wins. Labels are class numbers.
+_ORDER_CASES = [
+    pytest.param(  # a numeric split with its missing rows on the left
+        {"dose": [None, None, None, None, None, 2, None, None, -2, None, None, -1],
+         "site": ["b", None, None, "a", "b", "a", "c", "a", "a", "a", "a", "a"]},
+        [0, 2, 3, 4, 2, 3, 4, 0, 3, 1, 5, 4],
+        dict(max_depth=3, min_leaf=2, min_split=4),
+        id="missing-left",
+    ),
+    pytest.param(  # a numeric split with its missing rows on the right
+        {"x": [0, 0.5, None, 0.5, -1.5, 0.25, None, None, 3, 2, None, -2, None, None, 2,
+               -1.5, 2, 0.5]},
+        [0, 0, 0, 0, 0, 0, 4, 5, 1, 0, 3, 1, 4, 4, 0, 1, 0, 0],
+        dict(max_depth=1, min_leaf=2, min_split=11),
+        id="missing-right",
+    ),
+    pytest.param(  # a categorical split
+        {"flag": [None, None, None, None, None, True, None, None]},
+        [0, 3, 1, 1, 1, 1, 2, 2],
+        dict(max_depth=1, min_leaf=1, min_split=4),
+        id="categorical",
+    ),
+]
+
+
+class TestDecisionTreeAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tree_training_sets(),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(1, 12),
+    )
+    def test_same_tree_as_reference(self, data, max_depth, min_leaf, min_split):
+        rows, labels = data
+        params = dict(max_depth=max_depth, min_leaf=min_leaf, min_split=min_split)
+        expected = ReferenceDecisionTree(**params).fit(rows, labels)
+        model = DecisionTreeClassifier(**params).fit(rows, labels)
+        assert asdict(model.root_) == asdict(expected.root_)
+        assert model.root_split() == expected.root_split()
+
+    @pytest.mark.parametrize("columns, classes, params", _ORDER_CASES)
+    def test_class_order_decides_near_ties(self, columns, classes, params):
+        rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+        labels = [f"class{c}" for c in classes]
+        expected = ReferenceDecisionTree(**params).fit(rows, labels)
+        model = DecisionTreeClassifier(**params).fit(rows, labels)
+        assert asdict(model.root_) == asdict(expected.root_)
+
+    def test_equal_partitions_tie_on_feature_name(self):
+        # "hfref" and "lvef <= 40.5" split the rows identically; the name decides
+        rows = [{"lvef": v, "hfref": v <= 40} for v in (20, 25, 30, 35, 40, 45, 50, 55, 60, 65)]
+        labels = ["HF"] * 5 + ["None"] * 5
+        params = dict(min_leaf=1, min_split=2)
+        model = DecisionTreeClassifier(**params).fit(rows, labels)
+        expected = ReferenceDecisionTree(**params).fit(rows, labels)
+        assert model.root_split() == expected.root_split() == {
+            "feature": "hfref", "category": "false"}
+
+    def test_same_tree_on_simulated_instances(self):
+        cohort = transform_log(simulate(SimulationConfig(patients=240, seed=11)))
+        for place in ("p1", "p4"):
+            instances = extract_instances(build_dejure(), cohort, place).instances
+            rows = [i.features for i in instances]
+            labels = [i.chosen for i in instances]
+            expected = ReferenceDecisionTree().fit(rows, labels)
+            model = DecisionTreeClassifier().fit(rows, labels)
+            assert asdict(model.root_) == asdict(expected.root_)
 
 
 def test_unknown_kind_rejected():

@@ -80,6 +80,21 @@ class TestGoldenOutputs:
         run_ok(["simulate", "--patients", "5", "--seed", "7", "--output", out])
         assert out.read_bytes() == (GOLDEN_DIR / "simulate_5_seed7.csv").read_bytes()
 
+    @pytest.mark.parametrize("place", ["p1", "p4"])
+    def test_decide_all_classifiers_on_simulated_cohort(self, tmp_path, place):
+        patients = tmp_path / "patients.csv"
+        log = tmp_path / "log.xes"
+        net = tmp_path / "dejure.json"
+        out = tmp_path / "decide.json"
+        run_ok(["simulate", "--patients", "240", "--seed", "7", "--output", patients])
+        run_ok(["transform", "--input", patients, "--output", log])
+        run_ok(["dejure", "--output", net])
+        run_ok(["decide", "--log", log, "--net", net, "--place", place,
+                "--classifiers", "majority,naive-bayes,logistic,decision-tree",
+                "--seed", "0", "--output", out])
+        golden = GOLDEN_DIR / f"decide_sim240_{place}.json"
+        assert out.read_bytes() == golden.read_bytes()
+
 
 class TestPipeline:
     def test_simulate_transform_conform_reports_perfect_fitness(self, tmp_path):
@@ -162,3 +177,15 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert "transform" in result.stdout
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # only decision mining's classifiers need numpy; they import it on use
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, pathminer.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -124,3 +124,24 @@ class TestEventLog:
             )
         )
         assert log.case_ids() == ("a", "b")
+
+    def test_traces_are_grouped_once_and_returned_as_fresh_dicts(self):
+        log = EventLog(
+            (
+                Event("b", "x", date(2023, 1, 2)),
+                Event("a", "y", date(2023, 1, 1)),
+                Event("b", "z", date(2023, 1, 1)),
+            )
+        )
+        first = log.traces()
+        second = log.traces()
+        assert first == second == {
+            "a": (log.events[1],),
+            "b": (log.events[2], log.events[0]),
+        }
+        assert first is not second
+        assert next(iter(first.values())) is next(iter(second.values()))  # grouped once
+        first["a"] = ()
+        del first["b"]
+        assert log.traces() == second
+        assert list(log.traces()) == ["a", "b"]
