@@ -9,7 +9,6 @@ byte-identical files.
 
 import argparse
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -37,21 +36,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(self, message)
-
-
-def _thread_cap() -> int:
-    """Upper bound on worker threads; the pipeline currently runs
-    single-threaded, which satisfies any cap."""
-    raw = os.environ.get("PATHMINER_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InputError(f"PATHMINER_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise InputError("PATHMINER_THREADS must be at least 1")
-    return cap
 
 
 def _slug(text: str) -> str:
@@ -154,7 +138,6 @@ def build_parser() -> _Parser:
     p.add_argument("--log", required=True, type=Path)
     p.add_argument("--net", required=True, type=Path)
     p.add_argument("--output", required=True, type=Path)
-    p.add_argument("--heuristic", choices=("none", "marking_eq"), default="none")
     p.add_argument("--cap", type=int, default=1_000_000)
 
     p = sub.add_parser("dejure", help="emit the built-in reference net")
@@ -193,7 +176,6 @@ def build_parser() -> _Parser:
 def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _thread_cap()
 
     if args.command == "transform":
         rows = parse_patient_csv(args.input.read_bytes())
@@ -212,7 +194,7 @@ def run(argv) -> int:
     elif args.command == "conform":
         log = read_xes(args.log.read_bytes())
         net = read_net_json(args.net.read_bytes())
-        report = conformance_report(net, log, cap=args.cap, heuristic=args.heuristic)
+        report = conformance_report(net, log, cap=args.cap)
         args.output.write_bytes(_format_conformance(report))
 
     elif args.command == "dejure":

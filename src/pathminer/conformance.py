@@ -4,9 +4,7 @@ Alignments pair a trace with a model execution under the standard cost
 function: synchronous and silent moves are free, log moves and visible
 model moves cost one each. The search is uniform-cost best-first over the
 synchronous product of the trace and a :class:`~pathminer.petri.CompiledNet`
-(count-tuple markings, indexed presets); an optional marking-equation lower
-bound (LP relaxation) can be enabled as an admissible heuristic, and
-equality of the two modes is covered by the test-suite oracles.
+(count-tuple markings, indexed presets).
 
 :func:`conformance_report` compiles the net once and aligns each variant of
 the log once; fitness, precision and generalization all read those
@@ -31,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import InputError, ModelError, ResourceError
+from .errors import ModelError, ResourceError
 from .model import Event, EventLog
 from .petri import CompiledNet, PetriNet
 
@@ -41,6 +39,8 @@ MODEL = "model"
 SILENT = "silent"
 
 DEFAULT_CAP = 1_000_000
+
+_NO_RUN = "the net has no run from its initial marking to its final marking"
 
 
 @dataclass(frozen=True)
@@ -80,94 +80,27 @@ def _as_labels(trace) -> tuple[str, ...]:
     return tuple(e.activity if isinstance(e, Event) else str(e) for e in trace)
 
 
-class _MarkingEquationBound:
-    """LP relaxation of the synchronous-product marking equation.
-
-    Any completion to the final state fires a non-negative combination of
-    product transitions whose net token effect bridges current and target
-    markings, so the LP optimum never exceeds the true remaining cost.
-    """
-
-    def __init__(self, compiled: CompiledNet, labels: tuple[str, ...]):
-        import numpy as np
-
-        self._np = np
-        n_model = len(compiled.places)
-        n_pos = len(labels) + 1
-
-        columns = []
-        costs = []
-        for t, transition in enumerate(compiled.transitions):
-            effect = np.zeros(n_model + n_pos)
-            effect[:n_model] = compiled.delta[t]
-            columns.append(effect)
-            costs.append(0.0 if transition.silent else 1.0)
-            if not transition.silent:
-                for i, label in enumerate(labels):
-                    if label == transition.label:
-                        sync = effect.copy()
-                        sync[n_model + i] -= 1
-                        sync[n_model + i + 1] += 1
-                        columns.append(sync)
-                        costs.append(0.0)
-        for i in range(len(labels)):
-            effect = np.zeros(n_model + n_pos)
-            effect[n_model + i] -= 1
-            effect[n_model + i + 1] += 1
-            columns.append(effect)
-            costs.append(1.0)
-
-        self._matrix = np.column_stack(columns) if columns else np.zeros((n_model + n_pos, 0))
-        self._costs = np.array(costs)
-        self._n_model = n_model
-        self._n_pos = n_pos
-        self._final = compiled.final
-        self._cache: dict[tuple, float] = {}
-
-    def __call__(self, marking: tuple[int, ...], pos: int) -> float:
-        key = (marking, pos)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        from scipy.optimize import linprog
-
-        np = self._np
-        target = np.zeros(self._n_model + self._n_pos)
-        target[: self._n_model] = np.subtract(self._final, marking)
-        target[-1] += 1
-        target[self._n_model + pos] -= 1
-
-        result = linprog(
-            self._costs, A_eq=self._matrix, b_eq=target, method="highs"
-        )
-        bound = result.fun if result.status == 0 else math.inf
-        value = max(0.0, bound if bound is not None else 0.0)
-        self._cache[key] = value
-        return value
-
-
-def align(
-    net: PetriNet | CompiledNet,
-    trace,
-    *,
-    cap: int = DEFAULT_CAP,
-    heuristic: str = "none",
-) -> Alignment:
+def align(net: PetriNet | CompiledNet, trace, *, cap: int = DEFAULT_CAP) -> Alignment:
     """Compute a minimal-cost alignment of ``trace`` against ``net``.
 
     ``net`` may be a :class:`CompiledNet`, so that a caller aligning many
-    traces compiles the net once. Raises :class:`ModelError` when the final
-    marking cannot be reached and :class:`ResourceError` when more than
-    ``cap`` search states are expanded.
+    traces compiles the net once. Log moves can always use up the trace, so
+    the search fails only when the net has no run from its initial to its
+    final marking: that raises :class:`ModelError`. More than ``cap``
+    expanded search states raise :class:`ResourceError`.
     """
     compiled = CompiledNet.of(net)
     labels = _as_labels(trace)
-    if heuristic == "none":
-        h = lambda marking, pos: 0
-    elif heuristic == "marking_eq":
-        h = _MarkingEquationBound(compiled, labels)
-    else:
-        raise InputError(f"unknown heuristic {heuristic!r}")
+    # A place that no transition consumes from never loses a token, so a
+    # marking with more tokens there than the final marking is dead: it lies
+    # on no path to the goal and is dropped as soon as it is generated.
+    sinks = [(p, compiled.final[p]) for p, ts in enumerate(compiled.consumers) if not ts]
+
+    def dead(marking: tuple) -> bool:
+        return any(marking[p] > limit for p, limit in sinks)
+
+    if dead(compiled.initial):
+        raise ModelError(_NO_RUN)
 
     model_moves = []
     sync_moves = []
@@ -187,7 +120,7 @@ def align(
     best: dict[tuple, int] = {start: 0}
     parent: dict[tuple, tuple[tuple, Move]] = {}
     tie = itertools.count()
-    heap = [(h(compiled.initial, 0), next(tie), 0, compiled.initial, 0)]
+    heap = [(0, next(tie), compiled.initial, 0)]
     # Successors of each marking, shared by the states at every trace position.
     successors: dict[tuple, tuple] = {}
     expanded = 0
@@ -197,12 +130,10 @@ def align(
         if g < best.get(next_state, math.inf):
             best[next_state] = g
             parent[next_state] = (state, move)
-            bound = h(next_marking, next_pos)
-            if math.isfinite(bound):
-                heapq.heappush(heap, (g + bound, next(tie), g, next_marking, next_pos))
+            heapq.heappush(heap, (g, next(tie), next_marking, next_pos))
 
     while heap:
-        _, _, g, marking, pos = heapq.heappop(heap)
+        g, _, marking, pos = heapq.heappop(heap)
         state = (marking, pos)
         if g > best[state]:
             continue
@@ -220,7 +151,10 @@ def align(
 
         steps = successors.get(marking)
         if steps is None:
-            steps = tuple((t, compiled.fire(marking, t)) for t in compiled.enabled(marking))
+            steps = tuple(
+                (t, fired) for t in compiled.enabled(marking)
+                if not dead(fired := compiled.fire(marking, t))
+            )
             successors[marking] = steps
         label = labels[pos] if pos < n else None
         for t, fired in steps:
@@ -233,15 +167,11 @@ def align(
         if pos < n:
             push(state, g + 1, marking, pos + 1, log_moves[pos])
 
-    raise ModelError("final marking is unreachable for this trace")
+    raise ModelError(_NO_RUN)
 
 
 def align_log(
-    net: PetriNet | CompiledNet,
-    log: EventLog,
-    *,
-    cap: int = DEFAULT_CAP,
-    heuristic: str = "none",
+    net: PetriNet | CompiledNet, log: EventLog, *, cap: int = DEFAULT_CAP
 ) -> dict[str, Alignment]:
     """Align every trace of ``log``, reusing results across equal variants.
 
@@ -255,7 +185,7 @@ def align_log(
         labels = _as_labels(trace)
         if labels not in cache:
             try:
-                cache[labels] = align(compiled, labels, cap=cap, heuristic=heuristic)
+                cache[labels] = align(compiled, labels, cap=cap)
             except ResourceError as err:
                 raise ResourceError(
                     err.cap, f"{err} aligning case {case!r} (a variant of {len(labels)} events)"
@@ -290,14 +220,12 @@ def _fitness(weighted: list[tuple[Alignment, int]], worst_model: int) -> float:
     return 1.0 - total_cost / total_worst
 
 
-def fitness(
-    net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP, heuristic: str = "none"
-) -> float:
+def fitness(net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP) -> float:
     if not log.events:
         return 1.0
     compiled = CompiledNet(net)
     worst_model = model_path_cost(compiled, cap=cap)
-    alignments = align_log(compiled, log, cap=cap, heuristic=heuristic)
+    alignments = align_log(compiled, log, cap=cap)
     return _fitness(_weighted(alignments), worst_model)
 
 
@@ -359,11 +287,9 @@ def _precision(compiled: CompiledNet, weighted: list[tuple[Alignment, int]]) -> 
     return 1.0 - escaping_mass / enabled_mass
 
 
-def precision(
-    net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP, heuristic: str = "none"
-) -> float:
+def precision(net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP) -> float:
     compiled = CompiledNet(net)
-    alignments = align_log(compiled, log, cap=cap, heuristic=heuristic)
+    alignments = align_log(compiled, log, cap=cap)
     return _precision(compiled, _weighted(alignments))
 
 
@@ -381,12 +307,10 @@ def _generalization(net: PetriNet, weighted: list[tuple[Alignment, int]]) -> flo
     return 1.0 - penalty / len(visible)
 
 
-def generalization(
-    net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP, heuristic: str = "none"
-) -> float:
+def generalization(net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP) -> float:
     if not net.visible_transitions():
         return 1.0
-    return _generalization(net, _weighted(align_log(net, log, cap=cap, heuristic=heuristic)))
+    return _generalization(net, _weighted(align_log(net, log, cap=cap)))
 
 
 def simplicity(net: PetriNet) -> float:
@@ -417,7 +341,7 @@ class ConformanceReport:
 
 
 def conformance_report(
-    net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP, heuristic: str = "none"
+    net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP
 ) -> ConformanceReport:
     """Evaluate the full metric suite of a model against a log.
 
@@ -427,7 +351,7 @@ def conformance_report(
     """
     compiled = CompiledNet(net)
     worst_model = model_path_cost(compiled, cap=cap) if log.events else 0
-    weighted = _weighted(align_log(compiled, log, cap=cap, heuristic=heuristic))
+    weighted = _weighted(align_log(compiled, log, cap=cap))
     fit = _fitness(weighted, worst_model)
     prec = _precision(compiled, weighted)
     gen = _generalization(net, weighted)

@@ -37,16 +37,14 @@ class ExtractionResult:
     skipped_cases: tuple[str, ...]
 
 
-def extract_instances(
-    net: PetriNet, log: EventLog, place: str, *, heuristic: str = "none"
-) -> ExtractionResult:
+def extract_instances(net: PetriNet, log: EventLog, place: str) -> ExtractionResult:
     """Replay aligned traces and capture every choice made at ``place``."""
     if place not in {dp.place for dp in decision_points(net)}:
         raise InputError(f"{place!r} is not a decision point of the net")
 
     compiled = CompiledNet(net)
     place_index = compiled.place_index[place]
-    alignments = align_log(compiled, log, heuristic=heuristic)
+    alignments = align_log(compiled, log)
     traces = log.traces()
 
     instances: list[DecisionInstance] = []
@@ -204,7 +202,6 @@ def mine_place(
     phenotype_filter: str | None = None,
     split: float = 0.2,
     seed: int = 0,
-    heuristic: str = "none",
 ) -> DecisionMiningReport:
     """Distribution plus classifier reports for one decision place,
     optionally restricted to cases of one phenotype."""
@@ -215,7 +212,7 @@ def mine_place(
             if case_phenotype(trace) == phenotype_filter
         }
         log = EventLog(tuple(e for e in log if e.case_id in keep))
-    extraction = extract_instances(net, log, place, heuristic=heuristic)
+    extraction = extract_instances(net, log, place)
     reports = tuple(
         train_classifier(extraction.instances, kind, split=split, seed=seed)
         for kind in kinds

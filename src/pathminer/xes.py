@@ -4,7 +4,9 @@ Only the concept and time extensions are used: the activity lives under
 ``concept:name``, the timestamp under ``time:timestamp`` (dates are emitted
 as midnight UTC), and the case id is the trace-level ``concept:name``. Event
 attributes are typed string/int/float/boolean/date elements; absent values
-are simply omitted and come back as absent on read. Reading is strict: a
+are simply omitted and come back as absent on read. An event's first
+``concept:name`` and ``time:timestamp`` are its activity and timestamp;
+later elements under those keys are attributes. Reading is strict: a
 boolean must be one of the xs:boolean forms ``true``/``false``/``1``/``0``,
 a float must be finite, and no two traces may share a case id.
 """
@@ -122,9 +124,9 @@ def read_xes(data: bytes | str) -> EventLog:
                 if key is None:
                     raise FormatError(f"{where}: attribute without key")
                 value = _parse_value(child, where)
-                if key == "concept:name":
+                if key == "concept:name" and activity is None:
                     activity = value
-                elif key == "time:timestamp":
+                elif key == "time:timestamp" and timestamp is None:
                     if not isinstance(value, date):
                         raise FormatError(f"{where}: time:timestamp is not a date")
                     timestamp = value

@@ -5,17 +5,24 @@ decision tree rescans ``Counter``s of row dicts for every candidate split,
 the firing semantics are plain dicts of place ids, the alignment oracle is a
 label-correcting exhaustive search, and the random model generator builds
 nets compositionally so the final marking is always reachable.
+``reference_align`` keeps the alignment search without its dead-marking
+prune, so the prune can be checked move for move against it.
 """
 
+import heapq
+import itertools
 import math
 import random
 from collections import Counter
 from datetime import date, timedelta
 
 from pathminer.classifiers import _TreeNode, _categorical, _feature_space
+from pathminer.conformance import (
+    DEFAULT_CAP, LOG, MODEL, SILENT, SYNC, Alignment, Move, _as_labels,
+)
 from pathminer.model import Event, EventLog
-from pathminer.errors import SemanticsError
-from pathminer.petri import Marking, PetriNet, Transition
+from pathminer.errors import ModelError, ResourceError, SemanticsError
+from pathminer.petri import CompiledNet, Marking, PetriNet, Transition
 
 PHENOTYPE_FLAGS = {
     "HFrEF": {"hfref": True, "hfmref": False, "hfpef": False},
@@ -230,6 +237,78 @@ class ReferenceSemantics:
         for place in self.post[tid]:
             counts[place] = counts.get(place, 0) + 1
         return Marking(counts)
+
+
+def reference_align(net: PetriNet | CompiledNet, trace, *, cap: int = DEFAULT_CAP) -> Alignment:
+    """The uniform-cost alignment search as it was before dead markings
+    were pruned: every reachable marking is explored, so a net without a
+    run to its final marking ends only when the states or ``cap`` run out."""
+    compiled = CompiledNet.of(net)
+    labels = _as_labels(trace)
+
+    model_moves = []
+    sync_moves = []
+    for t in compiled.transitions:
+        if t.silent:
+            model_moves.append(Move(SILENT, transition=t.id))
+            sync_moves.append(None)
+        else:
+            model_moves.append(Move(MODEL, activity=t.label, transition=t.id))
+            sync_moves.append(Move(SYNC, activity=t.label, transition=t.id))
+    log_moves = [Move(LOG, activity=label) for label in labels]
+    transition_labels = [t.label for t in compiled.transitions]
+
+    n = len(labels)
+    start = (compiled.initial, 0)
+    goal = (compiled.final, n)
+    best: dict[tuple, int] = {start: 0}
+    parent: dict[tuple, tuple[tuple, Move]] = {}
+    tie = itertools.count()
+    heap = [(0, next(tie), compiled.initial, 0)]
+    # Successors of each marking, shared by the states at every trace position.
+    successors: dict[tuple, tuple] = {}
+    expanded = 0
+
+    def push(state, g: int, next_marking: tuple, next_pos: int, move: Move):
+        next_state = (next_marking, next_pos)
+        if g < best.get(next_state, math.inf):
+            best[next_state] = g
+            parent[next_state] = (state, move)
+            heapq.heappush(heap, (g, next(tie), next_marking, next_pos))
+
+    while heap:
+        g, _, marking, pos = heapq.heappop(heap)
+        state = (marking, pos)
+        if g > best[state]:
+            continue
+        if state == goal:
+            moves: list[Move] = []
+            cursor = state
+            while cursor != start:
+                cursor, move = parent[cursor]
+                moves.append(move)
+            moves.reverse()
+            return Alignment(tuple(moves), g)
+        expanded += 1
+        if expanded > cap:
+            raise ResourceError(cap)
+
+        steps = successors.get(marking)
+        if steps is None:
+            steps = tuple((t, compiled.fire(marking, t)) for t in compiled.enabled(marking))
+            successors[marking] = steps
+        label = labels[pos] if pos < n else None
+        for t, fired in steps:
+            if transition_labels[t] is None:
+                push(state, g, fired, pos, model_moves[t])
+            else:
+                if transition_labels[t] == label:
+                    push(state, g, fired, pos + 1, sync_moves[t])
+                push(state, g + 1, fired, pos, model_moves[t])
+        if pos < n:
+            push(state, g + 1, marking, pos + 1, log_moves[pos])
+
+    raise ModelError("final marking is unreachable for this trace")
 
 
 def brute_force_cost(net: PetriNet, labels) -> float:

@@ -158,15 +158,19 @@ class TestErrorHandling:
         assert code == 1
         assert "decision point" in capsys.readouterr().err
 
-    def test_bad_thread_cap_exits_1(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("PATHMINER_THREADS", "many")
-        code = main(["dejure", "--output", str(tmp_path / "n.json")])
+    def test_conform_on_alpha_net_without_a_run_exits_1(self, tmp_path, capsys):
+        # on this cohort the alpha net never consumes from its sink place, so
+        # no run reaches the final marking; the search must say so, not
+        # exhaust its state cap
+        csv, log, net = (tmp_path / name for name in ("a.csv", "a.xes", "alpha.json"))
+        run_ok(["simulate", "--patients", 240, "--seed", 5, "--output", csv])
+        run_ok(["transform", "--input", csv, "--output", log])
+        run_ok(["discover", "--input", log, "--algorithm", "alpha", "--output", net])
+        code = main(["conform", "--log", str(log), "--net", str(net),
+                     "--output", str(tmp_path / "c.json")])
         assert code == 1
-        assert "PATHMINER_THREADS" in capsys.readouterr().err
-
-    def test_thread_cap_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PATHMINER_THREADS", "4")
-        run_ok(["dejure", "--output", tmp_path / "n.json"])
+        assert ("the net has no run from its initial marking to its final marking"
+                in capsys.readouterr().err)
 
 
 def test_console_entry_point_runs():

@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_log
-from oracles import ReferenceSemantics, brute_force_cost, random_trace, random_workflow_net
+from oracles import (
+    ReferenceSemantics, brute_force_cost, random_trace, random_workflow_net, reference_align,
+)
 import pathminer.conformance as conformance
 from pathminer.conformance import (
     align,
@@ -162,14 +166,63 @@ class TestAlignOptimalityOracle:
             trace = random_trace(rng, net)
             assert align(CompiledNet(net), trace) == align(net, trace)
 
-    def test_marking_equation_heuristic_agrees(self):
-        rng = random.Random(77)
-        for _ in range(25):
-            net = random_workflow_net(rng, max_transitions=6)
-            trace = random_trace(rng, net, max_length=5)
-            plain = align(net, trace).total_cost
-            bounded = align(net, trace, heuristic="marking_eq").total_cost
-            assert plain == bounded
+
+def with_sink_place(rng: random.Random, net: PetriNet) -> PetriNet:
+    """``net`` plus a place that no transition consumes from, fed by one of
+    its transitions, with 0 or 1 tokens in the initial and final markings."""
+    feeder = rng.choice(net.transitions)
+    return PetriNet(
+        net.places | {"extra"},
+        net.transitions,
+        net.arcs | {(feeder.id, "extra")},
+        Marking({**dict(net.initial_marking.items()), "extra": rng.randint(0, 1)}),
+        Marking({**dict(net.final_marking.items()), "extra": rng.randint(0, 1)}),
+    )
+
+
+class TestDeadMarkingPrune:
+    CAP = 3000
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_same_result_as_the_unpruned_search(self, rng, add_sink):
+        net = random_workflow_net(rng)
+        if add_sink:
+            net = with_sink_place(rng, net)
+        trace = random_trace(rng, net)
+        try:
+            expected = reference_align(net, trace, cap=self.CAP)
+        except ModelError:
+            with pytest.raises(ModelError):
+                align(net, trace, cap=self.CAP)
+            return
+        except ResourceError:
+            return  # the unpruned search gives no answer to compare with
+        assert align(net, trace, cap=self.CAP) == expected
+
+    def test_pumped_sink_ends_in_model_error(self):
+        # a silent transition with an empty preset pumps tokens into a place
+        # nothing consumes: unpruned, the search never runs out of markings
+        net = PetriNet(
+            frozenset({"p0", "p1", "sink"}),
+            (Transition("t", "a"), Transition("pump")),
+            frozenset({("p0", "t"), ("t", "p0"), ("pump", "sink")}),
+            Marking(["p0"]),
+            Marking(["p1"]),
+        )
+        with pytest.raises(ResourceError):
+            reference_align(net, ("a",), cap=5000)
+        with pytest.raises(ModelError, match="no run from its initial marking to its final"):
+            align(net, ("a",), cap=5000)
+
+    def test_dead_initial_marking_fails_at_once(self):
+        net = linear_net("a")
+        dead = PetriNet(
+            net.places | {"sink"}, net.transitions, net.arcs,
+            Marking(["p0", "sink"]), net.final_marking,
+        )
+        with pytest.raises(ModelError):
+            align(dead, ("a",), cap=0)
 
 
 class TestFitness:

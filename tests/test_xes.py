@@ -71,6 +71,15 @@ def test_round_trip_identity(log):
     assert read_xes(write_xes(log)).traces() == log.traces()
 
 
+def test_attributes_under_the_reserved_keys_survive():
+    # the writer puts the activity and timestamp first; later elements
+    # under the same keys are the event's attributes
+    event = Event("c", "a", date(2023, 1, 1), {"concept:name": 0, "time:timestamp": "x"})
+    back = read_xes(write_xes(EventLog((event,)))).events[0]
+    assert (back.activity, back.timestamp) == ("a", date(2023, 1, 1))
+    assert back.attributes == event.attributes
+
+
 def test_write_is_deterministic(example_log):
     assert write_xes(example_log) == write_xes(example_log)
 
