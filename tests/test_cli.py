@@ -151,6 +151,16 @@ class TestErrorHandling:
         assert code == 1
         assert "column" in capsys.readouterr().err.lower()
 
+    def test_transform_with_a_character_xml_cannot_carry_exits_1(self, tmp_path, capsys):
+        # an XES file holding it would be written, and no later command could read it
+        header, first, *rest = TABLE.read_text().splitlines()
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([header, "0\x0107" + first[len("007"):], *rest]) + "\n")
+        out = tmp_path / "out.xes"
+        assert main(["transform", "--input", str(bad), "--output", str(out)]) == 1
+        assert "trace 0: 'concept:name' holds '\\x01'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_place_exits_1(self, tmp_path, capsys):
         log, net = prepare_inputs(tmp_path)
         code = main(["decide", "--log", str(log), "--net", str(net),

@@ -5,19 +5,32 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_no_module_of_the_package_imports_scipy():
-    # scipy is a test-only oracle; the program must run without it
-    offenders = []
+def _package_imports():
+    """(file:line, dotted module name) for every import in ``src/pathminer``."""
     for path in sorted((ROOT / "src" / "pathminer").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 names = [node.module or ""]
+                names += [f"{node.module}.{alias.name}" for alias in node.names if node.module]
             else:
                 continue
-            if any(name.split(".")[0] == "scipy" for name in names):
-                offenders.append(f"{path.name}:{node.lineno}")
+            for name in names:
+                yield f"{path.name}:{node.lineno}", name
+
+
+def test_no_module_of_the_package_imports_scipy():
+    # scipy is a test-only oracle; the program must run without it
+    offenders = [where for where, name in _package_imports() if name.split(".")[0] == "scipy"]
+    assert offenders == []
+
+
+def test_no_module_of_the_package_imports_element_tree():
+    # XES has one path, expat; the element-tree reader and writer live on
+    # only as the test oracle
+    offenders = [where for where, name in _package_imports()
+                 if name == "xml.etree" or name.startswith("xml.etree.")]
     assert offenders == []
 
 

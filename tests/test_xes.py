@@ -1,10 +1,12 @@
+import random
 from datetime import date
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathminer.errors import FormatError
+from oracles import ReferenceXes
+from pathminer.errors import FormatError, PathminerError
 from pathminer.model import Event, EventLog
 from pathminer.xes import read_xes, write_xes
 
@@ -28,6 +30,31 @@ events = st.builds(
     attributes=st.dictionaries(names, attr_values, max_size=4),
 )
 logs = st.builds(lambda evs: EventLog(tuple(evs)), st.lists(events, max_size=25))
+
+# Every character the XML 1.0 Char production allows, with the ones that need
+# escaping inside value="..." drawn often.
+xml_chars = st.one_of(
+    st.sampled_from('\t\n\r&<>"\''),
+    st.characters(min_codepoint=0x20, max_codepoint=0xD7FF),
+    st.characters(min_codepoint=0xE000, max_codepoint=0xFFFD),
+    st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF),
+)
+xml_names = st.text(alphabet=xml_chars, min_size=1, max_size=8)
+xml_logs = st.builds(
+    lambda evs: EventLog(tuple(evs)),
+    st.lists(
+        st.builds(
+            Event,
+            case_id=xml_names,
+            activity=xml_names,
+            timestamp=st.dates(min_value=date(2000, 1, 1), max_value=date(2030, 12, 31)),
+            attributes=st.dictionaries(
+                xml_names, st.one_of(attr_values, xml_names), max_size=4
+            ),
+        ),
+        max_size=10,
+    ),
+)
 
 
 def test_empty_log_round_trip():
@@ -71,6 +98,12 @@ def test_round_trip_identity(log):
     assert read_xes(write_xes(log)).traces() == log.traces()
 
 
+@settings(max_examples=40, deadline=None)
+@given(xml_logs)
+def test_round_trip_identity_over_all_xml_characters(log):
+    assert read_xes(write_xes(log)).traces() == log.traces()
+
+
 def test_attributes_under_the_reserved_keys_survive():
     # the writer puts the activity and timestamp first; later elements
     # under the same keys are the event's attributes
@@ -85,7 +118,7 @@ def test_write_is_deterministic(example_log):
 
 
 def test_malformed_xml_rejected():
-    with pytest.raises(FormatError, match="malformed"):
+    with pytest.raises(FormatError, match=r"^malformed XML: .*: line 1, column \d+$"):
         read_xes(b"<log><trace>")
 
 
@@ -137,3 +170,262 @@ def test_non_finite_float_rejected(text):
     data = "<log>" + _one_event_trace("A", f'<float key="wbc" value="{text}"/>') + "</log>"
     with pytest.raises(FormatError, match=f"bad float value '{text}'"):
         read_xes(data)
+
+
+# --- characters that XML 1.0 cannot carry --------------------------------
+
+NOT_XML_CHARS = {
+    "c0-control": "\x01",
+    "lone-surrogate": "\ud800",
+    "u-fffe": "\ufffe",
+    "u-ffff": "\uffff",
+}
+
+
+def _two_cases(**second):
+    fields = {"case_id": "B", "activity": "a", "timestamp": date(2023, 1, 2),
+              "attributes": {"note": "ok"}}
+    fields.update(second)
+    return EventLog((Event("A", "a", date(2023, 1, 1), {"note": "ok"}), Event(**fields)))
+
+
+@pytest.mark.parametrize("char", NOT_XML_CHARS.values(), ids=NOT_XML_CHARS.keys())
+def test_write_rejects_a_character_xml_cannot_carry(char):
+    log = _two_cases(attributes={"note": f"x{char}y"})
+    with pytest.raises(FormatError, match=r"trace 1 event 0: 'note' holds"):
+        write_xes(log)
+    # the tree writer wrote it, and no XML reader takes the file back
+    with pytest.raises(FormatError, match="malformed XML"):
+        ReferenceXes.read_xes(ReferenceXes.write_xes(log))
+
+
+@pytest.mark.parametrize(("second", "where"), [
+    ({"case_id": "B\x01"}, "trace 1: 'concept:name'"),
+    ({"activity": "a\x01"}, "trace 1 event 0: 'concept:name'"),
+    ({"attributes": {"no\x01te": 1}}, "trace 1 event 0: key 'no\\x01te'"),
+], ids=["case-id", "activity", "key"])
+def test_write_error_names_the_trace_and_key(second, where):
+    with pytest.raises(FormatError) as caught:
+        write_xes(_two_cases(**second))
+    assert str(caught.value).startswith(f"{where} holds '\\x01'")
+
+
+# --- differential tests against the element-tree reader and writer ------
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(logs, xml_logs))
+def test_writer_bytes_equal_the_reference_writer(log):
+    assert write_xes(log) == ReferenceXes.write_xes(log)
+
+
+def _outcome(read, data):
+    try:
+        return "events", read(data).events
+    except PathminerError as exc:
+        return type(exc), str(exc)
+
+
+_ENTITIES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "'": "&apos;"}
+
+
+def _attribute_text(rng: random.Random, text: str, quote: str) -> str:
+    """``text`` as an attribute value, with random entity and character references."""
+    out = []
+    for char in text:
+        if char in "&<\t\n\r" or char == quote or rng.random() < 0.2:
+            forms = [f"&#{ord(char)};", f"&#x{ord(char):X};"]
+            forms += [_ENTITIES[char]] if char in _ENTITIES else []
+            out.append(rng.choice(forms))
+        else:
+            out.append(char)
+    return "".join(out)
+
+
+def _space(rng: random.Random) -> str:
+    return rng.choice(["", "\n", "\n  ", " \t ", "\n<!-- note -->\n", "text"])
+
+
+def _element(rng, tag, pairs, children="") -> str:
+    quote = rng.choice("\"'")
+    pairs = list(pairs)
+    rng.shuffle(pairs)
+    attributes = "".join(
+        f"{rng.choice([' ', chr(10), '  '])}{name}{rng.choice(['=', ' = '])}"
+        f"{quote}{_attribute_text(rng, text, quote)}{quote}"
+        for name, text in pairs
+    )
+    if children or rng.random() < 0.3:
+        return f"<{tag}{attributes}>{children}</{tag}>"
+    return f"<{tag}{attributes}{rng.choice(['', ' '])}/>"
+
+
+def _typed(rng: random.Random, value) -> tuple[str, str]:
+    if isinstance(value, bool):
+        return "boolean", rng.choice(["true", "1"] if value else ["false", "0"])
+    if isinstance(value, int):
+        return "int", str(value)
+    if isinstance(value, float):
+        return "float", rng.choice([repr(value), f"{value:.17e}"])
+    if isinstance(value, date):
+        return "date", rng.choice([f"{value.isoformat()}T00:00:00+00:00",
+                                   f"{value.isoformat()}T00:00:00Z", value.isoformat()])
+    return "string", value
+
+
+def _attribute(rng, key, value, nested=False) -> str:
+    tag, text = _typed(rng, value)
+    children = ""
+    if nested and rng.random() < 0.2:  # nested meta-attributes are not the event's
+        children = _element(rng, "int", [("key", "meta"), ("value", "not a number")])
+        children += _element(rng, "foo", [])
+    return _element(rng, tag, [("key", key), ("value", text)], children)
+
+
+def _variant_document(rng: random.Random, log: EventLog) -> str:
+    """``log`` as an XES document that the writer never emits: other attribute
+    orders, quotes and whitespace, references in values, extra trace-level
+    attributes, a case id after the events, unknown and nested elements."""
+    parts = []
+    for case_id, trace in log.traces().items():
+        items = []
+        for event in trace:
+            fields = [_attribute(rng, "concept:name", event.activity),
+                      _attribute(rng, "time:timestamp", event.timestamp)]
+            rng.shuffle(fields)
+            extra = [_attribute(rng, key, value, nested=True)
+                     for key, value in event.attributes.items() if value is not None]
+            rng.shuffle(extra)
+            if rng.random() < 0.2:
+                extra.append(_element(rng, "note", [("key", "unknown tag"), ("value", "kept")]))
+            items.append(_element(rng, "event", [], _space(rng).join(fields + extra)))
+        if rng.random() < 0.3:
+            items.insert(rng.randrange(len(items) + 1), _attribute(rng, "cohort", "x", True))
+        if rng.random() < 0.3:
+            items.insert(rng.randrange(len(items) + 1), _element(rng, "foo", []))
+        position = len(items) if rng.random() < 0.3 else rng.randrange(len(items) + 1)
+        items.insert(position, _attribute(rng, "concept:name", case_id))
+        if rng.random() < 0.3:  # an earlier concept:name, which the case id overrides
+            items.insert(0, _attribute(rng, "concept:name", "decoy"))
+        parts.append(_element(rng, "trace", [], _space(rng).join(items)))
+    head = rng.choice(["", "<?xml version='1.0' encoding='UTF-8'?>\n"])
+    globals_ = _element(rng, "global", [("scope", "event")],
+                        _attribute(rng, "concept:name", "UNKNOWN"))
+    return f"{head}<log xes.version='1.0'>{globals_}{_space(rng).join(parts)}</log>"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(logs, xml_logs), st.integers(0, 2**32 - 1), st.booleans())
+def test_reader_agrees_with_the_reference_on_variant_documents(log, seed, as_bytes):
+    document = _variant_document(random.Random(seed), log)
+    data = document.encode("utf-8") if as_bytes else document
+    assert _outcome(read_xes, data) == _outcome(ReferenceXes.read_xes, data)
+
+
+TAGS = ("trace", "event", "string", "int", "float", "boolean", "date", "foo")
+ATTRIBUTE_TAGS = ("string", "string", "int", "float", "boolean", "date", "foo")
+KEYS = (None, "concept:name", "time:timestamp", "k", "k2")
+VALUES = (None, "A", "B", "", "1", "0", "yes", "2.5", "inf", "13",
+          "2020-01-01T00:00:00+00:00", "2020-01-01", "2020-13-01")
+VALID = {"string": ("A", "", "x y"), "foo": ("B",), "int": ("13", "-1"), "float": ("2.5", "1e3"),
+         "boolean": ("true", "0"), "date": ("2020-01-01T00:00:00+00:00", "2020-01-02")}
+
+
+def _random_tree(rng: random.Random):
+    """A document tree near the XES shape: traces of events whose first
+    children are an activity and a timestamp, each piece now and then
+    missing, mistyped, duplicated, misplaced or out of place."""
+    def odd() -> bool:
+        return rng.random() < 0.04
+
+    def node(tag, key=None, value=None, children=()):
+        return (tag, key, value, tuple(children))
+
+    def any_element():
+        return node(rng.choice(TAGS) if odd() else "foo", rng.choice(KEYS), rng.choice(VALUES))
+
+    def attribute(key=None, values=None):
+        tag = "string" if values and not odd() else rng.choice(ATTRIBUTE_TAGS)
+        values = VALUES if odd() else values or VALID[tag]
+        nested = [any_element() for _ in range(rng.randint(1, 2))] if odd() else []
+        return node(tag, key or rng.choice(KEYS if odd() else KEYS[3:]), rng.choice(values),
+                    nested)
+
+    def event():
+        children = [any_element() if odd() else attribute() for _ in range(rng.randint(0, 4))]
+        if not odd():
+            children.insert(0, node("string" if odd() else "date", "time:timestamp",
+                                    rng.choice(VALUES) if odd() else VALID["date"][0]))
+        if not odd():
+            children.insert(rng.randint(0, len(children)),
+                            attribute("concept:name", ("A", "B", "", None) if odd() else "AB1"))
+        return node("event", children=children)
+
+    def trace():
+        children = [event() for _ in range(rng.randint(1, 3))]
+        extra = [any_element() if odd() else attribute() for _ in range(rng.randint(0, 2))]
+        if not odd():
+            extra.append(attribute("concept:name", (None,) if odd() else "ABCDEFGH"))
+        for element in extra:
+            children.insert(rng.randint(0, len(children)), element)
+        return node("trace", children=children)
+
+    children = [any_element() if odd() else trace() for _ in range(rng.randint(0, 4))]
+    return node("trace" if odd() else "log", children=children)
+
+
+def _render(node) -> str:
+    tag, key, value, children = node
+    attributes = "".join(f' {name}="{text}"' for name, text in (("key", key), ("value", value))
+                         if text is not None)
+    return f"<{tag}{attributes}>{''.join(map(_render, children))}</{tag}>"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_reader_agrees_with_the_reference_on_random_trees(seed):
+    rng = random.Random(seed)
+    document = _render(_random_tree(rng))
+    if rng.random() < 0.05:
+        document = document[: len(document) * 2 // 3]
+    new = _outcome(read_xes, document)
+    if "misplaced" in str(new[1]):
+        return  # the one allowed divergence, pinned below
+    assert new == _outcome(ReferenceXes.read_xes, document)
+
+
+def test_an_event_nested_below_an_attribute_is_rejected_where_the_reference_read_it():
+    # the tree reader read every <event> below a trace, here twice over: the
+    # nested one, and its parent with the nested one as a string attribute
+    event = ('<event><string key="concept:name" value="X"/>'
+             '<date key="time:timestamp" value="2020-01-01T00:00:00+00:00"/>{}</event>')
+    nested = event.format("")
+    data = ('<log><trace><string key="concept:name" value="A"/>'
+            + event.format(f'<string key="note" value="n">{nested}</string>')
+            + "</trace></log>")
+    assert len(ReferenceXes.read_xes(data).events) == 2
+    with pytest.raises(FormatError, match="trace 0: misplaced <event>"):
+        read_xes(data)
+
+
+@pytest.mark.parametrize("data", [
+    "<log><trace><trace/></trace></log>",
+    '<log><trace><string key="concept:name" value="A"><event/></string></trace></log>',
+    '<log><trace><event><event key="k" value="v"/></event></trace></log>',
+])
+def test_a_trace_or_event_where_xes_puts_none_is_rejected(data):
+    with pytest.raises(FormatError, match="misplaced"):
+        read_xes(data)
+
+
+def test_malformed_xml_is_reported_before_an_error_in_its_content():
+    data = '<log><trace><event/></trace><trace>'
+    with pytest.raises(FormatError, match="malformed XML"):
+        read_xes(data)
+
+
+def test_case_id_may_follow_the_events():
+    data = ('<log><trace><event><string key="concept:name" value="X"/>'
+            '<date key="time:timestamp" value="2020-01-01T00:00:00Z"/></event>'
+            '<string key="concept:name" value="first"/>'
+            '<string key="concept:name" value="last"/></trace></log>')
+    assert [e.case_id for e in read_xes(data).events] == ["last"]
