@@ -171,11 +171,9 @@ class LogisticClassifier:
     descent from a zero start; no randomness involved."""
 
     kind = "logistic"
-
-    def __init__(self, epochs: int = 400, learning_rate: float = 0.5, l2: float = 1e-3):
-        self.epochs = epochs
-        self.learning_rate = learning_rate
-        self.l2 = l2
+    EPOCHS = 400
+    LEARNING_RATE = 0.5
+    L2 = 1e-3
 
     def _encode(self, row) -> "np.ndarray":
         import numpy as np
@@ -225,13 +223,13 @@ class LogisticClassifier:
 
         self.weights_ = np.zeros((matrix.shape[1], len(self.classes_)))
         n = len(rows)
-        for _ in range(self.epochs):
+        for _ in range(self.EPOCHS):
             scores = matrix @ self.weights_
             scores -= scores.max(axis=1, keepdims=True)
             exp = np.exp(scores)
             probs = exp / exp.sum(axis=1, keepdims=True)
-            gradient = matrix.T @ (probs - target) / n + self.l2 * self.weights_
-            self.weights_ -= self.learning_rate * gradient
+            gradient = matrix.T @ (probs - target) / n + self.L2 * self.weights_
+            self.weights_ -= self.LEARNING_RATE * gradient
         return self
 
     def predict(self, row) -> str:

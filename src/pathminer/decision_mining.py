@@ -17,10 +17,8 @@ from .classifiers import DecisionTreeClassifier, make_classifier
 from .conformance import align_log
 from .errors import InputError
 from .model import AttrValue, EventLog
-from .petri import CompiledNet, PetriNet, decision_points
+from .petri import SILENT_CHOICE, CompiledNet, PetriNet, decision_points
 from .stats import case_phenotype
-
-SILENT_CHOICE = "None"
 
 
 @dataclass(frozen=True)

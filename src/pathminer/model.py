@@ -30,16 +30,6 @@ class Outcome(enum.Enum):
     DEATH_ANY_CAUSE = "Death_AnyCause"
     DEATH_HF = "Death_HF"
 
-    @property
-    def is_death(self) -> bool:
-        return self in (Outcome.DEATH_ANY_CAUSE, Outcome.DEATH_HF)
-
-
-OUTCOME_LABELS: tuple[str, ...] = tuple(o.value for o in Outcome)
-
-# Every activity label an event log produced by this package may contain.
-ACTIVITY_LABELS: tuple[str, ...] = (VISIT_BEFORE, VISIT_AFTER) + OUTCOME_LABELS
-
 
 class Phenotype(enum.Enum):
     """Heart-failure phenotype by left ventricular ejection fraction."""

@@ -4,8 +4,9 @@ The file is comma-separated UTF-8 with a header row. Required columns (case
 insensitive): PatID, LVEF, HFrEF, HFmrEF, HFpEF, Weight, HF diagnosis,
 NT pro-BNP, Diabetes, CKD, Outcome, WBC, hsTNT, IL-6, Urea, Beta-Blocker,
 ACE-I/ARNI, SGLT-2, MRA, Timestamp. Extra columns are carried along as text
-attributes. An empty cell means the value is absent; numbers must be
-finite (``nan`` and ``inf`` are rejected).
+attributes. An empty cell means the value is absent; numbers are ASCII
+with no ``_`` digit separator, and must be finite (``nan`` and ``inf`` are
+rejected).
 """
 
 import csv
@@ -42,10 +43,6 @@ COLUMNS: tuple[tuple[str, str], ...] = (
 
 _INT_FIELDS = {"lvef", "hf_diagnosis_year"}
 _BOOL_FIELDS = {"hfref", "hfmref", "hfpef", "diabetes", "ckd"}
-_REAL_FIELDS = {
-    "weight", "nt_pro_bnp", "wbc", "hstnt", "il6", "urea",
-    "beta_blocker", "acei_arni", "sglt2", "mra",
-}
 
 _TRUE = {"1", "true"}
 _FALSE = {"0", "false"}
@@ -75,16 +72,14 @@ def _parse_cell(field: str, text: str, row: int):
         if lowered in _FALSE:
             return False
         raise RowError(row, f"bad boolean {text!r} in column for {field}")
-    if field in _INT_FIELDS:
-        try:
-            return int(text)
-        except ValueError:
-            raise RowError(row, f"bad integer {text!r} in column for {field}") from None
+    kind = "integer" if field in _INT_FIELDS else "number"
     try:
-        value = float(text)
+        if not text.isascii() or "_" in text:
+            raise ValueError  # int() and float() take "8_0" and non-ASCII digits
+        value = int(text) if field in _INT_FIELDS else float(text)
     except ValueError:
-        raise RowError(row, f"bad number {text!r} in column for {field}") from None
-    if not math.isfinite(value):
+        raise RowError(row, f"bad {kind} {text!r} in column for {field}") from None
+    if kind == "number" and not math.isfinite(value):
         raise RowError(row, f"non-finite number {text!r} in column for {field}")
     return value
 

@@ -247,6 +247,10 @@ def fire(net: PetriNet, marking: Marking, transition: str | Transition) -> Marki
     return compiled.marking(compiled.fire(counts, t))
 
 
+# The choice label of a silent transition at a decision point.
+SILENT_CHOICE = "None"
+
+
 def decision_points(net: PetriNet) -> list[DecisionPoint]:
     """All places with at least two outgoing arcs, with their transitions."""
     by_id = {t.id: t for t in net.transitions}

@@ -36,30 +36,14 @@ from datetime import date, timedelta
 
 from .errors import ConfigError
 from .model import Outcome, PatientDatum, classify_phenotype
-from .petri import P1, P2, P3, P4, P_END, P_START, build_dejure
-
-SILENT_LABEL = "None"
+from .petri import P1, P2, P3, P4, P_END, P_START, SILENT_CHOICE, build_dejure, decision_points
 
 _OUTCOME_BY_LABEL = {o.value: o for o in Outcome}
 
-# Transition label by place, derived from the reference net structure.
+# Transition id by choice label at each decision place of the reference net.
 _PLACE_CHOICES: dict[str, dict[str, str]] = {
-    P_START: {"Visit before CO": "visit_first", SILENT_LABEL: "skip_first_visit"},
-    P1: {
-        "Visit before CO": "visit_repeat",
-        "HF": "co_hf",
-        "CV": "co_cv",
-        "Stroke": "co_stroke",
-        "MI": "co_mi",
-        SILENT_LABEL: "end_record",
-    },
-    P2: {"Visit after CO": "visit_after", SILENT_LABEL: "skip_after_visit"},
-    P3: {"Visit after CO": "visit_after_repeat", SILENT_LABEL: "back_to_watch"},
-    P4: {
-        "Death_AnyCause": "death_any",
-        "Death_HF": "death_hf",
-        SILENT_LABEL: "end_without_death",
-    },
+    point.place: {t.label or SILENT_CHOICE: t.id for t in point.transitions}
+    for point in decision_points(build_dejure())
 }
 
 # Default decision probabilities. The observed next-activity shares at the
@@ -68,17 +52,17 @@ _PLACE_CHOICES: dict[str, dict[str, str]] = {
 # share for the visit-versus-skip choice and the follow-up places use even
 # odds.
 DEFAULT_PLACE_WEIGHTS: dict[str, dict[str, float]] = {
-    P_START: {"Visit before CO": 91.86, SILENT_LABEL: 8.14},
+    P_START: {"Visit before CO": 91.86, SILENT_CHOICE: 8.14},
     P1: {
-        SILENT_LABEL: 91.86,
+        SILENT_CHOICE: 91.86,
         "HF": 5.78,
         "CV": 1.90,
         "Stroke": 0.30,
         "MI": 0.15,
     },
-    P2: {"Visit after CO": 50.0, SILENT_LABEL: 50.0},
-    P3: {"Visit after CO": 50.0, SILENT_LABEL: 50.0},
-    P4: {SILENT_LABEL: 98.29, "Death_AnyCause": 1.39, "Death_HF": 0.33},
+    P2: {"Visit after CO": 50.0, SILENT_CHOICE: 50.0},
+    P3: {"Visit after CO": 50.0, SILENT_CHOICE: 50.0},
+    P4: {SILENT_CHOICE: 98.29, "Death_AnyCause": 1.39, "Death_HF": 0.33},
 }
 
 
@@ -285,7 +269,7 @@ def simulate_detailed(config: SimulationConfig):
             label = _choose(rng, config.place_probs[place])
             decisions[place][label] += 1
             transition = _PLACE_CHOICES[place][label]
-            if label != SILENT_LABEL:
+            if label != SILENT_CHOICE:
                 if not first_row:
                     current += timedelta(days=rng.randint(gap_lo, gap_hi))
                 first_row = False

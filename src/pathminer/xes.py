@@ -97,9 +97,10 @@ def read_xes(data: bytes | str) -> EventLog:
     The case id is the last trace-level ``concept:name``; an event's first
     ``concept:name`` and ``time:timestamp`` are its activity and timestamp,
     its other direct children its attributes. Booleans must be xs:boolean,
-    floats finite, case ids unique; a ``<trace>`` or ``<event>`` inside an
-    event, attribute or trace is misplaced. Errors come in the order a tree
-    reader meets them: malformed XML, root, then per trace case id, events."""
+    numbers ASCII with no ``_``, floats finite, case ids unique; a
+    ``<trace>`` or ``<event>`` inside an event, attribute or trace is
+    misplaced. Errors come in the order a tree reader meets them: malformed
+    XML, root, then per trace case id, events."""
     events: list[Event] = []
     trace_of_case: dict[str, int] = {}
     days: dict[str, date] = {}
@@ -124,12 +125,14 @@ def read_xes(data: bytes | str) -> EventLog:
                 text = attrs["value"]
                 if tag == "float":
                     value = float(text)
-                    if not isfinite(value):
-                        raise ValueError
+                    if not isfinite(value) or "_" in text or not text.isascii():
+                        raise ValueError  # float() takes "8_0.5" and non-ASCII digits
                 elif tag == "boolean":
                     value = _BOOLEANS[text]
                 elif tag == "int":
                     value = int(text)
+                    if "_" in text or not text.isascii():
+                        raise ValueError  # int() takes "1_000" and non-ASCII digits
                 elif tag == "date":
                     value = days.get(text) or days.setdefault(
                         text, datetime.fromisoformat(text.replace("Z", "+00:00")).date())

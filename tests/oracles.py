@@ -8,7 +8,10 @@ nets compositionally so the final marking is always reachable.
 ``reference_align`` keeps the alignment search without its dead-marking
 prune, so the prune can be checked move for move against it.
 ``ReferenceXes`` is the ElementTree XES writer and reader that the direct
-writer and the one-pass expat reader must agree with.
+writer and the one-pass expat reader must agree with. ``reference_chi2_sf``
+is the chi-square tail through a general regularized incomplete gamma (a
+series and a Lentz continued fraction), against which the closed form is
+checked.
 """
 
 import heapq
@@ -24,7 +27,9 @@ from pathminer.conformance import (
     DEFAULT_CAP, LOG, MODEL, SILENT, SYNC, Alignment, Move, _as_labels,
 )
 from pathminer.model import AttrValue, Event, EventLog
-from pathminer.errors import FormatError, ModelError, ResourceError, SemanticsError
+from pathminer.errors import (
+    FormatError, InputError, ModelError, ResourceError, SemanticsError,
+)
 from pathminer.petri import CompiledNet, Marking, PetriNet, Transition
 
 PHENOTYPE_FLAGS = {
@@ -582,3 +587,56 @@ class ReferenceXes:
                     raise FormatError(f"{where}: missing time:timestamp")
                 events.append(Event(case_id, str(activity), timestamp, attributes))
         return EventLog(tuple(events))
+
+
+def _gamma_series(a: float, x: float, eps: float = 1e-15, itmax: int = 1000) -> float:
+    ap = a
+    term = 1.0 / a
+    total = term
+    for _ in range(itmax):
+        ap += 1.0
+        term *= x / ap
+        total += term
+        if abs(term) < abs(total) * eps:
+            break
+    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+
+
+def _gamma_cf(a: float, x: float, eps: float = 1e-15, itmax: int = 1000) -> float:
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, itmax + 1):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < eps:
+            break
+    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
+
+
+def gamma_q(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(a, x), series for small x and a
+    Lentz continued fraction otherwise."""
+    if a <= 0 or x < 0:
+        raise InputError("gamma_q requires a > 0 and x >= 0")
+    if x == 0:
+        return 1.0
+    if x < a + 1.0:
+        return 1.0 - _gamma_series(a, x)
+    return _gamma_cf(a, x)
+
+
+def reference_chi2_sf(x: float, df: int) -> float:
+    """Upper tail of the chi-square distribution with ``df`` degrees."""
+    return gamma_q(df / 2.0, x / 2.0)

@@ -38,3 +38,10 @@ def test_scipy_is_only_a_test_dependency():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     assert not any(dep.startswith("scipy") for dep in project["dependencies"])
     assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
+
+
+def test_every_public_name_resolves_from_the_package_root():
+    import pathminer
+
+    assert pathminer.__all__
+    assert [name for name in pathminer.__all__ if not hasattr(pathminer, name)] == []

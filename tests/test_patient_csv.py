@@ -110,3 +110,16 @@ def test_non_finite_dose_is_row_error():
     data = csv_of("007,50,0,0,1,80,2017,750.5,1,,,7.1,24.9,10.5,38,nan,50,10,12.5,2023-02-20")
     with pytest.raises(RowError, match="row 1: non-finite number 'nan' in column for beta_blocker"):
         parse_patient_csv(data)
+
+
+@pytest.mark.parametrize("lvef,weight,message", [
+    ("5_0", "80", "bad integer '5_0' in column for lvef"),
+    ("\u0665\u0660", "80", "bad integer '\u0665\u0660' in column for lvef"),
+    ("50", "8_0", "bad number '8_0' in column for weight"),
+    ("50", "\uff18\uff10.5", "bad number '\uff18\uff10.5' in column for weight"),
+])
+def test_digit_separators_and_non_ascii_digits_are_row_errors(lvef, weight, message):
+    # int() and float() accept both forms; the table holds plain ASCII numbers
+    data = csv_of(f"007,{lvef},0,0,1,{weight},2017,750.5,1,,,,,,,,,,,2023-02-20")
+    with pytest.raises(RowError, match=f"row 1: {message}"):
+        parse_patient_csv(data)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats as sps
 
-from oracles import PHENOTYPE_FLAGS, cohort_log
+from oracles import PHENOTYPE_FLAGS, cohort_log, reference_chi2_sf
 from pathminer.errors import InputError
 from pathminer.model import Event, EventLog
 from pathminer.stats import (
@@ -176,6 +176,31 @@ class TestTailProbabilities:
                 assert chi2_sf(x, df) == pytest.approx(
                     sps.chi2.sf(x, df), abs=1e-12
                 )
+
+    def test_chi2_closed_form_against_the_incomplete_gamma_and_scipy(self):
+        rng = random.Random(26)
+        grid = [(x, df) for df in range(1, 31)
+                for x in (0.0, 1e-300, 1e-12, 1e-6, 0.5, 3.3, 7.2, 40.0, 200.0)]
+        drawn = [(rng.choice((rng.uniform(0.0, 200.0), 10 ** rng.uniform(-12.0, 2.0))),
+                  rng.randint(1, 30)) for _ in range(3000)]
+        for x, df in grid + drawn:
+            closed = chi2_sf(x, df)
+            assert abs(closed - reference_chi2_sf(x, df)) <= 1e-14, (x, df)
+            assert abs(closed - sps.chi2.sf(x, df)) <= 1e-12, (x, df)
+            assert 0.0 <= closed <= 1.0
+
+    @pytest.mark.parametrize("x,df", [(1.0, 0), (1.0, -1), (1.0, 2.5), (-1.0, 3)])
+    def test_chi2_rejects_negative_x_and_non_integer_or_non_positive_df(self, x, df):
+        with pytest.raises(InputError, match="x >= 0 and an integer df >= 1"):
+            chi2_sf(x, df)
+
+    def test_chi2_beyond_the_normal_range_of_exp(self):
+        # exp(-x/2) is no longer a normal float above x = 1416: the tail is
+        # still exact to double precision for df <= x / 2, and refused above
+        for x, df in ((1416.0, 1416), (1417.0, 708), (1500.0, 750), (3000.0, 5)):
+            assert abs(chi2_sf(x, df) - sps.chi2.sf(x, df)) <= 1e-12 * sps.chi2.sf(x, df) + 1e-48
+        with pytest.raises(InputError, match="cannot resolve"):
+            chi2_sf(1500.0, 751)
 
     def test_normal_against_scipy(self):
         for z in (0.0, 0.5, 1.96, 2.683, 4.0, 8.0):

@@ -172,6 +172,32 @@ def test_non_finite_float_rejected(text):
         read_xes(data)
 
 
+@pytest.mark.parametrize("tag,text", [
+    ("int", "1_000"), ("int", "\u0661\u0662"), ("float", " 8_0.5 "), ("float", "\u0668.5"),
+])
+def test_digit_separators_and_non_ascii_digits_rejected(tag, text):
+    data = "<log>" + _one_event_trace("A", f'<{tag} key="lvef" value="{text}"/>') + "</log>"
+    with pytest.raises(FormatError, match=f"trace 0 event 0: bad {tag} value {text!r}"):
+        read_xes(data)
+
+
+@pytest.mark.parametrize("tag,text,value", [("int", " 12\n", 12), ("float", "\t2.5 ", 2.5)])
+def test_whitespace_around_a_number_is_accepted(tag, text, value):
+    # xs:long and xs:double collapse surrounding whitespace
+    data = "<log>" + _one_event_trace("A", f'<{tag} key="k" value="{text}"/>') + "</log>"
+    assert read_xes(data).events[0].attributes["k"] == value
+
+
+def test_a_number_with_a_digit_separator_is_rejected_where_the_reference_read_it():
+    # the element-tree reader passed the text straight to int() and float()
+    data = ("<log>" + _one_event_trace("A", '<int key="lvef" value="1_000"/>'
+                                       '<float key="wbc" value="\u0668.5"/>') + "</log>")
+    attributes = ReferenceXes.read_xes(data).events[0].attributes
+    assert attributes == {"lvef": 1000, "wbc": 8.5}
+    with pytest.raises(FormatError, match="bad int value '1_000'"):
+        read_xes(data)
+
+
 # --- characters that XML 1.0 cannot carry --------------------------------
 
 NOT_XML_CHARS = {
