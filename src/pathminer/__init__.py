@@ -4,97 +4,56 @@ Pipeline stages: patient CSV parsing, event-log transformation, process
 discovery, alignment-based conformance checking, cohort statistics, decision
 mining, and a seeded cohort simulator. See the CLI module for the command
 surface.
+
+The public names below are imported on first access (PEP 562), so that
+importing the package, or running one command, loads only the stages used.
 """
 
-from .conformance import (
-    Alignment,
-    ConformanceReport,
-    align,
-    conformance_report,
-    f1,
-    fitness,
-    generalization,
-    precision,
-    simplicity,
-)
-from .decision_mining import (
-    DecisionInstance,
-    distribution,
-    extract_instances,
-    mine_place,
-    train_classifier,
-)
-from .discovery import build_dfg, build_footprint, mine_alpha, mine_dfm
-from .model import (
-    Event,
-    EventLog,
-    Outcome,
-    PatientDatum,
-    PatientSequence,
-    Phenotype,
-    build_sequences,
-    classify_phenotype,
-)
-from .net_io import read_net_json, write_dot, write_net_json
-from .patient_csv import parse_patient_csv, write_patient_csv
-from .petri import Marking, PetriNet, build_dejure, decision_points, enabled, fire
-from .simulate import SimulationConfig, load_config, simulate
-from .stats import compare_cohorts, count_c, count_l, dunn_bonferroni, kruskal_wallis
-from .transform import split_sequence, trans_post, trans_pre, transform_log
-from .xes import read_xes, write_xes
+import sys
+from importlib import import_module
+from types import ModuleType
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alignment",
-    "ConformanceReport",
-    "DecisionInstance",
-    "Event",
-    "EventLog",
-    "Marking",
-    "Outcome",
-    "PatientDatum",
-    "PatientSequence",
-    "PetriNet",
-    "Phenotype",
-    "SimulationConfig",
-    "align",
-    "build_dejure",
-    "build_dfg",
-    "build_footprint",
-    "build_sequences",
-    "classify_phenotype",
-    "compare_cohorts",
-    "conformance_report",
-    "count_c",
-    "count_l",
-    "decision_points",
-    "distribution",
-    "dunn_bonferroni",
-    "enabled",
-    "extract_instances",
-    "f1",
-    "fire",
-    "fitness",
-    "generalization",
-    "kruskal_wallis",
-    "load_config",
-    "mine_alpha",
-    "mine_dfm",
-    "mine_place",
-    "parse_patient_csv",
-    "precision",
-    "read_net_json",
-    "read_xes",
-    "simplicity",
-    "simulate",
-    "split_sequence",
-    "trans_post",
-    "trans_pre",
-    "train_classifier",
-    "transform_log",
-    "write_dot",
-    "write_net_json",
-    "write_patient_csv",
-    "write_xes",
-]
+# Each public name, by the stage module that defines it.
+_EXPORTS = {
+    "conformance": ("Alignment", "ConformanceReport", "align", "conformance_report", "f1",
+                    "fitness", "generalization", "precision", "simplicity"),
+    "decision_mining": ("DecisionInstance", "distribution", "extract_instances", "mine_place",
+                        "train_classifier"),
+    "discovery": ("build_dfg", "build_footprint", "mine_alpha", "mine_dfm"),
+    "model": ("Event", "EventLog", "Outcome", "PatientDatum", "PatientSequence", "Phenotype",
+              "build_sequences", "classify_phenotype"),
+    "net_io": ("read_net_json", "write_dot", "write_net_json"),
+    "patient_csv": ("parse_patient_csv", "write_patient_csv"),
+    "petri": ("Marking", "PetriNet", "build_dejure", "decision_points", "enabled", "fire"),
+    "simulate": ("SimulationConfig", "load_config", "simulate"),
+    "stats": ("compare_cohorts", "count_c", "count_l", "dunn_bonferroni", "kruskal_wallis"),
+    "transform": ("split_sequence", "trans_post", "trans_pre", "transform_log"),
+    "xes": ("read_xes", "write_xes"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return __all__
+
+
+class _Package(ModuleType):
+    # Importing the submodule ``simulate`` sets the package attribute of that
+    # name; it stays the public function, as it was with eager imports.
+    def __setattr__(self, name, value):
+        if name not in _MODULE_OF or not isinstance(value, ModuleType):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -13,18 +13,8 @@ import re
 import sys
 from pathlib import Path
 
-from .conformance import ConformanceReport, conformance_report
-from .decision_mining import mine_place
-from .discovery import mine_alpha, mine_dfm
 from .errors import InputError, PathminerError
 from .model import Phenotype
-from .net_io import read_net_json, write_dot, write_net_json
-from .patient_csv import parse_patient_csv, write_patient_csv
-from .petri import build_dejure
-from .simulate import SimulationConfig, load_config, simulate
-from .stats import CohortReport, compare_cohorts
-from .transform import transform_log
-from .xes import read_xes, write_xes
 
 
 class _UsageError(Exception):
@@ -38,11 +28,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
+def __getattr__(name: str):
+    """A stage function, imported on first use and kept in this module.
+
+    ``run`` looks every stage up here at call time, so a command loads only
+    the stages it runs, and a replacement set on this module is what runs.
+    """
+    package = sys.modules[__package__]
+    if name not in package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(package, name)
+    return value
+
+
 def _slug(text: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", text.lower()).strip("_")
 
 
-def _format_conformance(report: ConformanceReport) -> bytes:
+def _format_conformance(report) -> bytes:
     lines = (
         "{",
         f'  "fitness": {report.fitness:.4f},',
@@ -55,7 +58,7 @@ def _format_conformance(report: ConformanceReport) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _format_cohorts_csv(report: CohortReport) -> bytes:
+def _format_cohorts_csv(report) -> bytes:
     lines = ["activity,p_value,testable"]
     for row in report.rows:
         if row.testable:
@@ -73,7 +76,7 @@ def _format_dunn_csv(dunn) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _cohorts_summary_json(report: CohortReport) -> bytes:
+def _cohorts_summary_json(report) -> bytes:
     doc = {
         "axis": report.axis,
         "alpha": report.alpha,
@@ -176,36 +179,37 @@ def build_parser() -> _Parser:
 def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    stage = sys.modules[__name__]
 
     if args.command == "transform":
-        rows = parse_patient_csv(args.input.read_bytes())
-        args.output.write_bytes(write_xes(transform_log(rows)))
+        rows = stage.parse_patient_csv(args.input.read_bytes())
+        args.output.write_bytes(stage.write_xes(stage.transform_log(rows)))
 
     elif args.command == "discover":
-        log = read_xes(args.input.read_bytes())
+        log = stage.read_xes(args.input.read_bytes())
         if args.algorithm == "dfg":
-            net = mine_dfm(log, args.paths)
+            net = stage.mine_dfm(log, args.paths)
         else:
-            net = mine_alpha(log)
-        args.output.write_bytes(write_net_json(net))
+            net = stage.mine_alpha(log)
+        args.output.write_bytes(stage.write_net_json(net))
         if args.dot:
-            args.dot.write_bytes(write_dot(net))
+            args.dot.write_bytes(stage.write_dot(net))
 
     elif args.command == "conform":
-        log = read_xes(args.log.read_bytes())
-        net = read_net_json(args.net.read_bytes())
-        report = conformance_report(net, log, cap=args.cap)
+        log = stage.read_xes(args.log.read_bytes())
+        net = stage.read_net_json(args.net.read_bytes())
+        report = stage.conformance_report(net, log, cap=args.cap)
         args.output.write_bytes(_format_conformance(report))
 
     elif args.command == "dejure":
-        net = build_dejure()
-        args.output.write_bytes(write_net_json(net))
+        net = stage.build_dejure()
+        args.output.write_bytes(stage.write_net_json(net))
         if args.dot:
-            args.dot.write_bytes(write_dot(net))
+            args.dot.write_bytes(stage.write_dot(net))
 
     elif args.command == "cohorts":
-        log = read_xes(args.log.read_bytes())
-        report = compare_cohorts(log, args.axis, args.alpha)
+        log = stage.read_xes(args.log.read_bytes())
+        report = stage.compare_cohorts(log, args.axis, args.alpha)
         args.outdir.mkdir(parents=True, exist_ok=True)
         (args.outdir / f"kruskal_{args.axis}.csv").write_bytes(
             _format_cohorts_csv(report)
@@ -219,15 +223,15 @@ def run(argv) -> int:
                 (args.outdir / name).write_bytes(_format_dunn_csv(row.dunn))
 
     elif args.command == "decide":
-        log = read_xes(args.log.read_bytes())
-        net = read_net_json(args.net.read_bytes())
+        log = stage.read_xes(args.log.read_bytes())
+        net = stage.read_net_json(args.net.read_bytes())
         kinds = tuple(k.strip() for k in args.classifiers.split(",") if k.strip())
         if not kinds:
             raise InputError("--classifiers must name at least one classifier")
         phenotype = None
         if args.filter:
             phenotype = {ph.value.lower(): ph.value for ph in Phenotype}[args.filter]
-        report = mine_place(
+        report = stage.mine_place(
             net,
             log,
             args.place,
@@ -245,10 +249,10 @@ def run(argv) -> int:
         if args.seed is not None:
             overrides["seed"] = args.seed
         if args.config:
-            config = load_config(args.config.read_bytes(), **overrides)
+            config = stage.load_config(args.config.read_bytes(), **overrides)
         else:
-            config = SimulationConfig(**overrides)
-        args.output.write_bytes(write_patient_csv(simulate(config)))
+            config = stage.SimulationConfig(**overrides)
+        args.output.write_bytes(stage.write_patient_csv(stage.simulate(config)))
 
     return 0
 

@@ -29,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import ModelError, ResourceError
+from .errors import InputError, ModelError, ResourceError
 from .model import Event, EventLog
 from .petri import CompiledNet, PetriNet
 
@@ -87,8 +87,11 @@ def align(net: PetriNet | CompiledNet, trace, *, cap: int = DEFAULT_CAP) -> Alig
     traces compiles the net once. Log moves can always use up the trace, so
     the search fails only when the net has no run from its initial to its
     final marking: that raises :class:`ModelError`. More than ``cap``
-    expanded search states raise :class:`ResourceError`.
+    expanded search states raise :class:`ResourceError`; a negative ``cap``
+    raises :class:`InputError`.
     """
+    if cap < 0:
+        raise InputError(f"state-space cap must be at least 0, got {cap}")
     compiled = CompiledNet.of(net)
     labels = _as_labels(trace)
     # A place that no transition consumes from never loses a token, so a

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from .classifiers import DecisionTreeClassifier, make_classifier
 from .conformance import align_log
 from .errors import InputError
-from .model import AttrValue, EventLog
+from .model import AttrValue, EventLog, case_phenotype
 from .petri import SILENT_CHOICE, CompiledNet, PetriNet, decision_points
-from .stats import case_phenotype
 
 
 @dataclass(frozen=True)

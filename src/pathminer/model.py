@@ -130,6 +130,23 @@ class Event:
             raise InputError("event activity must be non-empty")
 
 
+def case_phenotype(trace: tuple[Event, ...]) -> str | None:
+    """Initial phenotype of a case: the first event's phenotype flags, or
+    its LVEF when no flag is set. None when undeterminable."""
+    if not trace:
+        return None
+    attrs = trace[0].attributes
+    for key, phenotype in (("hfref", Phenotype.HFREF),
+                           ("hfmref", Phenotype.HFMREF),
+                           ("hfpef", Phenotype.HFPEF)):
+        if attrs.get(key) is True:
+            return phenotype.value
+    lvef = attrs.get("lvef")
+    if isinstance(lvef, int) and not isinstance(lvef, bool) and 0 <= lvef <= 100:
+        return classify_phenotype(lvef).value
+    return None
+
+
 @dataclass(frozen=True)
 class EventLog:
     """A collection of events with a deterministic trace view.

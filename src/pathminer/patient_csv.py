@@ -44,6 +44,10 @@ COLUMNS: tuple[tuple[str, str], ...] = (
 _INT_FIELDS = {"lvef", "hf_diagnosis_year"}
 _BOOL_FIELDS = {"hfref", "hfmref", "hfpef", "diabetes", "ckd"}
 
+# Cells and header names are trimmed of ASCII whitespace only: str.strip()
+# would also drop U+00A0 or U+3000 from a PatID or around a number.
+_SPACE = " \t\r\n\x0b\x0c"
+
 _TRUE = {"1", "true"}
 _FALSE = {"0", "false"}
 
@@ -97,28 +101,28 @@ def parse_patient_csv(data: bytes | str) -> list[PatientDatum]:
     except StopIteration:
         raise SchemaError("empty file: header row required") from None
 
-    lookup = {name.strip().lower(): i for i, name in enumerate(header)}
+    lookup = {name.strip(_SPACE).lower(): i for i, name in enumerate(header)}
     positions: dict[str, int] = {}
     for column, field in COLUMNS:
         if column.lower() not in lookup:
             raise SchemaError(f"missing required column {column!r}")
         positions[field] = lookup[column.lower()]
     known = set(positions.values())
-    extras = [(name.strip(), i) for i, name in enumerate(header) if i not in known]
+    extras = [(name.strip(_SPACE), i) for i, name in enumerate(header) if i not in known]
 
     rows: list[PatientDatum] = []
     for row_index, cells in enumerate(reader, start=1):
-        if not any(cell.strip() for cell in cells):
+        if not any(cell.strip(_SPACE) for cell in cells):
             continue
         values = {}
         for field, pos in positions.items():
-            cell = cells[pos].strip() if pos < len(cells) else ""
+            cell = cells[pos].strip(_SPACE) if pos < len(cells) else ""
             values[field] = _parse_cell(field, cell, row_index)
         if values["timestamp"] is None:
             raise RowError(row_index, "Timestamp must not be empty")
         extra = {}
         for name, pos in extras:
-            cell = cells[pos].strip() if pos < len(cells) else ""
+            cell = cells[pos].strip(_SPACE) if pos < len(cells) else ""
             if cell:
                 extra[name] = cell
         try:

@@ -19,14 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError
-from .model import (
-    VISIT_AFTER,
-    VISIT_BEFORE,
-    Event,
-    EventLog,
-    Phenotype,
-    classify_phenotype,
-)
+from .model import VISIT_AFTER, VISIT_BEFORE, Event, EventLog, case_phenotype
 
 # The activity rows of a cohort report, in canonical order: the two visit
 # activities, the four hospitalization outcomes, then the two deaths.
@@ -212,23 +205,6 @@ def dunn_bonferroni(groups, labels=None) -> DunnMatrix:
 # --- cohort comparison -------------------------------------------------------
 
 
-def case_phenotype(trace: tuple[Event, ...]) -> str | None:
-    """Initial phenotype of a case: the first event's phenotype flags, or
-    its LVEF when no flag is set. None when undeterminable."""
-    if not trace:
-        return None
-    attrs = trace[0].attributes
-    for key, phenotype in (("hfref", Phenotype.HFREF),
-                           ("hfmref", Phenotype.HFMREF),
-                           ("hfpef", Phenotype.HFPEF)):
-        if attrs.get(key) is True:
-            return phenotype.value
-    lvef = attrs.get("lvef")
-    if isinstance(lvef, int) and not isinstance(lvef, bool) and 0 <= lvef <= 100:
-        return classify_phenotype(lvef).value
-    return None
-
-
 def case_flag(trace: tuple[Event, ...], axis: str) -> int | None:
     """Comorbidity flag (0/1) of a case from its first event, or None."""
     if not trace:
@@ -268,10 +244,12 @@ def compare_cohorts(log: EventLog, axis: str, alpha: float = 0.05) -> CohortRepo
 
     Cases whose flag or phenotype cannot be determined are excluded and
     counted. An activity whose six groups cannot all be populated is flagged
-    not testable instead of raising.
+    not testable instead of raising. ``alpha`` must lie in (0, 1).
     """
     if axis not in COHORT_AXES:
         raise InputError(f"axis must be one of {COHORT_AXES}, got {axis!r}")
+    if not 0 < alpha < 1:  # false for nan too
+        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
 
     traces = log.traces()
     keys = [

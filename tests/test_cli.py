@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+import pathminer
+import pathminer.cli as cli
 from conftest import DATA_DIR, GOLDEN_DIR
 from pathminer.cli import main
 
@@ -168,6 +170,25 @@ class TestErrorHandling:
         assert code == 1
         assert "decision point" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["nan", "2", "0"])
+    def test_cohorts_alpha_outside_the_open_unit_interval_exits_1(self, tmp_path, capsys, alpha):
+        log, _ = prepare_inputs(tmp_path)
+        outdir = tmp_path / "cohorts"
+        code = main(["cohorts", "--log", str(log), "--axis", "diabetes", "--alpha", alpha,
+                     "--outdir", str(outdir)])
+        assert code == 1
+        assert "alpha must lie in (0, 1)" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_conform_negative_cap_is_an_input_error(self, tmp_path, capsys):
+        log, net = prepare_inputs(tmp_path)
+        out = tmp_path / "report.json"
+        code = main(["conform", "--log", str(log), "--net", str(net), "--cap", "-1",
+                     "--output", str(out)])
+        assert code == 1
+        assert "state-space cap must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_conform_on_alpha_net_without_a_run_exits_1(self, tmp_path, capsys):
         # on this cohort the alpha net never consumes from its sink place, so
         # no run reaches the final marking; the search must say so, not
@@ -203,3 +224,77 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+# The stage modules each subcommand loads, beyond cli, errors and model.
+STAGES_LOADED = {
+    "simulate": {"patient_csv", "petri", "simulate"},
+    "transform": {"patient_csv", "transform", "xes"},
+    "discover": {"discovery", "net_io", "petri", "xes"},
+    "dejure": {"net_io", "petri"},
+    "conform": {"conformance", "net_io", "petri", "xes"},
+    "cohorts": {"stats", "xes"},
+    "decide": {"classifiers", "conformance", "decision_mining", "net_io", "petri", "xes"},
+}
+
+LOADED_MODULES = (
+    "import sys; from pathminer.cli import main; code = main(sys.argv[1:]); "
+    "print(code, sorted(m for m in sys.modules if m.startswith('pathminer.')))"
+)
+
+
+@pytest.mark.parametrize("command", sorted(STAGES_LOADED))
+def test_each_subcommand_loads_only_its_stages(tmp_path, command):
+    log, net = prepare_inputs(tmp_path)
+    argv = {
+        "simulate": ["--patients", 5, "--seed", 7, "--output", tmp_path / "p.csv"],
+        "transform": ["--input", TABLE, "--output", tmp_path / "t.xes"],
+        "discover": ["--input", log, "--output", tmp_path / "d.json"],
+        "dejure": ["--output", tmp_path / "j.json"],
+        "conform": ["--log", log, "--net", net, "--output", tmp_path / "c.json"],
+        "cohorts": ["--log", log, "--axis", "diabetes", "--outdir", tmp_path / "co"],
+        "decide": ["--log", log, "--net", net, "--place", "p1",
+                   "--classifiers", "majority", "--output", tmp_path / "de.json"],
+    }[command]
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, command, *map(str, argv)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = STAGES_LOADED[command] | {"cli", "errors", "model"}
+    expected = sorted(f"pathminer.{m}" for m in loaded)
+    assert result.stdout == f"0 {expected}\n"
+
+
+# The names a tracer replaces on this module to time each layer of a run.
+TRACED_NAMES = (
+    "simulate", "write_patient_csv", "parse_patient_csv", "transform_log", "write_xes",
+    "read_xes", "mine_dfm", "mine_alpha", "conformance_report", "compare_cohorts", "mine_place",
+)
+
+
+@pytest.mark.parametrize("name", TRACED_NAMES)
+def test_stage_names_resolve_on_the_cli_module(name):
+    assert getattr(cli, name) is getattr(pathminer, name)
+
+
+def test_unknown_name_on_the_cli_module_raises_attribute_error():
+    with pytest.raises(AttributeError):
+        cli.no_such_stage
+    with pytest.raises(AttributeError):
+        cli.__path__  # the CLI is a module, not a package
+
+
+def test_run_calls_a_stage_replaced_on_the_cli_module(tmp_path, monkeypatch):
+    log, _ = prepare_inputs(tmp_path)
+    calls = []
+    read_xes = cli.read_xes
+
+    def counting(data):
+        calls.append(len(data))
+        return read_xes(data)
+
+    monkeypatch.setattr(cli, "read_xes", counting)
+    run_ok(["cohorts", "--log", log, "--axis", "diabetes", "--outdir", tmp_path / "co"])
+    assert calls == [log.stat().st_size]

@@ -20,7 +20,7 @@ from pathminer.conformance import (
     precision,
     simplicity,
 )
-from pathminer.errors import ModelError, ResourceError
+from pathminer.errors import InputError, ModelError, ResourceError
 from pathminer.model import EventLog
 from pathminer.petri import CompiledNet, Marking, PetriNet, Transition
 
@@ -123,6 +123,10 @@ class TestAlign:
         with pytest.raises(ResourceError) as err:
             align(dejure, ("Visit before CO", "HF", "Death_HF"), cap=2)
         assert err.value.cap == 2
+
+    def test_negative_cap_is_an_input_error(self, dejure):
+        with pytest.raises(InputError, match="state-space cap must be at least 0, got -1"):
+            align(dejure, ("Visit before CO",), cap=-1)
 
     def test_align_log_cap_error_names_case_and_variant(self, dejure):
         log = make_log(("Visit before CO",), ("Visit before CO", "HF", "Death_HF"))

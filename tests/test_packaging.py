@@ -1,6 +1,11 @@
 import ast
+import subprocess
+import sys
 import tomllib
+from importlib import import_module
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,3 +50,53 @@ def test_every_public_name_resolves_from_the_package_root():
 
     assert pathminer.__all__
     assert [name for name in pathminer.__all__ if not hasattr(pathminer, name)] == []
+
+
+def test_importing_the_package_loads_no_stage_module():
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, pathminer; "
+         "print(sorted(m for m in sys.modules if m.startswith('pathminer')))"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['pathminer']\n"
+
+
+def test_dir_of_the_package_lists_every_public_name():
+    import pathminer
+
+    assert dir(pathminer) == pathminer.__all__
+
+
+def test_unknown_name_on_the_package_raises_attribute_error():
+    import pathminer
+
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_stage'"):
+        pathminer.no_such_stage
+
+
+def test_every_lazy_export_names_a_module_that_defines_it():
+    # the export table names modules by string, which the import walk above
+    # cannot see
+    import pathminer
+
+    for module, names in pathminer._EXPORTS.items():
+        stage = import_module(f"pathminer.{module}")
+        for name in names:
+            value = getattr(stage, name)
+            assert getattr(value, "__module__", stage.__name__) == stage.__name__, name
+            assert getattr(pathminer, name) is value
+
+
+def test_simulate_stays_the_function_after_its_module_is_imported():
+    # importing a submodule sets the package attribute of its name, and
+    # ``simulate`` is the name of both a stage module and its entry point
+    result = subprocess.run(
+        [sys.executable, "-c", "from pathminer.simulate import simulate; import pathminer; "
+         "print(pathminer.simulate is simulate)"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "True\n"

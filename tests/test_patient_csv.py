@@ -123,3 +123,22 @@ def test_digit_separators_and_non_ascii_digits_are_row_errors(lvef, weight, mess
     data = csv_of(f"007,{lvef},0,0,1,{weight},2017,750.5,1,,,,,,,,,,,2023-02-20")
     with pytest.raises(RowError, match=f"row 1: {message}"):
         parse_patient_csv(data)
+
+
+def test_non_ascii_whitespace_stays_in_a_patid():
+    # only ASCII whitespace is trimmed, so "\u30000001" names its own patient
+    data = csv_of(
+        "0001,50,0,0,1,80,2017,750.5,1,,,,,,,,,,,2023-02-20",
+        "\u30000001,50,0,0,1,80,2017,750.5,1,,,,,,,,,,,2023-02-21",
+        " 0001\t,50,0,0,1,80,2017,750.5,1,,,,,,,,,,,2023-02-22",
+    )
+    assert [row.pat_id for row in parse_patient_csv(data)] == ["0001", "\u30000001", "0001"]
+
+
+def test_number_wrapped_in_no_break_spaces_is_row_error():
+    data = csv_of(
+        "007,50,0,0,1,80,2017,750.5,1,,,,,,,,,,,2023-02-20",
+        "007,\u00a054\u00a0,0,0,1,80,2017,750.5,1,,,,,,,,,,,2023-02-21",
+    )
+    with pytest.raises(RowError, match=r"row 2: bad integer '\\xa054\\xa0' in column for lvef"):
+        parse_patient_csv(data)

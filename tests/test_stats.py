@@ -267,6 +267,11 @@ class TestCompareCohorts:
         with pytest.raises(InputError):
             compare_cohorts(example_log, "smoking")
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.05, math.nan, math.inf])
+    def test_alpha_outside_the_open_unit_interval_rejected(self, example_log, alpha):
+        with pytest.raises(InputError, match=r"alpha must lie in \(0, 1\)"):
+            compare_cohorts(example_log, "diabetes", alpha)
+
     def test_report_covers_all_eight_activities(self):
         log = _null_log(1)
         report = compare_cohorts(log, "diabetes")
