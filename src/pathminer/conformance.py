@@ -6,9 +6,10 @@ model moves cost one each. The search is uniform-cost best-first over the
 synchronous product of the trace and a :class:`~pathminer.petri.CompiledNet`
 (count-tuple markings, indexed presets).
 
-:func:`conformance_report` compiles the net once and aligns each variant of
-the log once; fitness, precision and generalization all read those
-alignments, walking each variant once with its number of cases as weight.
+:func:`conformance_report` is the one metric path. It compiles the net once,
+aligns each variant of the log once, and walks each variant's model run once
+with its number of cases as weight. :func:`fitness`, :func:`precision` and
+:func:`generalization` each read one field of that report.
 
 Metric conventions, fixed here so results are deterministic:
 
@@ -27,6 +28,7 @@ Metric conventions, fixed here so results are deterministic:
 import heapq
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError, ModelError, ResourceError
@@ -202,36 +204,6 @@ def model_path_cost(net: PetriNet | CompiledNet, *, cap: int = DEFAULT_CAP) -> i
     return align(net, (), cap=cap).total_cost
 
 
-def _weighted(alignments: dict[str, Alignment]) -> list[tuple[Alignment, int]]:
-    """Each distinct alignment object with the number of cases that share it.
-
-    :func:`align_log` hands one object to every case of a variant, so the
-    metrics below, which only add up integers over cases, walk each variant
-    once.
-    """
-    by_id: dict[int, list] = {}
-    for alignment in alignments.values():
-        by_id.setdefault(id(alignment), [alignment, 0])[1] += 1
-    return [(alignment, cases) for alignment, cases in by_id.values()]
-
-
-def _fitness(weighted: list[tuple[Alignment, int]], worst_model: int) -> float:
-    total_cost = sum(a.total_cost * cases for a, cases in weighted)
-    total_worst = sum((len(a.log_projection()) + worst_model) * cases for a, cases in weighted)
-    if total_worst == 0:
-        return 1.0
-    return 1.0 - total_cost / total_worst
-
-
-def fitness(net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP) -> float:
-    if not log.events:
-        return 1.0
-    compiled = CompiledNet(net)
-    worst_model = model_path_cost(compiled, cap=cap)
-    alignments = align_log(compiled, log, cap=cap)
-    return _fitness(_weighted(alignments), worst_model)
-
-
 def _silent_closure_enabled(compiled: CompiledNet, marking: tuple, cache: dict) -> frozenset[int]:
     """Visible transitions fireable from ``marking`` after any run of silents."""
     cached = cache.get(marking)
@@ -253,67 +225,6 @@ def _silent_closure_enabled(compiled: CompiledNet, marking: tuple, cache: dict) 
     result = frozenset(visible)
     cache[marking] = result
     return result
-
-
-def _precision(compiled: CompiledNet, weighted: list[tuple[Alignment, int]]) -> float:
-    weight: dict[tuple, int] = {}
-    observed: dict[tuple, set[int]] = {}
-    markings_at: dict[tuple, set[tuple]] = {}
-
-    for alignment, cases in weighted:
-        marking = compiled.initial
-        prefix: tuple[int, ...] = ()
-        weight[prefix] = weight.get(prefix, 0) + cases
-        markings_at.setdefault(prefix, set()).add(marking)
-        for tid in alignment.model_projection():
-            t = compiled.index[tid]
-            marking = compiled.fire(marking, t)
-            if compiled.silent[t]:
-                continue
-            observed.setdefault(prefix, set()).add(t)
-            prefix = prefix + (t,)
-            weight[prefix] = weight.get(prefix, 0) + cases
-            markings_at.setdefault(prefix, set()).add(marking)
-
-    closure_cache: dict = {}
-    escaping_mass = 0
-    enabled_mass = 0
-    for prefix, w in weight.items():
-        enabled: set[int] = set()
-        for marking in markings_at[prefix]:
-            enabled |= _silent_closure_enabled(compiled, marking, closure_cache)
-        seen = observed.get(prefix, set())
-        enabled_mass += w * len(enabled)
-        escaping_mass += w * len(enabled - seen)
-    if enabled_mass == 0:
-        return 1.0
-    return 1.0 - escaping_mass / enabled_mass
-
-
-def precision(net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP) -> float:
-    compiled = CompiledNet(net)
-    alignments = align_log(compiled, log, cap=cap)
-    return _precision(compiled, _weighted(alignments))
-
-
-def _generalization(net: PetriNet, weighted: list[tuple[Alignment, int]]) -> float:
-    visible = net.visible_transitions()
-    if not visible:
-        return 1.0
-    counts = {t.id: 0 for t in visible}
-    for alignment, cases in weighted:
-        for tid in alignment.visible_model_projection():
-            counts[tid] += cases
-    penalty = sum(
-        1.0 if c == 0 else 1.0 / math.sqrt(c) for c in counts.values()
-    )
-    return 1.0 - penalty / len(visible)
-
-
-def generalization(net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP) -> float:
-    if not net.visible_transitions():
-        return 1.0
-    return _generalization(net, _weighted(align_log(net, log, cap=cap)))
 
 
 def simplicity(net: PetriNet) -> float:
@@ -348,14 +259,67 @@ def conformance_report(
 ) -> ConformanceReport:
     """Evaluate the full metric suite of a model against a log.
 
-    The net is compiled once and each variant aligned once; the metrics
-    share those alignments, and the empty trace is aligned once more for
-    fitness's model-only cost.
+    The net is compiled once and each variant aligned once, and the empty
+    trace once more for fitness's model-only cost. One walk over each
+    variant's model run, weighted by its number of cases, gathers what
+    fitness, precision and generalization need.
     """
     compiled = CompiledNet(net)
     worst_model = model_path_cost(compiled, cap=cap) if log.events else 0
-    weighted = _weighted(align_log(compiled, log, cap=cap))
-    fit = _fitness(weighted, worst_model)
-    prec = _precision(compiled, weighted)
-    gen = _generalization(net, weighted)
+    total_cost = total_worst = 0
+    # Per visible prefix (a tuple of transition indices): the cases through
+    # it, the visible steps taken after it and the markings it reaches.
+    weight: dict[tuple[int, ...], int] = {}
+    observed: dict[tuple[int, ...], set[int]] = {}
+    markings_at: dict[tuple[int, ...], set[tuple]] = {}
+    executions = [0] * len(compiled.transitions)
+    # The cases of a variant share one Alignment, and two variants' alignments
+    # differ in their log projection: equal alignments are one variant.
+    for alignment, cases in Counter(align_log(compiled, log, cap=cap).values()).items():
+        total_cost += alignment.total_cost * cases
+        total_worst += (len(alignment.log_projection()) + worst_model) * cases
+        marking = compiled.initial
+        prefix: tuple[int, ...] = ()
+        weight[prefix] = weight.get(prefix, 0) + cases
+        markings_at.setdefault(prefix, set()).add(marking)
+        for tid in alignment.model_projection():
+            t = compiled.index[tid]
+            marking = compiled.fire(marking, t)
+            if compiled.silent[t]:
+                continue
+            executions[t] += cases
+            observed.setdefault(prefix, set()).add(t)
+            prefix += (t,)
+            weight[prefix] = weight.get(prefix, 0) + cases
+            markings_at.setdefault(prefix, set()).add(marking)
+
+    fit = 1.0 - total_cost / total_worst if total_worst else 1.0
+
+    closure_cache: dict = {}
+    escaping_mass = enabled_mass = 0
+    for prefix, w in weight.items():
+        enabled: set[int] = set()
+        for marking in markings_at[prefix]:
+            enabled |= _silent_closure_enabled(compiled, marking, closure_cache)
+        enabled_mass += w * len(enabled)
+        escaping_mass += w * len(enabled - observed.get(prefix, set()))
+    prec = 1.0 - escaping_mass / enabled_mass if enabled_mass else 1.0
+
+    visible = [t for t, silent in enumerate(compiled.silent) if not silent]
+    penalty = sum(
+        1.0 if executions[t] == 0 else 1.0 / math.sqrt(executions[t]) for t in visible
+    )
+    gen = 1.0 - penalty / len(visible) if visible else 1.0
     return ConformanceReport(fit, prec, gen, simplicity(net), f1(fit, prec))
+
+
+def fitness(net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP) -> float:
+    return conformance_report(net, log, cap=cap).fitness
+
+
+def precision(net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP) -> float:
+    return conformance_report(net, log, cap=cap).precision
+
+
+def generalization(net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP) -> float:
+    return conformance_report(net, log, cap=cap).generalization

@@ -139,6 +139,7 @@ def train_classifier(
         raise InputError("at least two decision instances are required")
     if not 0.0 < split < 1.0:
         raise InputError(f"split must lie in (0, 1), got {split}")
+    model = make_classifier(kind)
     labels = [inst.chosen for inst in instances]
     rows = [inst.features for inst in instances]
 
@@ -155,7 +156,6 @@ def train_classifier(
         )
 
     train_idx, test_idx = _stratified_split(labels, split, seed)
-    model = make_classifier(kind)
     model.fit([rows[i] for i in train_idx], [labels[i] for i in train_idx])
 
     confusion: dict[str, dict[str, int]] = {}

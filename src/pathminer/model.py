@@ -6,7 +6,7 @@ empty string; no stage of the pipeline may impute over it silently.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date
 from functools import cached_property
 
@@ -93,26 +93,10 @@ class PatientDatum:
 
 
 # Clinical fields copied onto events by the transform stage, in the order of
-# the source table.
-CLINICAL_FIELDS: tuple[str, ...] = (
-    "lvef",
-    "hfref",
-    "hfmref",
-    "hfpef",
-    "weight",
-    "hf_diagnosis_year",
-    "nt_pro_bnp",
-    "diabetes",
-    "ckd",
-    "outcome",
-    "wbc",
-    "hstnt",
-    "il6",
-    "urea",
-    "beta_blocker",
-    "acei_arni",
-    "sglt2",
-    "mra",
+# the source table: every PatientDatum field but the row's identity and extras.
+CLINICAL_FIELDS: tuple[str, ...] = tuple(
+    f.name for f in fields(PatientDatum)
+    if f.name not in ("pat_id", "timestamp", "row_index", "extra")
 )
 
 

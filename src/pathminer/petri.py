@@ -79,13 +79,12 @@ class PetriNet:
             raise InputError("duplicate transition ids")
         if trans_ids & self.places:
             raise InputError("place and transition ids overlap")
+        ids = self.places | trans_ids
         for source, target in self.arcs:
-            src_place = source in self.places
-            tgt_place = target in self.places
-            if src_place == tgt_place:
-                raise InputError(f"arc {source}->{target} is not bipartite")
-            if source not in self.places | trans_ids or target not in self.places | trans_ids:
+            if source not in ids or target not in ids:
                 raise InputError(f"arc {source}->{target} references unknown id")
+            if (source in self.places) == (target in self.places):
+                raise InputError(f"arc {source}->{target} is not bipartite")
         for marking in (self.initial_marking, self.final_marking):
             for place in marking:
                 if place not in self.places:

@@ -30,8 +30,9 @@ positive sum. Omitted places and attributes keep their defaults.
 """
 
 import json
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date, timedelta
 
 from .errors import ConfigError
@@ -118,6 +119,48 @@ DEFAULT_ATTRIBUTE_SAMPLERS: dict[str, AttributeSampler] = {
 
 _SAMPLED_FIELDS = tuple(DEFAULT_ATTRIBUTE_SAMPLERS)
 
+# The type a sampled attribute holds in a PatientDatum: int for ``int | None``.
+_FIELD_TYPES = {
+    f.name: f.type.__args__[0] for f in fields(PatientDatum) if f.name in _SAMPLED_FIELDS
+}
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_sampler(name: str, sampler: AttributeSampler) -> None:
+    """Reject a sampler whose draws would fail or not fit the attribute."""
+
+    def bad(message: str):
+        raise ConfigError(f"attribute {name!r}: {message}")
+
+    if sampler.kind not in ("uniform", "uniform_int", "bernoulli", "constant", "absent"):
+        bad(f"unknown sampler kind {sampler.kind!r}")
+    for key in ("low", "high", "p", "missing_rate"):
+        value = getattr(sampler, key)
+        if not _is_number(value):
+            bad(f"{key} must be a finite number, got {value!r}")
+        if key in ("p", "missing_rate") and not 0 <= value <= 1:
+            bad(f"{key} must lie in [0, 1], got {value!r}")
+    if sampler.low > sampler.high:
+        bad(f"low {sampler.low} exceeds high {sampler.high}")
+    if not _is_integer(sampler.decimals):
+        bad(f"decimals must be an integer, got {sampler.decimals!r}")
+    if sampler.kind == "constant" and sampler.value is not None:
+        kind = _FIELD_TYPES[name]
+        fits = (
+            isinstance(sampler.value, bool) if kind is bool
+            else _is_integer(sampler.value) if kind is int
+            else _is_number(sampler.value)
+        )
+        if not fits:
+            bad(f"constant value {sampler.value!r} is not of type {kind.__name__}")
+
 
 def _normalize_weights(place: str, weights: dict[str, float]) -> dict[str, float]:
     choices = _PLACE_CHOICES[place]
@@ -143,9 +186,20 @@ class SimulationConfig:
     attributes: dict[str, AttributeSampler] = field(default_factory=dict)
 
     def __post_init__(self):
+        lo, hi = self.gap_days
+        for key, value in (
+            ("patients", self.patients),
+            ("seed", self.seed),
+            ("start_window_days", self.start_window_days),
+            ("gap_days", lo),
+            ("gap_days", hi),
+        ):
+            if not _is_integer(value):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if self.patients < 0:
             raise ConfigError("patients must be non-negative")
-        lo, hi = self.gap_days
+        if self.start_window_days < 0:
+            raise ConfigError("start_window_days must be non-negative")
         if not 1 <= lo <= hi:
             raise ConfigError("gap_days must satisfy 1 <= min <= max")
         probs = {
@@ -161,6 +215,7 @@ class SimulationConfig:
         for name, sampler in self.attributes.items():
             if name not in samplers:
                 raise ConfigError(f"unknown attribute {name!r}")
+            _check_sampler(name, sampler)
             samplers[name] = sampler
         object.__setattr__(self, "attributes", samplers)
 
@@ -176,19 +231,16 @@ def load_config(data: bytes | str, **overrides) -> SimulationConfig:
 
     kwargs = {}
     try:
-        if "patients" in doc:
-            kwargs["patients"] = int(doc["patients"])
-        if "seed" in doc:
-            kwargs["seed"] = int(doc["seed"])
+        for key in ("patients", "seed", "start_window_days"):
+            if key in doc:
+                kwargs[key] = doc[key]
         if "start_date" in doc:
             kwargs["start_date"] = date.fromisoformat(doc["start_date"])
-        if "start_window_days" in doc:
-            kwargs["start_window_days"] = int(doc["start_window_days"])
         if "gap_days" in doc:
             gap = doc["gap_days"]
             if not (isinstance(gap, list) and len(gap) == 2):
                 raise ConfigError("gap_days must be a [min, max] pair")
-            kwargs["gap_days"] = (int(gap[0]), int(gap[1]))
+            kwargs["gap_days"] = tuple(gap)
         if "places" in doc:
             kwargs["place_probs"] = {
                 place: {str(k): float(v) for k, v in weights.items()}

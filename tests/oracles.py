@@ -11,7 +11,10 @@ prune, so the prune can be checked move for move against it.
 writer and the one-pass expat reader must agree with. ``reference_chi2_sf``
 is the chi-square tail through a general regularized incomplete gamma (a
 series and a Lentz continued fraction), against which the closed form is
-checked.
+checked. The ``reference_*`` conformance metrics are the three-walk code the
+one-walk ``conformance_report`` replaced: each variant is regrouped by
+object identity and walked once per metric, and the public metrics compile
+and align on their own, with their own early returns.
 """
 
 import heapq
@@ -24,7 +27,8 @@ from datetime import date, datetime, timedelta, timezone
 
 from pathminer.classifiers import _TreeNode, _categorical, _feature_space
 from pathminer.conformance import (
-    DEFAULT_CAP, LOG, MODEL, SILENT, SYNC, Alignment, Move, _as_labels,
+    DEFAULT_CAP, LOG, MODEL, SILENT, SYNC, Alignment, ConformanceReport, Move, _as_labels,
+    _silent_closure_enabled, align_log, f1, model_path_cost, simplicity,
 )
 from pathminer.model import AttrValue, Event, EventLog
 from pathminer.errors import (
@@ -640,3 +644,106 @@ def gamma_q(a: float, x: float) -> float:
 def reference_chi2_sf(x: float, df: int) -> float:
     """Upper tail of the chi-square distribution with ``df`` degrees."""
     return gamma_q(df / 2.0, x / 2.0)
+
+
+def _weighted(alignments: dict[str, Alignment]) -> list[tuple[Alignment, int]]:
+    """Each distinct alignment object with the number of cases that share it.
+
+    :func:`align_log` hands one object to every case of a variant, so the
+    metrics below, which only add up integers over cases, walk each variant
+    once.
+    """
+    by_id: dict[int, list] = {}
+    for alignment in alignments.values():
+        by_id.setdefault(id(alignment), [alignment, 0])[1] += 1
+    return [(alignment, cases) for alignment, cases in by_id.values()]
+
+
+def _fitness(weighted: list[tuple[Alignment, int]], worst_model: int) -> float:
+    total_cost = sum(a.total_cost * cases for a, cases in weighted)
+    total_worst = sum((len(a.log_projection()) + worst_model) * cases for a, cases in weighted)
+    if total_worst == 0:
+        return 1.0
+    return 1.0 - total_cost / total_worst
+
+
+def reference_fitness(net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP) -> float:
+    if not log.events:
+        return 1.0
+    compiled = CompiledNet(net)
+    worst_model = model_path_cost(compiled, cap=cap)
+    alignments = align_log(compiled, log, cap=cap)
+    return _fitness(_weighted(alignments), worst_model)
+
+
+def _precision(compiled: CompiledNet, weighted: list[tuple[Alignment, int]]) -> float:
+    weight: dict[tuple, int] = {}
+    observed: dict[tuple, set[int]] = {}
+    markings_at: dict[tuple, set[tuple]] = {}
+
+    for alignment, cases in weighted:
+        marking = compiled.initial
+        prefix: tuple[int, ...] = ()
+        weight[prefix] = weight.get(prefix, 0) + cases
+        markings_at.setdefault(prefix, set()).add(marking)
+        for tid in alignment.model_projection():
+            t = compiled.index[tid]
+            marking = compiled.fire(marking, t)
+            if compiled.silent[t]:
+                continue
+            observed.setdefault(prefix, set()).add(t)
+            prefix = prefix + (t,)
+            weight[prefix] = weight.get(prefix, 0) + cases
+            markings_at.setdefault(prefix, set()).add(marking)
+
+    closure_cache: dict = {}
+    escaping_mass = 0
+    enabled_mass = 0
+    for prefix, w in weight.items():
+        enabled: set[int] = set()
+        for marking in markings_at[prefix]:
+            enabled |= _silent_closure_enabled(compiled, marking, closure_cache)
+        seen = observed.get(prefix, set())
+        enabled_mass += w * len(enabled)
+        escaping_mass += w * len(enabled - seen)
+    if enabled_mass == 0:
+        return 1.0
+    return 1.0 - escaping_mass / enabled_mass
+
+
+def reference_precision(net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP) -> float:
+    compiled = CompiledNet(net)
+    alignments = align_log(compiled, log, cap=cap)
+    return _precision(compiled, _weighted(alignments))
+
+
+def _generalization(net: PetriNet, weighted: list[tuple[Alignment, int]]) -> float:
+    visible = net.visible_transitions()
+    if not visible:
+        return 1.0
+    counts = {t.id: 0 for t in visible}
+    for alignment, cases in weighted:
+        for tid in alignment.visible_model_projection():
+            counts[tid] += cases
+    penalty = sum(
+        1.0 if c == 0 else 1.0 / math.sqrt(c) for c in counts.values()
+    )
+    return 1.0 - penalty / len(visible)
+
+
+def reference_generalization(net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP) -> float:
+    if not net.visible_transitions():
+        return 1.0
+    return _generalization(net, _weighted(align_log(net, log, cap=cap)))
+
+
+def reference_report(
+    net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP
+) -> ConformanceReport:
+    compiled = CompiledNet(net)
+    worst_model = model_path_cost(compiled, cap=cap) if log.events else 0
+    weighted = _weighted(align_log(compiled, log, cap=cap))
+    fit = _fitness(weighted, worst_model)
+    prec = _precision(compiled, weighted)
+    gen = _generalization(net, weighted)
+    return ConformanceReport(fit, prec, gen, simplicity(net), f1(fit, prec))

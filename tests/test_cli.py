@@ -170,6 +170,27 @@ class TestErrorHandling:
         assert code == 1
         assert "decision point" in capsys.readouterr().err
 
+    def test_unknown_classifier_on_a_single_label_place_exits_1(self, tmp_path, capsys):
+        # every instance at p0 of the table log chose "Visit before CO"
+        log, net = prepare_inputs(tmp_path)
+        out = tmp_path / "d.json"
+        code = main(["decide", "--log", str(log), "--net", str(net), "--place", "p0",
+                     "--classifiers", "bogus", "--output", str(out)])
+        assert code == 1
+        assert "unknown classifier kind 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_with_a_bad_sampler_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"attributes": {"lvef": {"kind": "uniform_int", "low": 70, "high": 10}}}
+        ))
+        out = tmp_path / "patients.csv"
+        code = main(["simulate", "--config", str(config), "--output", str(out)])
+        assert code == 1
+        assert "pathminer: error: attribute 'lvef': low 70 exceeds high 10" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("alpha", ["nan", "2", "0"])
     def test_cohorts_alpha_outside_the_open_unit_interval_exits_1(self, tmp_path, capsys, alpha):
         log, _ = prepare_inputs(tmp_path)

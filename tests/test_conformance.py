@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import make_log
 from oracles import (
     ReferenceSemantics, brute_force_cost, random_trace, random_workflow_net, reference_align,
+    reference_fitness, reference_generalization, reference_precision, reference_report,
 )
 import pathminer.conformance as conformance
 from pathminer.conformance import (
@@ -355,3 +356,87 @@ class TestReport:
                 report.f1,
             ):
                 assert 0.0 <= value <= 1.0
+
+
+def assert_same_as_reference(net, log):
+    """The report and each metric, repr for repr (so bit for bit), against
+    the three-walk code the one-walk report replaced."""
+    report = conformance_report(net, log)
+    assert repr(report) == repr(reference_report(net, log))
+    assert repr(fitness(net, log)) == repr(reference_fitness(net, log))
+    assert repr(precision(net, log)) == repr(reference_precision(net, log))
+    assert repr(generalization(net, log)) == repr(reference_generalization(net, log))
+    return report
+
+
+class TestReportAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 12))
+    def test_random_workflow_nets(self, rng, cases):
+        net = random_workflow_net(rng, max_transitions=7)
+        assert_same_as_reference(
+            net, make_log(*(random_trace(rng, net) for _ in range(cases)))
+        )
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 60),
+        st.sampled_from([None, 0.5, 0.9, 1.0]),
+        st.booleans(),
+    )
+    def test_simulated_cohorts(self, seed, patients, paths, deviant):
+        from pathminer.discovery import mine_dfm
+        from pathminer.petri import build_dejure
+        from pathminer.simulate import SimulationConfig, simulate
+        from pathminer.transform import transform_log
+
+        places = {"p1": {"None": 40, "HF": 30, "CV": 20, "MI": 10}} if deviant else {}
+        log = transform_log(simulate(SimulationConfig(patients, seed, place_probs=places)))
+        net = build_dejure() if paths is None else mine_dfm(log, paths)
+        assert_same_as_reference(net, log)
+
+    def test_empty_log(self):
+        report = assert_same_as_reference(linear_net("a", "b"), EventLog())
+        assert (report.fitness, report.precision, report.generalization) == (1.0, 1.0, 0.0)
+
+    def test_net_without_visible_transitions(self):
+        net = PetriNet(
+            frozenset({"i", "o"}), (Transition("tau"),), frozenset({("i", "tau"), ("tau", "o")}),
+            Marking(["i"]), Marking(["o"]),
+        )
+        report = assert_same_as_reference(net, make_log(("a",), ("a", "b")))
+        assert report.generalization == 1.0
+        assert (report.fitness, report.precision) == (0.0, 1.0)  # every event a log move
+
+    def test_no_visible_transitions_and_no_run_now_raises(self):
+        # The parent's generalization returned 1.0 here without aligning.
+        net = PetriNet(
+            frozenset({"i", "o"}), (Transition("tau"),), frozenset({("o", "tau"), ("tau", "i")}),
+            Marking(["i"]), Marking(["o"]),
+        )
+        assert reference_generalization(net, make_log(("a",))) == 1.0
+        with pytest.raises(ModelError):
+            generalization(net, make_log(("a",)))
+        assert generalization(net, EventLog()) == 1.0
+
+    def test_precision_now_aligns_the_empty_trace_too(self):
+        # Five two-step branches: the empty trace expands the root and all
+        # five branch middles, the fitting trace (a1, a2) only two states.
+        places = {"i", "o"} | {f"m{k}" for k in range(5)}
+        transitions, arcs = [], set()
+        for k in range(5):
+            transitions += [Transition(f"a{k}", f"a{k}"), Transition(f"b{k}", f"b{k}")]
+            arcs |= {("i", f"a{k}"), (f"a{k}", f"m{k}"), (f"m{k}", f"b{k}"), (f"b{k}", "o")}
+        net = PetriNet(frozenset(places), tuple(transitions), frozenset(arcs),
+                       Marking(["i"]), Marking(["o"]))
+        log = make_log(("a1", "b1"))
+        expected = reference_precision(net, log, cap=3)
+        with pytest.raises(ResourceError):
+            precision(net, log, cap=3)
+        assert precision(net, log, cap=6) == expected == 1 - 4 / 6
+
+    def test_one_variant(self):
+        report = assert_same_as_reference(linear_net("a", "b"), make_log(*[("a", "b")] * 3))
+        assert (report.fitness, report.precision) == (1.0, 1.0)
+        assert report.generalization == 1.0 - (2 / 3 ** 0.5) / 2

@@ -119,6 +119,11 @@ class TestTrainClassifier:
         with pytest.raises(InputError):
             train_classifier(self._instances(), "svm")
 
+    def test_unknown_kind_rejected_when_every_instance_chose_one_label(self):
+        instances = [DecisionInstance("a", "p1", {}, "x"), DecisionInstance("b", "p1", {}, "x")]
+        with pytest.raises(InputError, match="unknown classifier kind 'bogus'"):
+            train_classifier(instances, "bogus")
+
     def test_too_few_instances_rejected(self):
         with pytest.raises(InputError):
             train_classifier([DecisionInstance("a", "p4", {}, "x")], "majority")

@@ -22,6 +22,14 @@ def test_dangling_arc_is_format_error(dejure):
         read_net_json(json.dumps(doc))
 
 
+def test_arc_between_two_unknown_ids_is_reported_as_unknown(dejure):
+    # checked before the bipartite rule, which such an arc would also break
+    doc = json.loads(write_net_json(dejure))
+    doc["arcs"].append({"source": "ghost", "target": "phantom"})
+    with pytest.raises(FormatError, match="arc ghost->phantom references unknown id"):
+        read_net_json(json.dumps(doc))
+
+
 def test_malformed_json_rejected():
     with pytest.raises(FormatError):
         read_net_json(b"{")

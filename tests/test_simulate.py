@@ -61,6 +61,35 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(json.dumps({"places": {"p1": ["not", "a", "map"]}}))
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"attributes": {"lvef": {"kind": "uniform_int", "low": 70, "high": 10}}},
+             "attribute 'lvef': low 70 exceeds high 10"),
+            ({"attributes": {"weight": {"kind": "uniform", "decimals": 1.5}}},
+             "attribute 'weight': decimals must be an integer, got 1.5"),
+            ({"attributes": {"diabetes": {"kind": "bernoulli", "p": "0.4"}}},
+             "attribute 'diabetes': p must be a finite number, got '0.4'"),
+            ({"attributes": {"lvef": {"kind": "constant", "value": "abc"}}},
+             "attribute 'lvef': constant value 'abc' is not of type int"),
+            ({"patients": 2.7}, "patients must be an integer, got 2.7"),
+            ({"start_window_days": -5}, "start_window_days must be non-negative"),
+            ({"attributes": {"wbc": {"kind": "uniform", "missing_rate": 7}}},
+             "attribute 'wbc': missing_rate must lie in [0, 1], got 7"),
+            ({"patients": 0, "attributes": {"ckd": {"kind": "poisson"}}},
+             "attribute 'ckd': unknown sampler kind 'poisson'"),
+        ],
+        ids=[
+            "uniform_int-low-above-high", "non-integer-decimals", "string-p",
+            "constant-lvef-abc", "fractional-patients", "negative-start-window",
+            "missing-rate-7", "unknown-kind-with-no-patients",
+        ],
+    )
+    def test_bad_value_rejected_when_the_config_is_built(self, doc, message):
+        with pytest.raises(ConfigError) as err:
+            load_config(json.dumps(doc))
+        assert str(err.value) == message
+
 
 class TestWalks:
     def test_same_seed_is_bit_identical(self):
