@@ -14,13 +14,14 @@ behind the caller's back:
   test for missingness itself.
 
 Nothing here draws randomness: training is deterministic given the rows.
+``fit`` takes the rows' ``_feature_space`` as ``space`` if the caller has it.
 """
 
 import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import TYPE_CHECKING
 
 from .errors import InputError
@@ -74,13 +75,20 @@ def _categorical(value) -> str:
     return str(value)
 
 
-class MajorityClassifier:
+class _Classifier:
+    """Predicts many rows; a subclass may encode them together."""
+
+    def predict_rows(self, rows) -> list[str]:
+        return [self.predict(row) for row in rows]
+
+
+class MajorityClassifier(_Classifier):
     """Predicts the most frequent training label, ties broken
     lexicographically."""
 
     kind = "majority"
 
-    def fit(self, rows, labels):
+    def fit(self, rows, labels, space=None):
         counts = Counter(labels)
         top = max(counts.values())
         self.label_ = min(l for l, c in counts.items() if c == top)
@@ -90,114 +98,106 @@ class MajorityClassifier:
         return self.label_
 
 
-class NaiveBayesClassifier:
-    """Gaussian/categorical naive Bayes with per-row feature skipping."""
+def _gaussian(values) -> tuple[float, float, float] | None:
+    """One class's Gaussian as (mean, -0.5*log(2πvar), 2*var)."""
+    if not values:
+        return None
+    values = [float(v) for v in values]
+    mean = sum(values) / len(values)
+    var = sum((v - mean) ** 2 for v in values) / len(values) + 1e-9
+    return mean, -0.5 * math.log(2 * math.pi * var), 2 * var
+
+
+class NaiveBayesClassifier(_Classifier):
+    """Gaussian/categorical naive Bayes with per-row feature skipping.
+
+    Per feature, ``terms_`` holds each class's Gaussian (None without
+    values), or per-class log-probabilities by category and for an unseen one.
+    """
 
     kind = "naive-bayes"
 
-    def fit(self, rows, labels):
-        self.space_ = _feature_space(rows)
+    def fit(self, rows, labels, space=None):
+        self.space_ = _feature_space(rows) if space is None else space
         self.classes_ = sorted(set(labels))
-        counts = Counter(labels)
-        total = len(labels)
-        self.log_prior_ = {c: math.log(counts[c] / total) for c in self.classes_}
-
-        self.gaussians_: dict[tuple[str, str], tuple[float, float]] = {}
-        self.cat_logp_: dict[tuple[str, str, str], float] = {}
-        self.categories_: dict[str, list[str]] = {}
-
+        by_class = {c: [] for c in self.classes_}
+        for row, label in zip(rows, labels):
+            by_class[label].append(row)
+        self.log_prior_ = [math.log(len(by_class[c]) / len(labels)) for c in self.classes_]
+        self.terms_ = []
         for name, kind in self.space_.items():
+            present = [[r[name] for r in by_class[c] if r.get(name) is not None] for c in self.classes_]
             if kind == "numeric":
-                for c in self.classes_:
-                    values = [
-                        float(r[name])
-                        for r, l in zip(rows, labels)
-                        if l == c and r.get(name) is not None
-                    ]
-                    if values:
-                        mean = sum(values) / len(values)
-                        var = sum((v - mean) ** 2 for v in values) / len(values)
-                        self.gaussians_[(c, name)] = (mean, var + 1e-9)
-            else:
-                cats = sorted(
-                    {_categorical(r[name]) for r in rows if r.get(name) is not None}
-                )
-                self.categories_[name] = cats
-                for c in self.classes_:
-                    observed = [
-                        _categorical(r[name])
-                        for r, l in zip(rows, labels)
-                        if l == c and r.get(name) is not None
-                    ]
-                    denominator = len(observed) + len(cats)
-                    tally = Counter(observed)
-                    for cat in cats:
-                        self.cat_logp_[(c, name, cat)] = math.log(
-                            (tally[cat] + 1) / denominator
-                        )
+                self.terms_.append((name, True, [_gaussian(values) for values in present]))
+                continue
+            tallies = [Counter(map(_categorical, values)) for values in present]
+            cats = sorted(set().union(*tallies))
+            table = {cat: [math.log((t[cat] + 1) / (t.total() + len(cats))) for t in tallies] for cat in cats}
+            unseen = [-math.log(len(cats) + 1) if cats else 0.0] * len(self.classes_)
+            self.terms_.append((name, False, (table, unseen)))
         return self
 
+    def _scores(self, row) -> list[float]:
+        """Each class's prior plus the terms of the row's present features,
+        added in feature order."""
+        scores = list(self.log_prior_)
+        for name, numeric, terms in self.terms_:
+            value = row.get(name)
+            if value is None:
+                continue
+            if numeric:
+                x = float(value)
+                for i, gaussian in enumerate(terms):
+                    if gaussian is not None:
+                        scores[i] += gaussian[1] - ((x - gaussian[0]) ** 2) / gaussian[2]
+            else:
+                for i, logp in enumerate(terms[0].get(_categorical(value), terms[1])):
+                    scores[i] += logp
+        return scores
+
     def predict(self, row) -> str:
-        best_label = None
-        best_score = -math.inf
-        for c in self.classes_:
-            score = self.log_prior_[c]
-            for name, kind in self.space_.items():
-                value = row.get(name)
-                if value is None:
-                    continue
-                if kind == "numeric":
-                    stats = self.gaussians_.get((c, name))
-                    if stats is None:
-                        continue
-                    mean, var = stats
-                    score += -0.5 * math.log(2 * math.pi * var) - (
-                        (float(value) - mean) ** 2
-                    ) / (2 * var)
-                else:
-                    cat = _categorical(value)
-                    logp = self.cat_logp_.get((c, name, cat))
-                    if logp is None:
-                        cats = self.categories_.get(name, [])
-                        logp = -math.log(len(cats) + 1) if cats else 0.0
-                    score += logp
-            if best_label is None or score > best_score:
-                best_label, best_score = c, score
-        return best_label
+        scores = self._scores(row)
+        return self.classes_[max(range(len(scores)), key=scores.__getitem__)]
 
 
-class LogisticClassifier:
+class LogisticClassifier(_Classifier):
     """Multinomial softmax regression trained by full-batch gradient
-    descent from a zero start; no randomness involved."""
+    descent from a zero start; no randomness involved.
+
+    The rows are encoded column by column into one matrix, and each row is
+    scored as its own vector-matrix product. The epoch loop reduces over
+    the class columns left to right and works in place, with the float
+    operations of a row-wise softmax, so the weights keep their bits.
+    """
 
     kind = "logistic"
     EPOCHS = 400
     LEARNING_RATE = 0.5
     L2 = 1e-3
 
-    def _encode(self, row) -> "np.ndarray":
+    def _matrix(self, rows) -> "np.ndarray":
+        """Per numeric feature the scaled value (0 when missing) and a
+        missing indicator, per categorical feature one indicator per
+        category, and the intercept last, as a C-ordered matrix."""
         import numpy as np
 
-        parts = []
+        columns = []
         for name, kind in self.space_.items():
-            value = row.get(name)
+            values = [row.get(name) for row in rows]
             if kind == "numeric":
                 mean, std = self.scaling_[name]
-                if value is None:
-                    parts.extend((0.0, 1.0))
-                else:
-                    parts.extend(((float(value) - mean) / std, 0.0))
+                columns.append([0.0 if v is None else (float(v) - mean) / std for v in values])
+                columns.append([1.0 if v is None else 0.0 for v in values])
             else:
-                cats = self.categories_[name]
-                cat = _categorical(value)
-                parts.extend(1.0 if cat == c else 0.0 for c in cats)
-        parts.append(1.0)  # intercept
-        return np.array(parts)
+                text = [_categorical(v) for v in values]
+                columns.extend([1.0 if t == c else 0.0 for t in text] for c in self.categories_[name])
+        columns.append([1.0] * len(rows))
+        return np.array(columns, dtype=np.float64).T.copy()
 
-    def fit(self, rows, labels):
+    def fit(self, rows, labels, space=None):
         import numpy as np
 
-        self.space_ = _feature_space(rows)
+        self.space_ = _feature_space(rows) if space is None else space
         self.classes_ = sorted(set(labels))
         self.scaling_ = {}
         self.categories_ = {}
@@ -205,38 +205,41 @@ class LogisticClassifier:
             if kind == "numeric":
                 values = [float(r[name]) for r in rows if r.get(name) is not None]
                 mean = sum(values) / len(values) if values else 0.0
-                var = (
-                    sum((v - mean) ** 2 for v in values) / len(values)
-                    if values
-                    else 0.0
-                )
+                var = sum((v - mean) ** 2 for v in values) / len(values) if values else 0.0
                 self.scaling_[name] = (mean, math.sqrt(var) or 1.0)
             else:
                 cats = {_categorical(r.get(name)) for r in rows}
                 self.categories_[name] = sorted(cats)
 
-        matrix = np.stack([self._encode(r) for r in rows])
+        matrix = self._matrix(rows)
         index = {c: i for i, c in enumerate(self.classes_)}
         target = np.zeros((len(rows), len(self.classes_)))
         for i, label in enumerate(labels):
             target[i, index[label]] = 1.0
 
-        self.weights_ = np.zeros((matrix.shape[1], len(self.classes_)))
-        n = len(rows)
+        self.weights_ = weights = np.zeros((matrix.shape[1], len(self.classes_)))
+        n, decay = len(rows), np.empty_like(weights)
         for _ in range(self.EPOCHS):
-            scores = matrix @ self.weights_
-            scores -= scores.max(axis=1, keepdims=True)
-            exp = np.exp(scores)
-            probs = exp / exp.sum(axis=1, keepdims=True)
-            gradient = matrix.T @ (probs - target) / n + self.L2 * self.weights_
-            self.weights_ -= self.LEARNING_RATE * gradient
+            scores = matrix @ weights
+            columns = [scores[:, j] for j in range(len(self.classes_))]
+            scores -= reduce(np.maximum, columns)[:, None]
+            np.exp(scores, out=scores)
+            scores /= sum(columns[1:], columns[0])[:, None]
+            scores -= target  # now probs - target
+            gradient = matrix.T @ scores
+            gradient /= n
+            gradient += np.multiply(self.L2, weights, out=decay)
+            gradient *= self.LEARNING_RATE
+            weights -= gradient
         return self
 
-    def predict(self, row) -> str:
+    def predict_rows(self, rows) -> list[str]:
         import numpy as np
 
-        scores = self._encode(row) @ self.weights_
-        return self.classes_[int(np.argmax(scores))]
+        return [self.classes_[int(np.argmax(row @ self.weights_))] for row in self._matrix(rows)]
+
+    def predict(self, row) -> str:
+        return self.predict_rows([row])[0]
 
 
 @dataclass
@@ -288,7 +291,7 @@ def _first_seen(codes) -> tuple[list[int], list[int]]:
     return distinct[order].tolist(), first[order].tolist()
 
 
-class DecisionTreeClassifier:
+class DecisionTreeClassifier(_Classifier):
     """CART-style tree on gini impurity with explicit missing handling.
 
     ``fit`` encodes the rows once: each numeric feature as a float column
@@ -359,12 +362,12 @@ class DecisionTreeClassifier:
         n_missing = len(missing_labels)
         missing_counts = np.bincount(missing_labels, minlength=k)
 
-        present_order, present_first = _first_seen(ranked)
-        missing_order, _ = _first_seen(missing_labels)
         total = cumulative[-1].tolist()
         extra = missing_counts.tolist()
 
         def rescore(j: int, missing_left: bool):
+            present_order, present_first = _first_seen(ranked)
+            missing_order, _ = _first_seen(missing_labels)
             i = int(cuts[j])
             threshold = (float(values[i]) + float(values[i + 1])) / 2.0
             lc = cumulative[i].tolist()
@@ -481,11 +484,11 @@ class DecisionTreeClassifier:
         node.right = self._build(columns, labels, idx[~goes_left], depth + 1)
         return node
 
-    def fit(self, rows, labels):
+    def fit(self, rows, labels, space=None):
         import numpy as np
 
         rows = list(rows)
-        self.space_ = _feature_space(rows)
+        self.space_ = _feature_space(rows) if space is None else space
         self.classes_ = sorted(set(labels))
         code = {label: i for i, label in enumerate(self.classes_)}
         codes = np.array([code[label] for label in labels], dtype=np.intp)

@@ -201,7 +201,10 @@ def align_log(
 
 def model_path_cost(net: PetriNet | CompiledNet, *, cap: int = DEFAULT_CAP) -> int:
     """Cost of the cheapest model-only run (the empty-trace alignment)."""
-    return align(net, (), cap=cap).total_cost
+    try:
+        return align(net, (), cap=cap).total_cost
+    except ResourceError as err:
+        raise ResourceError(err.cap, f"{err} aligning the empty trace (the model-only run)") from None
 
 
 def _silent_closure_enabled(compiled: CompiledNet, marking: tuple, cache: dict) -> frozenset[int]:

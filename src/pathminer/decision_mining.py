@@ -12,8 +12,9 @@ unambiguous decision path; they are skipped and counted.
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .classifiers import DecisionTreeClassifier, make_classifier
+from .classifiers import DecisionTreeClassifier, _feature_space, make_classifier
 from .conformance import align_log
 from .errors import InputError
 from .model import AttrValue, EventLog, case_phenotype
@@ -126,42 +127,50 @@ def _stratified_split(labels: list[str], split: float, seed: int):
     return sorted(train), sorted(test)
 
 
+class _Holdout:
+    """The stratified holdout of one instance set, drawn once for every
+    classifier trained on it, and the feature space of its training rows,
+    inferred on first use."""
+
+    def __init__(self, instances, split: float, seed: int):
+        if len(instances) < 2:
+            raise InputError("at least two decision instances are required")
+        if not 0.0 < split < 1.0:
+            raise InputError(f"split must lie in (0, 1), got {split}")
+        self.labels = [inst.chosen for inst in instances]
+        self.rows = [inst.features for inst in instances]
+        self.classes = sorted(set(self.labels))
+        if len(self.classes) > 1:
+            self.train, self.test = _stratified_split(self.labels, split, seed)
+
+    @cached_property
+    def space(self) -> dict[str, str]:
+        return _feature_space([self.rows[i] for i in self.train])
+
+
 def train_classifier(
-    instances, kind: str, split: float = 0.2, seed: int = 0
+    instances, kind: str, split: float = 0.2, seed: int = 0, *, holdout: _Holdout | None = None
 ) -> ClassifierReport:
     """Train one classifier on a stratified holdout and score it.
 
     Deterministic under ``seed``. A single-class instance set short-circuits
-    to a degenerate 100%-accuracy report.
+    to a degenerate 100%-accuracy report. ``mine_place`` passes the
+    ``holdout`` it draws once for all kinds; without one, it is drawn here.
     """
-    instances = list(instances)
-    if len(instances) < 2:
-        raise InputError("at least two decision instances are required")
-    if not 0.0 < split < 1.0:
-        raise InputError(f"split must lie in (0, 1), got {split}")
+    holdout = holdout or _Holdout(list(instances), split, seed)
     model = make_classifier(kind)
-    labels = [inst.chosen for inst in instances]
-    rows = [inst.features for inst in instances]
+    labels, rows = holdout.labels, holdout.rows
+    if len(holdout.classes) == 1:
+        only, n = holdout.classes[0], len(labels)
+        return ClassifierReport(kind, 100.0, {only: {only: n}}, n, 0, degenerate=True)
 
-    distinct = sorted(set(labels))
-    if len(distinct) == 1:
-        only = distinct[0]
-        return ClassifierReport(
-            kind=kind,
-            accuracy=100.0,
-            confusion={only: {only: len(instances)}},
-            train_size=len(instances),
-            test_size=0,
-            degenerate=True,
-        )
-
-    train_idx, test_idx = _stratified_split(labels, split, seed)
-    model.fit([rows[i] for i in train_idx], [labels[i] for i in train_idx])
+    train_idx, test_idx = holdout.train, holdout.test
+    space = None if kind == "majority" else holdout.space
+    model.fit([rows[i] for i in train_idx], [labels[i] for i in train_idx], space)
 
     confusion: dict[str, dict[str, int]] = {}
     correct = 0
-    for i in test_idx:
-        predicted = model.predict(rows[i])
+    for i, predicted in zip(test_idx, model.predict_rows([rows[i] for i in test_idx])):
         confusion.setdefault(labels[i], {}).setdefault(predicted, 0)
         confusion[labels[i]][predicted] += 1
         if predicted == labels[i]:
@@ -210,8 +219,11 @@ def mine_place(
         }
         log = EventLog(tuple(e for e in log if e.case_id in keep))
     extraction = extract_instances(net, log, place)
+    kinds = tuple(kinds)
+    # one holdout for all kinds; bench/tracing.py wraps train_classifier to time each kind
+    holdout = _Holdout(extraction.instances, split, seed) if kinds else None
     reports = tuple(
-        train_classifier(extraction.instances, kind, split=split, seed=seed)
+        train_classifier(extraction.instances, kind, split=split, seed=seed, holdout=holdout)
         for kind in kinds
     )
     return DecisionMiningReport(

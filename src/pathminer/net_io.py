@@ -7,7 +7,7 @@ maps. Serialization sorts everything, so equal nets produce equal bytes.
 
 import json
 
-from .errors import FormatError
+from .errors import FormatError, PathminerError
 from .petri import Marking, PetriNet, Transition
 
 
@@ -28,28 +28,67 @@ def write_net_json(net: PetriNet) -> bytes:
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
+_JSON_TYPES = {
+    dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+    int: "an integer", float: "a number", type(None): "null",
+}
+
+
+def _typed(value, kind, path: str):
+    """``value`` if it has the JSON type ``kind`` (a type or a tuple of
+    types); ``path`` names it in the error."""
+    if isinstance(value, kind):
+        return value
+    wanted = " or ".join(_JSON_TYPES[k] for k in (kind if isinstance(kind, tuple) else (kind,)))
+    raise FormatError(f"net JSON {path} must be {wanted}, got {_JSON_TYPES[type(value)]}")
+
+
+def _field(doc: dict, key: str, kind, path: str = ""):
+    path = f"{path}.{key}" if path else key
+    if key not in doc:
+        raise FormatError(f"net JSON missing field {path}")
+    return _typed(doc[key], kind, path)
+
+
 def read_net_json(data: bytes | str) -> PetriNet:
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"malformed net JSON: {exc}") from None
+    _typed(doc, dict, "root")
 
-    try:
-        places = frozenset(p["id"] for p in doc["places"])
-        transitions = tuple(
-            Transition(t["id"], None if t.get("silent") else t["label"])
-            for t in doc["transitions"]
+    def objects(key: str):
+        """(path, object) for each entry of the array ``doc[key]``."""
+        return [(f"{key}[{i}]", _typed(item, dict, f"{key}[{i}]"))
+                for i, item in enumerate(_field(doc, key, list))]
+
+    def marking(key: str) -> Marking:
+        value = _field(doc, key, (dict, list))
+        if isinstance(value, dict):
+            for place, count in value.items():
+                _typed(count, int, f"{key}.{place}")
+        else:
+            for i, place in enumerate(value):
+                _typed(place, str, f"{key}[{i}]")
+        return Marking(value)
+
+    places = frozenset(_field(p, "id", str, path) for path, p in objects("places"))
+    transitions = tuple(
+        Transition(
+            _field(t, "id", str, path),
+            None if _typed(t.get("silent", False), bool, f"{path}.silent")
+            else _field(t, "label", (str, type(None)), path),
         )
-        arcs = frozenset((a["source"], a["target"]) for a in doc["arcs"])
-        initial = Marking(doc["initial_marking"])
-        final = Marking(doc["final_marking"])
-        name = doc.get("name", "net")
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"net JSON missing field: {exc}") from None
-
+        for path, t in objects("transitions")
+    )
+    arcs = frozenset(
+        (_field(a, "source", str, path), _field(a, "target", str, path)) for path, a in objects("arcs")
+    )
+    name = _typed(doc.get("name", "net"), str, "name")
     try:
-        return PetriNet(places, transitions, arcs, initial, final, name=name)
-    except Exception as exc:
+        return PetriNet(places, transitions, arcs, marking("initial_marking"),
+                        marking("final_marking"), name=name)
+    except PathminerError as exc:
         raise FormatError(str(exc)) from None
 
 

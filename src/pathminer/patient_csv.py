@@ -94,7 +94,13 @@ def parse_patient_csv(data: bytes | str) -> list[PatientDatum]:
     Row indices are assigned in file order starting at 1 and are later used
     to break timestamp ties deterministically.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        # the record holding the byte: the header is record 0, as rows count from 1
+        row = sum(1 for _ in csv.reader(io.StringIO(data[: exc.start].decode("utf-8") + "x"))) - 1
+        message = f"byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8"
+        raise (RowError(row, message) if row else SchemaError(f"header row: {message}")) from None
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)

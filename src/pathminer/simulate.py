@@ -125,6 +125,11 @@ _FIELD_TYPES = {
 }
 
 
+# The sampler kinds whose draws have a field's type, so that the CSV written
+# parses back: an int is also a float field's number.
+_DRAWS = {bool: ("bernoulli",), int: ("uniform_int",), float: ("uniform", "uniform_int")}
+
+
 def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -151,8 +156,10 @@ def _check_sampler(name: str, sampler: AttributeSampler) -> None:
         bad(f"low {sampler.low} exceeds high {sampler.high}")
     if not _is_integer(sampler.decimals):
         bad(f"decimals must be an integer, got {sampler.decimals!r}")
+    kind = _FIELD_TYPES[name]
+    if sampler.kind not in _DRAWS[kind] + ("constant", "absent"):
+        bad(f"sampler kind {sampler.kind!r} does not draw values of type {kind.__name__}")
     if sampler.kind == "constant" and sampler.value is not None:
-        kind = _FIELD_TYPES[name]
         fits = (
             isinstance(sampler.value, bool) if kind is bool
             else _is_integer(sampler.value) if kind is int
@@ -160,6 +167,10 @@ def _check_sampler(name: str, sampler: AttributeSampler) -> None:
         )
         if not fits:
             bad(f"constant value {sampler.value!r} is not of type {kind.__name__}")
+    if name == "lvef":  # a PatientDatum holds an LVEF in [0, 100]
+        ends = {"uniform_int": (int(sampler.low), int(sampler.high)), "constant": (sampler.value,)}
+        if any(end is not None and not 0 <= end <= 100 for end in ends.get(sampler.kind, ())):
+            bad("draws LVEF values outside [0, 100]")
 
 
 def _normalize_weights(place: str, weights: dict[str, float]) -> dict[str, float]:
@@ -224,7 +235,7 @@ def load_config(data: bytes | str, **overrides) -> SimulationConfig:
     """Build a config from JSON, with keyword arguments taking precedence."""
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config JSON must be an object")

@@ -15,6 +15,13 @@ checked. The ``reference_*`` conformance metrics are the three-walk code the
 one-walk ``conformance_report`` replaced: each variant is regrouped by
 object identity and walked once per metric, and the public metrics compile
 and align on their own, with their own early returns.
+``ReferenceNaiveBayes``, ``ReferenceLogistic`` and
+``reference_train_classifier`` are the classifiers and the training loop
+that one holdout and one feature space per place replaced: naive Bayes
+rescans the rows per class and feature, logistic regression encodes one
+row at a time and reduces along the class axis, and every call draws its
+own split; ``ReferenceNaiveBayes.scores`` is ``predict``'s loop returning
+every class's score.
 """
 
 import heapq
@@ -25,11 +32,14 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 from datetime import date, datetime, timedelta, timezone
 
-from pathminer.classifiers import _TreeNode, _categorical, _feature_space
+from pathminer.classifiers import (
+    MajorityClassifier, _TreeNode, _categorical, _feature_space, make_classifier,
+)
 from pathminer.conformance import (
     DEFAULT_CAP, LOG, MODEL, SILENT, SYNC, Alignment, ConformanceReport, Move, _as_labels,
     _silent_closure_enabled, align_log, f1, model_path_cost, simplicity,
 )
+from pathminer.decision_mining import ClassifierReport, _stratified_split
 from pathminer.model import AttrValue, Event, EventLog
 from pathminer.errors import (
     FormatError, InputError, ModelError, ResourceError, SemanticsError,
@@ -747,3 +757,242 @@ def reference_report(
     prec = _precision(compiled, weighted)
     gen = _generalization(net, weighted)
     return ConformanceReport(fit, prec, gen, simplicity(net), f1(fit, prec))
+
+
+class ReferenceNaiveBayes:
+    """Gaussian/categorical naive Bayes with per-row feature skipping."""
+
+    kind = "naive-bayes"
+
+    def fit(self, rows, labels):
+        self.space_ = _feature_space(rows)
+        self.classes_ = sorted(set(labels))
+        counts = Counter(labels)
+        total = len(labels)
+        self.log_prior_ = {c: math.log(counts[c] / total) for c in self.classes_}
+
+        self.gaussians_: dict[tuple[str, str], tuple[float, float]] = {}
+        self.cat_logp_: dict[tuple[str, str, str], float] = {}
+        self.categories_: dict[str, list[str]] = {}
+
+        for name, kind in self.space_.items():
+            if kind == "numeric":
+                for c in self.classes_:
+                    values = [
+                        float(r[name])
+                        for r, l in zip(rows, labels)
+                        if l == c and r.get(name) is not None
+                    ]
+                    if values:
+                        mean = sum(values) / len(values)
+                        var = sum((v - mean) ** 2 for v in values) / len(values)
+                        self.gaussians_[(c, name)] = (mean, var + 1e-9)
+            else:
+                cats = sorted(
+                    {_categorical(r[name]) for r in rows if r.get(name) is not None}
+                )
+                self.categories_[name] = cats
+                for c in self.classes_:
+                    observed = [
+                        _categorical(r[name])
+                        for r, l in zip(rows, labels)
+                        if l == c and r.get(name) is not None
+                    ]
+                    denominator = len(observed) + len(cats)
+                    tally = Counter(observed)
+                    for cat in cats:
+                        self.cat_logp_[(c, name, cat)] = math.log(
+                            (tally[cat] + 1) / denominator
+                        )
+        return self
+
+    def predict(self, row) -> str:
+        best_label = None
+        best_score = -math.inf
+        for c in self.classes_:
+            score = self.log_prior_[c]
+            for name, kind in self.space_.items():
+                value = row.get(name)
+                if value is None:
+                    continue
+                if kind == "numeric":
+                    stats = self.gaussians_.get((c, name))
+                    if stats is None:
+                        continue
+                    mean, var = stats
+                    score += -0.5 * math.log(2 * math.pi * var) - (
+                        (float(value) - mean) ** 2
+                    ) / (2 * var)
+                else:
+                    cat = _categorical(value)
+                    logp = self.cat_logp_.get((c, name, cat))
+                    if logp is None:
+                        cats = self.categories_.get(name, [])
+                        logp = -math.log(len(cats) + 1) if cats else 0.0
+                    score += logp
+            if best_label is None or score > best_score:
+                best_label, best_score = c, score
+        return best_label
+
+    def scores(self, row) -> list[float]:
+        """``predict``'s loop, returning every class's score in class order."""
+        out = []
+        for c in self.classes_:
+            score = self.log_prior_[c]
+            for name, kind in self.space_.items():
+                value = row.get(name)
+                if value is None:
+                    continue
+                if kind == "numeric":
+                    stats = self.gaussians_.get((c, name))
+                    if stats is None:
+                        continue
+                    mean, var = stats
+                    score += -0.5 * math.log(2 * math.pi * var) - (
+                        (float(value) - mean) ** 2
+                    ) / (2 * var)
+                else:
+                    cat = _categorical(value)
+                    logp = self.cat_logp_.get((c, name, cat))
+                    if logp is None:
+                        cats = self.categories_.get(name, [])
+                        logp = -math.log(len(cats) + 1) if cats else 0.0
+                    score += logp
+            out.append(score)
+        return out
+
+
+class ReferenceLogistic:
+    """Multinomial softmax regression trained by full-batch gradient
+    descent from a zero start; no randomness involved."""
+
+    kind = "logistic"
+    EPOCHS = 400
+    LEARNING_RATE = 0.5
+    L2 = 1e-3
+
+    def _encode(self, row) -> "np.ndarray":
+        import numpy as np
+
+        parts = []
+        for name, kind in self.space_.items():
+            value = row.get(name)
+            if kind == "numeric":
+                mean, std = self.scaling_[name]
+                if value is None:
+                    parts.extend((0.0, 1.0))
+                else:
+                    parts.extend(((float(value) - mean) / std, 0.0))
+            else:
+                cats = self.categories_[name]
+                cat = _categorical(value)
+                parts.extend(1.0 if cat == c else 0.0 for c in cats)
+        parts.append(1.0)  # intercept
+        return np.array(parts)
+
+    def fit(self, rows, labels):
+        import numpy as np
+
+        self.space_ = _feature_space(rows)
+        self.classes_ = sorted(set(labels))
+        self.scaling_ = {}
+        self.categories_ = {}
+        for name, kind in self.space_.items():
+            if kind == "numeric":
+                values = [float(r[name]) for r in rows if r.get(name) is not None]
+                mean = sum(values) / len(values) if values else 0.0
+                var = (
+                    sum((v - mean) ** 2 for v in values) / len(values)
+                    if values
+                    else 0.0
+                )
+                self.scaling_[name] = (mean, math.sqrt(var) or 1.0)
+            else:
+                cats = {_categorical(r.get(name)) for r in rows}
+                self.categories_[name] = sorted(cats)
+
+        matrix = np.stack([self._encode(r) for r in rows])
+        index = {c: i for i, c in enumerate(self.classes_)}
+        target = np.zeros((len(rows), len(self.classes_)))
+        for i, label in enumerate(labels):
+            target[i, index[label]] = 1.0
+
+        self.weights_ = np.zeros((matrix.shape[1], len(self.classes_)))
+        n = len(rows)
+        for _ in range(self.EPOCHS):
+            scores = matrix @ self.weights_
+            scores -= scores.max(axis=1, keepdims=True)
+            exp = np.exp(scores)
+            probs = exp / exp.sum(axis=1, keepdims=True)
+            gradient = matrix.T @ (probs - target) / n + self.L2 * self.weights_
+            self.weights_ -= self.LEARNING_RATE * gradient
+        return self
+
+    def predict(self, row) -> str:
+        import numpy as np
+
+        scores = self._encode(row) @ self.weights_
+        return self.classes_[int(np.argmax(scores))]
+
+
+def _reference_classifier(kind: str):
+    """``make_classifier`` over the reference models."""
+    models = {"majority": MajorityClassifier, "naive-bayes": ReferenceNaiveBayes,
+              "logistic": ReferenceLogistic, "decision-tree": ReferenceDecisionTree}
+    if kind not in models:
+        make_classifier(kind)  # raises the InputError
+    return models[kind]()
+
+
+def reference_train_classifier(
+    instances, kind: str, split: float = 0.2, seed: int = 0
+) -> ClassifierReport:
+    """Train one classifier on a stratified holdout and score it.
+
+    Deterministic under ``seed``. A single-class instance set short-circuits
+    to a degenerate 100%-accuracy report.
+    """
+    instances = list(instances)
+    if len(instances) < 2:
+        raise InputError("at least two decision instances are required")
+    if not 0.0 < split < 1.0:
+        raise InputError(f"split must lie in (0, 1), got {split}")
+    model = _reference_classifier(kind)
+    labels = [inst.chosen for inst in instances]
+    rows = [inst.features for inst in instances]
+
+    distinct = sorted(set(labels))
+    if len(distinct) == 1:
+        only = distinct[0]
+        return ClassifierReport(
+            kind=kind,
+            accuracy=100.0,
+            confusion={only: {only: len(instances)}},
+            train_size=len(instances),
+            test_size=0,
+            degenerate=True,
+        )
+
+    train_idx, test_idx = _stratified_split(labels, split, seed)
+    model.fit([rows[i] for i in train_idx], [labels[i] for i in train_idx])
+
+    confusion: dict[str, dict[str, int]] = {}
+    correct = 0
+    for i in test_idx:
+        predicted = model.predict(rows[i])
+        confusion.setdefault(labels[i], {}).setdefault(predicted, 0)
+        confusion[labels[i]][predicted] += 1
+        if predicted == labels[i]:
+            correct += 1
+    accuracy = 100.0 * correct / len(test_idx)
+    detail: dict = {}
+    if isinstance(model, ReferenceDecisionTree):
+        detail["root_split"] = model.root_split()
+    return ClassifierReport(
+        kind=kind,
+        accuracy=accuracy,
+        confusion=confusion,
+        train_size=len(train_idx),
+        test_size=len(test_idx),
+        detail=detail,
+    )

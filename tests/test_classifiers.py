@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ReferenceDecisionTree
+from oracles import ReferenceDecisionTree, ReferenceLogistic, ReferenceNaiveBayes
 from pathminer.classifiers import (
     DecisionTreeClassifier,
     LogisticClassifier,
     MajorityClassifier,
     NaiveBayesClassifier,
+    _feature_space,
     make_classifier,
 )
 from pathminer.decision_mining import extract_instances
@@ -243,3 +244,98 @@ def test_sanity_floor_against_majority():
         model = make_classifier(kind).fit(rows, labels)
         score = sum(model.predict(r) == l for r, l in zip(rows, labels)) / len(rows)
         assert score >= baseline - 0.005
+
+
+_INTS = [None, -7, -1, 0, 2, 3, 11]
+_FLOATS = [None, -250.5, -0.0, 0.1, 0.25, 3.0, 42.75, 1e3]
+_WORDS = [None, True, False, "a", "b", "c"]
+_FEATURES = {
+    "count": _INTS,
+    "level": _FLOATS + [1, 4],
+    "mixed": _INTS + _FLOATS + _WORDS,
+    "flag": [None, True, False],
+    "site": [None, "a", "b", "c"],
+    "void": [None],  # a numeric column that is missing in every row
+    "dose": _INTS + _FLOATS + _WORDS + ["absent"] * 4,  # absent from some rows
+}
+
+
+@st.composite
+def classifier_rows(draw, min_size=2, max_size=40):
+    """Rows of mixed int, float, bool and str values with missing values, an
+    all-missing column and a feature absent from some rows, labelled with
+    2-5 classes that lean on ``count``."""
+    k = draw(st.integers(2, 5))
+    drawn = draw(st.lists(
+        st.tuples(*(st.sampled_from(pool) for pool in _FEATURES.values()), st.integers(0, k - 1)),
+        min_size=min_size,
+        max_size=max_size,
+    ))
+    rows, labels = [], []
+    for *values, noise in drawn:
+        row = {name: v for name, v in zip(_FEATURES, values) if v != "absent"}
+        count = row["count"]
+        rows.append(row)
+        labels.append(f"class{noise if count is None or noise % 2 else count % k}")
+    return rows, labels
+
+
+def _outcome(call):
+    """What ``call`` returns, or the type of what it raises: a test row may
+    hold a string where training saw only numbers."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestAgainstParentClassifiers:
+    @settings(max_examples=100, deadline=None)
+    @given(classifier_rows(), classifier_rows(min_size=1, max_size=10), st.booleans())
+    def test_same_bits_as_the_parent(self, train, test, shared):
+        rows, labels = train
+        test_rows = test[0] + rows[:5]
+        space = _feature_space(rows) if shared else None
+        expected = ReferenceLogistic().fit(rows, labels)
+        model = LogisticClassifier().fit(rows, labels, space)
+        assert model.weights_.tobytes() == expected.weights_.tobytes()
+        assert _outcome(lambda: [(row @ model.weights_).tobytes() for row in model._matrix(test_rows)]) \
+            == _outcome(lambda: [(expected._encode(r) @ expected.weights_).tobytes() for r in test_rows])
+        assert _outcome(lambda: model.predict_rows(test_rows)) \
+            == _outcome(lambda: [expected.predict(r) for r in test_rows])
+
+        expected = ReferenceNaiveBayes().fit(rows, labels)
+        model = NaiveBayesClassifier().fit(rows, labels, space)
+        for row in test_rows:
+            assert repr(_outcome(lambda: model._scores(row))) == repr(_outcome(lambda: expected.scores(row)))
+            assert _outcome(lambda: model.predict(row)) == _outcome(lambda: expected.predict(row))
+
+    @settings(max_examples=50, deadline=None)
+    @given(classifier_rows())
+    def test_tree_on_a_shared_space_equals_the_reference(self, train):
+        rows, labels = train
+        params = dict(min_leaf=1, min_split=2)
+        expected = ReferenceDecisionTree(**params).fit(rows, labels)
+        model = DecisionTreeClassifier(**params).fit(rows, labels, _feature_space(rows))
+        assert asdict(model.root_) == asdict(expected.root_)
+
+    def test_naive_bayes_tie_goes_to_the_first_class(self):
+        # identical rows and equal priors give every class the same score
+        rows = [{"x": 1.5, "site": "a"}, {"x": 2.5, "site": None}] * 3
+        labels = ["b", "b", "c", "c", "a", "a"]
+        expected = ReferenceNaiveBayes().fit(rows, labels)
+        model = NaiveBayesClassifier().fit(rows, labels)
+        for row in ({"x": 2.0, "site": "a"}, {"site": "z"}, {}):
+            assert len(set(model._scores(row))) == 1
+            assert model.predict(row) == expected.predict(row) == "a"
+
+    def test_on_simulated_instances(self):
+        cohort = transform_log(simulate(SimulationConfig(patients=240, seed=11)))
+        for place in ("p1", "p4"):
+            instances = extract_instances(build_dejure(), cohort, place).instances
+            rows = [i.features for i in instances]
+            labels = [i.chosen for i in instances]
+            logistic = LogisticClassifier().fit(rows, labels)
+            assert logistic.weights_.tobytes() == ReferenceLogistic().fit(rows, labels).weights_.tobytes()
+            bayes, expected = NaiveBayesClassifier().fit(rows, labels), ReferenceNaiveBayes().fit(rows, labels)
+            assert [bayes._scores(r) for r in rows] == [expected.scores(r) for r in rows]

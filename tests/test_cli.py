@@ -163,6 +163,25 @@ class TestErrorHandling:
         assert "trace 0: 'concept:name' holds '\\x01'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("reader", ["csv", "net", "config"])
+    def test_a_non_utf8_byte_exits_1(self, tmp_path, capsys, reader):
+        log, net = prepare_inputs(tmp_path)
+        bad, out = tmp_path / "bad", tmp_path / "out"
+        if reader == "csv":
+            bad.write_bytes(TABLE.read_bytes().replace(b"007", b"0\xff7", 1))
+            argv = ["transform", "--input", bad, "--output", out]
+        elif reader == "net":
+            bad.write_bytes(net.read_bytes().replace(b'"p0"', b'"p\xff0"', 1))
+            argv = ["conform", "--log", log, "--net", bad, "--output", out]
+        else:
+            bad.write_bytes(b'{"patients": 3, "seed": "\xff"}')
+            argv = ["simulate", "--config", bad, "--output", out]
+        assert main([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.count("pathminer: error:") == 1 and err.count("\n") == 1, err
+        assert "byte 0xff" in err
+        assert not out.exists()
+
     def test_bad_place_exits_1(self, tmp_path, capsys):
         log, net = prepare_inputs(tmp_path)
         code = main(["decide", "--log", str(log), "--net", str(net),
@@ -245,6 +264,22 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_decide_without_logistic_or_tree_never_imports_numpy(tmp_path):
+    log, net = prepare_inputs(tmp_path)
+    out = tmp_path / "d.json"
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; from pathminer.cli import main; code = main(sys.argv[1:]); "
+         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))",
+         "decide", "--log", str(log), "--net", str(net), "--place", "p1",
+         "--classifiers", "majority,naive-bayes", "--output", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0 []\n"
+    assert [c["kind"] for c in json.loads(out.read_text())["classifiers"]] == ["majority", "naive-bayes"]
 
 
 # The stage modules each subcommand loads, beyond cli, errors and model.

@@ -432,8 +432,10 @@ class TestReportAgainstReference:
                        Marking(["i"]), Marking(["o"]))
         log = make_log(("a1", "b1"))
         expected = reference_precision(net, log, cap=3)
-        with pytest.raises(ResourceError):
+        with pytest.raises(ResourceError) as err:
             precision(net, log, cap=3)
+        assert str(err.value) == ("state-space cap of 3 markings exceeded aligning the empty "
+                                  "trace (the model-only run)")
         assert precision(net, log, cap=6) == expected == 1 - 4 / 6
 
     def test_one_variant(self):

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pathminer.decision_mining as decision_mining
 from conftest import make_log
+from oracles import reference_train_classifier
+from pathminer.classifiers import KINDS
 from pathminer.decision_mining import (
     distribution,
     extract_instances,
@@ -8,6 +13,8 @@ from pathminer.decision_mining import (
     train_classifier,
     DecisionInstance,
 )
+from pathminer.petri import build_dejure
+from test_classifiers import classifier_rows
 from pathminer.errors import InputError
 from pathminer.model import EventLog
 from pathminer.simulate import SimulationConfig, simulate
@@ -185,3 +192,65 @@ class TestMinePlace:
     def test_place_must_be_decision_point(self, dejure, example_log):
         with pytest.raises(InputError):
             mine_place(dejure, example_log, "p_end", ("majority",))
+
+
+# Raised outcome and death weights, so small cohorts reach every class.
+_DEVIANT = {"p1": {"None": 40, "HF": 20, "CV": 20, "Stroke": 10, "MI": 10},
+            "p4": {"None": 50, "Death_AnyCause": 25, "Death_HF": 25}}
+
+
+def _outcome(call):
+    """What ``call`` returns, or what it raises: a test row may hold a
+    string where the training rows held only numbers."""
+    try:
+        return repr(call())
+    except (InputError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestAgainstParentTraining:
+    @settings(max_examples=60, deadline=None)
+    @given(classifier_rows(), st.sampled_from([0.1, 0.2, 0.5]), st.integers(0, 3))
+    def test_one_holdout_per_place_gives_the_parents_reports(self, data, split, seed):
+        rows, labels = data
+        instances = [DecisionInstance(f"c{i}", "p1", row, label)
+                     for i, (row, label) in enumerate(zip(rows, labels))]
+        holdout = decision_mining._Holdout(instances, split, seed)
+        for kind in KINDS:
+            expected = _outcome(lambda: reference_train_classifier(instances, kind, split, seed))
+            assert _outcome(lambda: train_classifier(instances, kind, split, seed, holdout=holdout)) \
+                == _outcome(lambda: train_classifier(instances, kind, split, seed)) == expected
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(5, 60), st.integers(0, 10_000), st.booleans(), st.sampled_from(["p1", "p4"]))
+    def test_mine_place_equals_the_parents_per_kind_loop(self, patients, seed, deviant, place):
+        config = SimulationConfig(patients=patients, seed=seed, place_probs=_DEVIANT if deviant else {})
+        log = transform_log(simulate(config))
+        instances = extract_instances(build_dejure(), log, place).instances
+        expected = _outcome(lambda: tuple(
+            reference_train_classifier(instances, kind, 0.2, seed) for kind in KINDS))
+        assert _outcome(lambda: mine_place(build_dejure(), log, place, KINDS, seed=seed).classifiers) \
+            == expected
+
+
+def test_mine_place_calls_the_module_train_classifier_once_per_kind(dejure, monkeypatch):
+    # the traced benchmark times each kind by replacing this module global
+    calls = []
+    original = decision_mining.train_classifier
+
+    def counting(instances, kind, *args, **kwargs):
+        calls.append(kind)
+        return original(instances, kind, *args, **kwargs)
+
+    monkeypatch.setattr(decision_mining, "train_classifier", counting)
+    log = transform_log(simulate(SimulationConfig(patients=60, seed=3)))
+    report = mine_place(dejure, log, "p4", KINDS)
+    assert calls == list(KINDS)
+    assert [c.kind for c in report.classifiers] == list(KINDS)
+
+
+def test_mine_place_with_no_kinds_draws_no_holdout(dejure):
+    # a single instance is too few to train on, but nothing is trained
+    log = make_log(("Visit before CO",))
+    report = mine_place(dejure, log, "p1", ())
+    assert (report.n_instances, report.classifiers) == (1, ())

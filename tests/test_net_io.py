@@ -80,3 +80,30 @@ def nets(draw):
 @given(nets())
 def test_json_round_trip_identity(net):
     assert read_net_json(write_net_json(net)) == net
+
+
+def test_non_utf8_byte_is_a_format_error(dejure):
+    data = write_net_json(dejure).replace(b'"p0"', b'"p\xff0"', 1)
+    with pytest.raises(FormatError, match="malformed net JSON: 'utf-8' codec can't decode byte 0xff"):
+        read_net_json(data)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: [doc], "net JSON root must be an object, got an array"),
+    (lambda doc: {**doc, "places": ["p0"]}, "net JSON places[0] must be an object, got a string"),
+    (lambda doc: {**doc, "transitions": doc["transitions"][:1] + [["t1"]]},
+     "net JSON transitions[1] must be an object, got an array"),
+    (lambda doc: {**doc, "arcs": [7]}, "net JSON arcs[0] must be an object, got an integer"),
+    (lambda doc: {**doc, "arcs": [{"source": "p0", "target": None}]},
+     "net JSON arcs[0].target must be a string, got null"),
+    (lambda doc: {**doc, "places": {"p0": {}}}, "net JSON places must be an array, got an object"),
+    (lambda doc: {**doc, "initial_marking": {"p0": 1.0}},
+     "net JSON initial_marking.p0 must be an integer, got a number"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "arcs"}, "net JSON missing field arcs"),
+], ids=["array-root", "place", "transition", "arc", "arc-target", "places", "marking-count",
+        "missing-arcs"])
+def test_a_value_of_the_wrong_type_is_named(dejure, edit, message):
+    doc = json.loads(write_net_json(dejure))
+    with pytest.raises(FormatError) as err:
+        read_net_json(json.dumps(edit(doc)))
+    assert str(err.value) == message

@@ -142,3 +142,26 @@ def test_number_wrapped_in_no_break_spaces_is_row_error():
     )
     with pytest.raises(RowError, match=r"row 2: bad integer '\\xa054\\xa0' in column for lvef"):
         parse_patient_csv(data)
+
+
+def test_non_utf8_byte_is_a_row_error_naming_its_row():
+    data = csv_of(
+        "001,50,0,0,1,,,,,,,,,,,,,,,2023-01-01",
+        "002,50,0,0,1,,,,,,,,,,,,,,,2023-01-02",
+    ).replace(b"002", b"0\xff2")
+    with pytest.raises(RowError, match=r"^row 2: byte 0xff at offset \d+ is not UTF-8$") as err:
+        parse_patient_csv(data)
+    assert err.value.row == 2
+
+
+def test_non_utf8_byte_row_counts_records_not_lines():
+    # a quoted cell may hold a newline; the row is the record, as in parsing
+    data = (HEADER + ',Note\n001,50,0,0,1,,,,,,,,,,,,,,,2023-01-01,"two\nlines"\n'
+            "0\xff2,50,0,0,1,,,,,,,,,,,,,,,2023-01-02,x\n").encode("latin-1")
+    with pytest.raises(RowError, match="^row 2: byte 0xff"):
+        parse_patient_csv(data)
+
+
+def test_non_utf8_byte_in_the_header_is_a_schema_error():
+    with pytest.raises(SchemaError, match="^header row: byte 0xe9 at offset 1 is not UTF-8$"):
+        parse_patient_csv(b"P\xe9tID,LVEF\n1,50\n")

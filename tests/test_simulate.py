@@ -4,11 +4,13 @@ import pytest
 import scipy.stats as sps
 
 from pathminer.conformance import fitness
-from pathminer.errors import ConfigError
+from pathminer.errors import ConfigError, PathminerError
 from pathminer.model import Outcome
-from pathminer.patient_csv import write_patient_csv
+from pathminer.patient_csv import parse_patient_csv, write_patient_csv
 from pathminer.simulate import (
+    DEFAULT_ATTRIBUTE_SAMPLERS,
     DEFAULT_PLACE_WEIGHTS,
+    AttributeSampler,
     SimulationConfig,
     load_config,
     simulate,
@@ -89,6 +91,69 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             load_config(json.dumps(doc))
         assert str(err.value) == message
+
+
+    def test_non_utf8_byte_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="malformed config JSON: 'utf-8' codec can't decode"):
+            load_config(b'{"patients": 3, "seed": "\xff"}')
+
+
+# One sampler of each kind, with bounds that fit every attribute's range.
+_SAMPLERS = {
+    "uniform": AttributeSampler("uniform", low=0, high=60),
+    "uniform_int": AttributeSampler("uniform_int", low=0, high=60),
+    "bernoulli": AttributeSampler("bernoulli", p=0.5),
+    "absent": AttributeSampler("absent"),
+    "constant-int": AttributeSampler("constant", value=3),
+    "constant-float": AttributeSampler("constant", value=2.5),
+    "constant-bool": AttributeSampler("constant", value=True),
+}
+
+
+def _round_trips(name, sampler) -> bool:
+    """Whether the CSV of a cohort drawn with ``sampler`` parses back to the
+    drawn values, of the attribute's type, and transforms."""
+    config = SimulationConfig(patients=20, seed=3)
+    config.attributes[name] = sampler  # bypasses the check under test
+    try:
+        rows = simulate(config)
+        parsed = parse_patient_csv(write_patient_csv(rows))
+        transform_log(parsed)
+    except PathminerError:
+        return False
+    drawn = [(getattr(r, name), getattr(p, name)) for r, p in zip(rows, parsed)]
+    return all(a == b and isinstance(a, bool) == isinstance(b, bool) for a, b in drawn)
+
+
+@pytest.mark.parametrize("kind", sorted(_SAMPLERS))
+@pytest.mark.parametrize("name", sorted(DEFAULT_ATTRIBUTE_SAMPLERS))
+def test_a_sampler_is_accepted_exactly_when_its_draws_round_trip(name, kind):
+    # a refused sampler names the attribute; an accepted one writes a CSV
+    # that transform reads back, value for value
+    sampler = _SAMPLERS[kind]
+    try:
+        SimulationConfig(attributes={name: sampler})
+        accepted = True
+    except ConfigError as err:
+        assert str(err).startswith(f"attribute {name!r}: ")
+        accepted = False
+    assert accepted == _round_trips(name, sampler)
+
+
+def test_a_uniform_lvef_is_refused_and_names_the_type():
+    with pytest.raises(ConfigError, match="^attribute 'lvef': sampler kind 'uniform' does not "
+                                          "draw values of type int$"):
+        load_config(json.dumps({"patients": 3, "attributes": {
+            "lvef": {"kind": "uniform", "low": 10, "high": 70}}}))
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "uniform_int", "low": 10, "high": 170},
+    {"kind": "constant", "value": -1},
+])
+def test_lvef_draws_outside_0_to_100_are_refused(spec):
+    with pytest.raises(ConfigError, match="^attribute 'lvef': draws LVEF values outside"):
+        SimulationConfig(attributes={"lvef": AttributeSampler(**spec)})
 
 
 class TestWalks:
