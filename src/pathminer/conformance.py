@@ -207,8 +207,13 @@ def model_path_cost(net: PetriNet | CompiledNet, *, cap: int = DEFAULT_CAP) -> i
         raise ResourceError(err.cap, f"{err} aligning the empty trace (the model-only run)") from None
 
 
-def _silent_closure_enabled(compiled: CompiledNet, marking: tuple, cache: dict) -> frozenset[int]:
-    """Visible transitions fireable from ``marking`` after any run of silents."""
+def _silent_closure_enabled(compiled: CompiledNet, marking: tuple, cache: dict,
+                            cap: int = DEFAULT_CAP) -> frozenset[int]:
+    """Visible transitions fireable from ``marking`` after any run of silents.
+
+    Silent runs can reach unboundedly many markings, so more than ``cap`` of
+    them raise :class:`ResourceError`.
+    """
     cached = cache.get(marking)
     if cached is not None:
         return cached
@@ -223,6 +228,9 @@ def _silent_closure_enabled(compiled: CompiledNet, marking: tuple, cache: dict) 
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
+                    if len(seen) > cap:
+                        raise ResourceError(cap, f"state-space cap of {cap} markings exceeded "
+                                                 "by the silent runs after a prefix (precision)")
             else:
                 visible.add(t)
     result = frozenset(visible)
@@ -303,7 +311,7 @@ def conformance_report(
     for prefix, w in weight.items():
         enabled: set[int] = set()
         for marking in markings_at[prefix]:
-            enabled |= _silent_closure_enabled(compiled, marking, closure_cache)
+            enabled |= _silent_closure_enabled(compiled, marking, closure_cache, cap)
         enabled_mass += w * len(enabled)
         escaping_mass += w * len(enabled - observed.get(prefix, set()))
     prec = 1.0 - escaping_mass / enabled_mass if enabled_mass else 1.0

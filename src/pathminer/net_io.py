@@ -92,27 +92,32 @@ def read_net_json(data: bytes | str) -> PetriNet:
         raise FormatError(str(exc)) from None
 
 
+def _quoted(text: str) -> str:
+    """``text`` as a DOT quoted string, with ``\\`` and ``"`` escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def write_dot(net: PetriNet) -> bytes:
     """Render the net as a Graphviz digraph.
 
     Places are circles, transitions are boxes, and silent transitions are
     filled black.
     """
-    lines = [f'digraph "{net.name}" {{', "  rankdir=LR;"]
+    lines = [f"digraph {_quoted(net.name)} {{", "  rankdir=LR;"]
     for place in sorted(net.places):
         tokens = net.initial_marking[place]
         label = "&bull;" * tokens if tokens else ""
         lines.append(
-            f'  "{place}" [shape=circle, label="{label}", xlabel="{place}"];'
+            f'  {_quoted(place)} [shape=circle, label="{label}", xlabel={_quoted(place)}];'
         )
     for t in sorted(net.transitions, key=lambda t: t.id):
         if t.silent:
             lines.append(
-                f'  "{t.id}" [shape=box, style=filled, fillcolor=black, label=""];'
+                f'  {_quoted(t.id)} [shape=box, style=filled, fillcolor=black, label=""];'
             )
         else:
-            lines.append(f'  "{t.id}" [shape=box, label="{t.label}"];')
+            lines.append(f"  {_quoted(t.id)} [shape=box, label={_quoted(t.label)}];")
     for source, target in sorted(net.arcs):
-        lines.append(f'  "{source}" -> "{target}";')
+        lines.append(f"  {_quoted(source)} -> {_quoted(target)};")
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -14,7 +14,7 @@ import io
 import math
 from datetime import date
 
-from .errors import RowError, SchemaError
+from .errors import PathminerError, RowError, SchemaError
 from .model import Outcome, PatientDatum
 
 # Column name -> PatientDatum field, in canonical file order.
@@ -88,6 +88,26 @@ def _parse_cell(field: str, text: str, row: int):
     return value
 
 
+def _record_error(record: int, message: str) -> PathminerError:
+    """The error for a record: the header is record 0, as rows count from 1."""
+    return RowError(record, message) if record else SchemaError(f"header row: {message}")
+
+
+def _records(text: str):
+    """(record number, cells) for each CSV record, the header being record 0.
+
+    A record that the csv module refuses, such as one with a cell over its
+    field size limit, raises its record's error.
+    """
+    number = 0
+    try:
+        for cells in csv.reader(io.StringIO(text)):
+            yield number, cells
+            number += 1
+    except csv.Error as exc:
+        raise _record_error(number, str(exc)) from None
+
+
 def parse_patient_csv(data: bytes | str) -> list[PatientDatum]:
     """Parse a patient table into typed rows.
 
@@ -97,13 +117,13 @@ def parse_patient_csv(data: bytes | str) -> list[PatientDatum]:
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
-        # the record holding the byte: the header is record 0, as rows count from 1
-        row = sum(1 for _ in csv.reader(io.StringIO(data[: exc.start].decode("utf-8") + "x"))) - 1
+        # the record holding the byte
+        record = sum(1 for _ in _records(data[: exc.start].decode("utf-8") + "x")) - 1
         message = f"byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8"
-        raise (RowError(row, message) if row else SchemaError(f"header row: {message}")) from None
-    reader = csv.reader(io.StringIO(text))
+        raise _record_error(record, message) from None
+    records = _records(text)
     try:
-        header = next(reader)
+        _, header = next(records)
     except StopIteration:
         raise SchemaError("empty file: header row required") from None
 
@@ -117,7 +137,7 @@ def parse_patient_csv(data: bytes | str) -> list[PatientDatum]:
     extras = [(name.strip(_SPACE), i) for i, name in enumerate(header) if i not in known]
 
     rows: list[PatientDatum] = []
-    for row_index, cells in enumerate(reader, start=1):
+    for row_index, cells in records:
         if not any(cell.strip(_SPACE) for cell in cells):
             continue
         values = {}

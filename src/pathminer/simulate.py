@@ -41,10 +41,12 @@ from .petri import P1, P2, P3, P4, P_END, P_START, SILENT_CHOICE, build_dejure, 
 
 _OUTCOME_BY_LABEL = {o.value: o for o in Outcome}
 
-# Transition id by choice label at each decision place of the reference net.
+_DEJURE = build_dejure()
+
+# The place each choice label leads to, at each decision place of the reference net.
 _PLACE_CHOICES: dict[str, dict[str, str]] = {
-    point.place: {t.label or SILENT_CHOICE: t.id for t in point.transitions}
-    for point in decision_points(build_dejure())
+    point.place: {t.label or SILENT_CHOICE: _DEJURE.postset(t.id)[0] for t in point.transitions}
+    for point in decision_points(_DEJURE)
 }
 
 # Default decision probabilities. The observed next-activity shares at the
@@ -186,6 +188,31 @@ def _normalize_weights(place: str, weights: dict[str, float]) -> dict[str, float
     return {label: weights[label] / total for label in sorted(weights)}
 
 
+def _check_walk_ends(probs: dict[str, dict[str, float]]) -> None:
+    """Reject weights under which a walk reaches a place from which no
+    positive-weight choices lead to the final place: that walk never ends."""
+    steps = {place: {_PLACE_CHOICES[place][label] for label, p in weights.items() if p > 0}
+             for place, weights in probs.items()}
+    reached, frontier = {P_START}, [P_START]
+    while frontier:
+        for place in steps.get(frontier.pop(), set()) - reached:
+            reached.add(place)
+            frontier.append(place)
+    ending = {P_END}
+    while grown := {place for place, nexts in steps.items() if nexts & ending} - ending:
+        ending |= grown
+    if stuck := sorted(reached - ending):
+        raise ConfigError(f"the place weights give a walk through {', '.join(stuck)} no way "
+                          f"to reach {P_END}, so it never ends")
+
+
+def _later(day: date, days: int, pat_id: str) -> date:
+    try:
+        return day + timedelta(days=days)
+    except OverflowError:
+        raise ConfigError(f"patient {pat_id}: a timestamp falls after {date.max}") from None
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     patients: int = 240
@@ -221,6 +248,7 @@ class SimulationConfig:
             if place not in _PLACE_CHOICES:
                 raise ConfigError(f"unknown decision place {place!r}")
             probs[place] = _normalize_weights(place, dict(weights))
+        _check_walk_ends(probs)
         object.__setattr__(self, "place_probs", probs)
         samplers = dict(DEFAULT_ATTRIBUTE_SAMPLERS)
         for name, sampler in self.attributes.items():
@@ -305,12 +333,6 @@ def simulate_detailed(config: SimulationConfig):
     Returns ``(rows, decisions)`` where ``decisions`` maps each decision
     place to a label -> count dict of the choices actually drawn.
     """
-    net = build_dejure()
-    postset_place = {
-        tid: net.postset(tid)[0]
-        for choices in _PLACE_CHOICES.values()
-        for tid in choices.values()
-    }
     decisions: dict[str, dict[str, int]] = {
         place: {label: 0 for label in sorted(_PLACE_CHOICES[place])}
         for place in _PLACE_CHOICES
@@ -323,18 +345,15 @@ def simulate_detailed(config: SimulationConfig):
         rng = random.Random(f"{config.seed}:{index}")
         attrs = _sample_patient_attrs(rng, config)
         pat_id = f"{index + 1:04d}"
-        current = config.start_date + timedelta(
-            days=rng.randrange(max(1, config.start_window_days))
-        )
+        current = _later(config.start_date, rng.randrange(max(1, config.start_window_days)), pat_id)
         place = P_START
         first_row = True
         while place != P_END:
             label = _choose(rng, config.place_probs[place])
             decisions[place][label] += 1
-            transition = _PLACE_CHOICES[place][label]
             if label != SILENT_CHOICE:
                 if not first_row:
-                    current += timedelta(days=rng.randint(gap_lo, gap_hi))
+                    current = _later(current, rng.randint(gap_lo, gap_hi), pat_id)
                 first_row = False
                 row_index += 1
                 outcome = _OUTCOME_BY_LABEL.get(label)
@@ -347,7 +366,7 @@ def simulate_detailed(config: SimulationConfig):
                         **attrs,
                     )
                 )
-            place = postset_place[transition]
+            place = _PLACE_CHOICES[place][label]
     return rows, decisions
 
 

@@ -89,6 +89,10 @@ def _parse(data: bytes | str, start=None, end=None) -> None:
         parser.Parse(data, True)
     except ExpatError as exc:
         raise FormatError(f"malformed XML: {exc}") from None
+    except (LookupError, ValueError) as exc:
+        # expat asks Python's codecs for an encoding it does not know itself,
+        # at the XML declaration, before any element handler runs
+        raise FormatError(f"unsupported XML encoding: {exc}") from None
 
 
 def read_xes(data: bytes | str) -> EventLog:

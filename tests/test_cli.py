@@ -8,6 +8,7 @@ import pathminer
 import pathminer.cli as cli
 from conftest import DATA_DIR, GOLDEN_DIR
 from pathminer.cli import main
+from pathminer.errors import FormatError
 
 TABLE = DATA_DIR / "patients_table.csv"
 
@@ -182,6 +183,16 @@ class TestErrorHandling:
         assert "byte 0xff" in err
         assert not out.exists()
 
+    def test_an_xes_declaring_an_unknown_encoding_exits_1(self, tmp_path, capsys):
+        # found by the input fuzzer: a deleted "U" left encoding='TF-8'
+        log, _ = prepare_inputs(tmp_path)
+        log.write_bytes(log.read_bytes().replace(b"encoding='UTF-8'", b"encoding='TF-8'", 1))
+        out = tmp_path / "net.json"
+        assert main(["discover", "--input", str(log), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "pathminer: error: unsupported XML encoding: unknown encoding: TF-8\n"
+        assert not out.exists()
+
     def test_bad_place_exits_1(self, tmp_path, capsys):
         log, net = prepare_inputs(tmp_path)
         code = main(["decide", "--log", str(log), "--net", str(net),
@@ -210,6 +221,21 @@ class TestErrorHandling:
         assert "pathminer: error: attribute 'lvef': low 70 exceeds high 10" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, message", [
+        # found by the input fuzzer: deleting p1's "None" weight left no way out
+        ({"places": {"p1": {"HF": 10, "CV": 5}}}, "no way to reach p_end, so it never ends"),
+        ({"start_date": "9999-12-31"}, "a timestamp falls after 9999-12-31"),
+    ], ids=["endless-walk", "date-overflow"])
+    def test_simulate_with_a_config_whose_walk_cannot_be_written_exits_1(
+            self, tmp_path, capsys, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "patients.csv"
+        assert main(["simulate", "--config", str(path), "--patients", "5", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pathminer: error: ") and err.count("\n") == 1 and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("alpha", ["nan", "2", "0"])
     def test_cohorts_alpha_outside_the_open_unit_interval_exits_1(self, tmp_path, capsys, alpha):
         log, _ = prepare_inputs(tmp_path)
@@ -229,6 +255,26 @@ class TestErrorHandling:
         assert "state-space cap must be at least 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_conform_on_a_net_with_an_unbounded_silent_run_exits_1(self, tmp_path, capsys):
+        # found by the input fuzzer: without its input arc the silent
+        # back_to_watch fires from any marking, so the silent runs after a
+        # prefix reach unboundedly many markings; that search ran out of memory
+        csv, log, net = (tmp_path / name for name in ("a.csv", "a.xes", "net.json"))
+        run_ok(["simulate", "--patients", 30, "--seed", 11, "--output", csv])
+        run_ok(["transform", "--input", csv, "--output", log])
+        run_ok(["dejure", "--output", net])
+        doc = json.loads(net.read_text())
+        doc["arcs"].remove({"source": "p3", "target": "back_to_watch"})
+        net.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        code = main(["conform", "--log", str(log), "--net", str(net), "--cap", "2000",
+                     "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "pathminer: error: state-space cap of 2000 markings exceeded by the silent runs "
+            "after a prefix (precision)\n")
+        assert not out.exists()
+
     def test_conform_on_alpha_net_without_a_run_exits_1(self, tmp_path, capsys):
         # on this cohort the alpha net never consumes from its sink place, so
         # no run reaches the final marking; the search must say so, not
@@ -242,6 +288,72 @@ class TestErrorHandling:
         assert code == 1
         assert ("the net has no run from its initial marking to its final marking"
                 in capsys.readouterr().err)
+
+    def test_a_csv_cell_over_the_field_size_limit_exits_1(self, tmp_path, capsys):
+        header = TABLE.read_text().splitlines()[0]
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f'{header},Note\n001,50,0,0,1,,,,,,,,,,,,,,,2023-01-01,"{"x" * 200_000}"\n')
+        out = tmp_path / "out.xes"
+        assert main(["transform", "--input", str(bad), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "pathminer: error: row 1: field larger than field limit (131072)\n"
+        assert not out.exists()
+
+
+class TestAllOrNothing:
+    """Every artifact is computed, and every target checked, before any is written."""
+
+    @pytest.mark.parametrize("command", ["discover", "dejure"])
+    def test_dot_in_a_missing_directory_writes_no_net(self, tmp_path, capsys, monkeypatch, command):
+        log, _ = prepare_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--output", "net.json", "--dot", "nodir/net.dot"]
+        if command == "discover":
+            argv += ["--input", str(log)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "pathminer: error: [Errno 2] No such file or directory: 'nodir/net.dot'\n")
+        assert not (tmp_path / "net.json").exists()
+
+    @pytest.mark.parametrize("command", ["discover", "dejure"])
+    def test_dot_naming_the_output_file_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                       command):
+        log, _ = prepare_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--output", "net.json", "--dot", "./net.json"]
+        if command == "discover":
+            argv += ["--input", str(log)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "pathminer: error: --dot must name a different file from --output\n")
+        assert not (tmp_path / "net.json").exists()
+
+    def test_a_target_that_is_a_directory_writes_nothing(self, tmp_path, capsys):
+        (tmp_path / "taken").mkdir()
+        net = tmp_path / "net.json"
+        code = main(["dejure", "--output", str(net), "--dot", str(tmp_path / "taken")])
+        assert code == 1
+        assert "[Errno 21] Is a directory" in capsys.readouterr().err
+        assert not net.exists()
+
+    def test_a_target_under_a_file_writes_nothing(self, tmp_path, capsys):
+        (tmp_path / "file").write_bytes(b"")
+        net = tmp_path / "net.json"
+        code = main(["dejure", "--output", str(net), "--dot", str(tmp_path / "file" / "x.dot")])
+        assert code == 1
+        assert "[Errno 20] Not a directory" in capsys.readouterr().err
+        assert not net.exists()
+
+    def test_a_failing_dot_rendering_writes_no_net(self, tmp_path, capsys, monkeypatch):
+        def failing(net):
+            raise FormatError("cannot render")
+
+        monkeypatch.setattr(cli, "write_dot", failing)
+        net = tmp_path / "net.json"
+        code = main(["dejure", "--output", str(net), "--dot", str(tmp_path / "net.dot")])
+        assert code == 1
+        assert capsys.readouterr().err == "pathminer: error: cannot render\n"
+        assert not net.exists() and not (tmp_path / "net.dot").exists()
 
 
 def test_console_entry_point_runs():

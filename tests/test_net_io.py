@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,29 @@ def test_dot_renders_places_as_circles(dejure):
     assert "shape=circle" in dot
     assert "shape=box" in dot
 
+
+# A DOT quoted string: any character but '"' and '\\', or an escaped pair.
+QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def test_dot_escapes_quotes_and_backslashes_in_every_quoted_string():
+    # any XES activity is accepted, so ids, labels and names may hold both
+    net = PetriNet(
+        places=frozenset({'p"0', "p\\1"}),
+        transitions=(Transition('t"a', 'A"B'), Transition("t\\b", "C\\"), Transition("s")),
+        arcs=frozenset({('p"0', 't"a'), ('t"a', "p\\1"), ("p\\1", "t\\b"), ("t\\b", 'p"0'),
+                        ("p\\1", "s"), ("s", 'p"0')}),
+        initial_marking=Marking(['p"0']),
+        final_marking=Marking(["p\\1"]),
+        name='net "x" \\',
+    )
+    strings = []
+    for line in write_dot(net).decode().splitlines():
+        rest = QUOTED.sub("", line)
+        assert '"' not in rest and "\\" not in rest, line
+        strings += [re.sub(r"\\(.)", r"\1", s[1:-1]) for s in QUOTED.findall(line)]
+    names = {net.name, *net.places, *(t.id for t in net.transitions), "A\"B", "C\\"}
+    assert set(strings) == names | {"", "&bull;"}
 
 @st.composite
 def nets(draw):

@@ -25,6 +25,40 @@ def _package_imports():
                 yield f"{path.name}:{node.lineno}", name
 
 
+
+# Calls that create or change a file or directory; ``open`` counts when its
+# mode is not a read-only literal.
+WRITE_CALLS = {"write_bytes", "write_text", "mkdir", "makedirs"}
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    # open(path, mode), io.open and os.open(path, flags), or path.open(mode)
+    function = isinstance(call.func, ast.Name) or getattr(call.func.value, "id", None) in ("io", "os")
+    position = 1 if function else 0
+    modes = call.args[position:position + 1] + [k.value for k in call.keywords
+                                                 if k.arg in ("mode", "flags")]
+    return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str)
+                    and not set(m.value) & set("wax+")) for m in modes)
+
+
+def _write_sites():
+    """(file, innermost enclosing function, call) for each call in
+    ``src/pathminer`` that can write to the file system."""
+
+    def visit(node, where, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, where, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "attr", getattr(child.func, "id", None))
+                if name in WRITE_CALLS or name == "open" and _opens_for_writing(child):
+                    yield where, function, name
+            yield from visit(child, where, function)
+
+    for path in sorted((ROOT / "src" / "pathminer").glob("*.py")):
+        yield from visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "<module>")
+
 def test_no_module_of_the_package_imports_scipy():
     # scipy is a test-only oracle; the program must run without it
     offenders = [where for where, name in _package_imports() if name.split(".")[0] == "scipy"]
@@ -100,3 +134,10 @@ def test_simulate_stays_the_function_after_its_module_is_imported():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "True\n"
+
+
+def test_only_the_cli_writer_and_the_cohorts_directory_write_files():
+    # every artifact goes through one writer, which checks every target first;
+    # a second write path could leave a partial output behind
+    assert sorted(set(_write_sites())) == [("cli.py", "_cohorts", "mkdir"),
+                                           ("cli.py", "_write", "write_bytes")]

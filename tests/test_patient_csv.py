@@ -165,3 +165,27 @@ def test_non_utf8_byte_row_counts_records_not_lines():
 def test_non_utf8_byte_in_the_header_is_a_schema_error():
     with pytest.raises(SchemaError, match="^header row: byte 0xe9 at offset 1 is not UTF-8$"):
         parse_patient_csv(b"P\xe9tID,LVEF\n1,50\n")
+
+
+# A cell one character over the csv module's default field size limit.
+LONG_CELL = '"' + "x" * 131_073 + '"'
+
+
+def test_a_cell_over_the_field_size_limit_is_a_row_error_naming_its_row():
+    data = (HEADER + ",Note\n001,50,0,0,1,,,,,,,,,,,,,,,2023-01-01,x\n"
+            f"002,50,0,0,1,,,,,,,,,,,,,,,2023-01-02,{LONG_CELL}\n").encode()
+    with pytest.raises(RowError, match=r"^row 2: field larger than field limit \(131072\)$"):
+        parse_patient_csv(data)
+
+
+def test_a_header_cell_over_the_field_size_limit_is_a_schema_error():
+    with pytest.raises(SchemaError, match=r"^header row: field larger than field limit"):
+        parse_patient_csv((HEADER + "," + LONG_CELL + "\n").encode())
+
+
+def test_a_cell_over_the_limit_before_a_non_utf8_byte_is_a_row_error():
+    # the pass that counts records up to the byte meets the long cell first
+    data = (HEADER + f",Note\n001,50,0,0,1,,,,,,,,,,,,,,,2023-01-01,{LONG_CELL}\n"
+            "0\xff2,50,0,0,1,,,,,,,,,,,,,,,2023-01-02,x\n").encode("latin-1")
+    with pytest.raises(RowError, match=r"^row 1: field larger than field limit"):
+        parse_patient_csv(data)

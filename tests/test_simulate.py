@@ -1,4 +1,5 @@
 import json
+from datetime import date
 
 import pytest
 import scipy.stats as sps
@@ -80,11 +81,18 @@ class TestConfig:
              "attribute 'wbc': missing_rate must lie in [0, 1], got 7"),
             ({"patients": 0, "attributes": {"ckd": {"kind": "poisson"}}},
              "attribute 'ckd': unknown sampler kind 'poisson'"),
+            ({"places": {"p1": {"HF": 10, "CV": 5}}},
+             "the place weights give a walk through p0, p1, p2, p3 no way to reach p_end, "
+             "so it never ends"),
+            ({"places": {"p3": {"Visit after CO": 1, "None": 0}}},
+             "the place weights give a walk through p2, p3 no way to reach p_end, "
+             "so it never ends"),
         ],
         ids=[
             "uniform_int-low-above-high", "non-integer-decimals", "string-p",
             "constant-lvef-abc", "fractional-patients", "negative-start-window",
-            "missing-rate-7", "unknown-kind-with-no-patients",
+            "missing-rate-7", "unknown-kind-with-no-patients", "p1-never-ends",
+            "p3-loops-forever",
         ],
     )
     def test_bad_value_rejected_when_the_config_is_built(self, doc, message):
@@ -92,6 +100,21 @@ class TestConfig:
             load_config(json.dumps(doc))
         assert str(err.value) == message
 
+
+    def test_a_place_no_walk_reaches_may_loop_forever(self):
+        # every walk ends at p1, so p3's weights never come into play
+        config = SimulationConfig(patients=5, place_probs={"p1": {"None": 1},
+                                                           "p3": {"Visit after CO": 1}})
+        assert {r.pat_id for r in simulate(config)} <= {f"{i:04d}" for i in range(1, 6)}
+
+    @pytest.mark.parametrize("config", [
+        SimulationConfig(patients=100, gap_days=(7, 999_999_999)),
+        SimulationConfig(patients=20, start_window_days=10**10),
+        SimulationConfig(patients=20, start_date=date(9999, 12, 31)),
+    ], ids=["gap", "start-window", "start-date"])
+    def test_a_timestamp_past_the_last_date_is_a_config_error(self, config):
+        with pytest.raises(ConfigError, match=r"^patient \d{4}: a timestamp falls after 9999-12-31$"):
+            simulate(config)
 
     def test_non_utf8_byte_is_a_config_error(self):
         with pytest.raises(ConfigError, match="malformed config JSON: 'utf-8' codec can't decode"):

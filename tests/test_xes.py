@@ -122,6 +122,17 @@ def test_malformed_xml_rejected():
         read_xes(b"<log><trace>")
 
 
+@pytest.mark.parametrize("encoding, reason", [
+    ("TF-8", "unknown encoding: TF-8"),  # found by the CLI input fuzzer
+    ("utf-32", "multi-byte encodings are not supported"),
+    ("rot13", "'rot13' is not a text encoding"),
+    ("idna", "decoding with 'idna' codec failed"),
+])
+def test_an_encoding_expat_hands_to_python_and_cannot_use_is_a_format_error(encoding, reason):
+    with pytest.raises(FormatError, match=f"^unsupported XML encoding: {reason}"):
+        read_xes(f"<?xml version='1.0' encoding='{encoding}'?>\n<log />".encode())
+
+
 def test_event_without_activity_rejected():
     data = (
         b'<log><trace><string key="concept:name" value="c"/>'
