@@ -29,7 +29,7 @@ import heapq
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, ModelError, ResourceError
 from .model import Event, EventLog
@@ -45,8 +45,7 @@ DEFAULT_CAP = 1_000_000
 _NO_RUN = "the net has no run from its initial marking to its final marking"
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     kind: str
     activity: str | None = None
     transition: str | None = None
@@ -56,8 +55,7 @@ class Move:
         return 0 if self.kind in (SYNC, SILENT) else 1
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(NamedTuple):
     moves: tuple[Move, ...]
     total_cost: int
 
@@ -256,8 +254,7 @@ def f1(fitness_value: float, precision_value: float) -> float:
     return 2 * fitness_value * precision_value / (fitness_value + precision_value)
 
 
-@dataclass(frozen=True)
-class ConformanceReport:
+class ConformanceReport(NamedTuple):
     fitness: float
     precision: float
     generalization: float

@@ -11,8 +11,8 @@ unambiguous decision path; they are skipped and counted.
 
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .classifiers import DecisionTreeClassifier, _feature_space, make_classifier
 from .conformance import align_log
@@ -21,16 +21,14 @@ from .model import AttrValue, EventLog, case_phenotype
 from .petri import SILENT_CHOICE, CompiledNet, PetriNet, decision_points
 
 
-@dataclass(frozen=True)
-class DecisionInstance:
+class DecisionInstance(NamedTuple):
     case_id: str
     place: str
     features: dict[str, AttrValue]
     chosen: str
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(NamedTuple):
     instances: tuple[DecisionInstance, ...]
     skipped_cases: tuple[str, ...]
 
@@ -93,15 +91,14 @@ def distribution(instances) -> dict[str, float]:
     return {label: 100.0 * count / total for label, count in ordered}
 
 
-@dataclass(frozen=True)
-class ClassifierReport:
+class ClassifierReport(NamedTuple):
     kind: str
     accuracy: float  # percentage on the holdout
     confusion: dict[str, dict[str, int]]
     train_size: int
     test_size: int
-    degenerate: bool = False
-    detail: dict = field(default_factory=dict)
+    degenerate: bool
+    detail: dict
 
 
 def _stratified_split(labels: list[str], split: float, seed: int):
@@ -130,13 +127,14 @@ def _stratified_split(labels: list[str], split: float, seed: int):
 class _Holdout:
     """The stratified holdout of one instance set, drawn once for every
     classifier trained on it, and the feature space of its training rows,
-    inferred on first use."""
+    inferred and checked against the test rows on first use."""
 
     def __init__(self, instances, split: float, seed: int):
         if len(instances) < 2:
             raise InputError("at least two decision instances are required")
         if not 0.0 < split < 1.0:
             raise InputError(f"split must lie in (0, 1), got {split}")
+        self.instances = instances
         self.labels = [inst.chosen for inst in instances]
         self.rows = [inst.features for inst in instances]
         self.classes = sorted(set(self.labels))
@@ -145,7 +143,14 @@ class _Holdout:
 
     @cached_property
     def space(self) -> dict[str, str]:
-        return _feature_space([self.rows[i] for i in self.train])
+        space = _feature_space([self.rows[i] for i in self.train])
+        for i in self.test:
+            for name, kind in space.items():
+                value = self.rows[i].get(name)
+                if kind == "numeric" and value is not None and not isinstance(value, (int, float)):
+                    raise InputError(f"case {self.instances[i].case_id!r}: attribute {name!r} holds "
+                                     f"{value!r} where the training rows hold numbers")
+        return space
 
 
 def train_classifier(
@@ -162,7 +167,7 @@ def train_classifier(
     labels, rows = holdout.labels, holdout.rows
     if len(holdout.classes) == 1:
         only, n = holdout.classes[0], len(labels)
-        return ClassifierReport(kind, 100.0, {only: {only: n}}, n, 0, degenerate=True)
+        return ClassifierReport(kind, 100.0, {only: {only: n}}, n, 0, degenerate=True, detail={})
 
     train_idx, test_idx = holdout.train, holdout.test
     space = None if kind == "majority" else holdout.space
@@ -185,12 +190,12 @@ def train_classifier(
         confusion=confusion,
         train_size=len(train_idx),
         test_size=len(test_idx),
+        degenerate=False,
         detail=detail,
     )
 
 
-@dataclass(frozen=True)
-class DecisionMiningReport:
+class DecisionMiningReport(NamedTuple):
     place: str
     phenotype_filter: str | None
     n_instances: int

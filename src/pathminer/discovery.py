@@ -15,7 +15,7 @@ faithful to the graph (a trace that only follows retained edges aligns at
 cost zero).
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError
 from .model import EventLog
@@ -27,8 +27,7 @@ PARALLEL = "||"
 CHOICE = "#"
 
 
-@dataclass(frozen=True)
-class DirectlyFollowsGraph:
+class DirectlyFollowsGraph(NamedTuple):
     activities: dict[str, int]
     edges: dict[tuple[str, str], int]
     starts: dict[str, int]
@@ -182,8 +181,7 @@ def mine_dfm(log: EventLog, paths: float) -> PetriNet:
     return dfg_to_net(dfg, retained, name=f"dfm_{paths:g}")
 
 
-@dataclass(frozen=True)
-class Footprint:
+class Footprint(NamedTuple):
     """The alpha relations between every ordered pair of activities."""
 
     activities: tuple[str, ...]

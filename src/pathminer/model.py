@@ -6,9 +6,9 @@ empty string; no stage of the pipeline may impute over it silently.
 """
 
 import enum
-from dataclasses import dataclass, field, fields
 from datetime import date
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InputError
 
@@ -54,11 +54,8 @@ def classify_phenotype(lvef: int) -> Phenotype:
     return Phenotype.HFPEF
 
 
-@dataclass(frozen=True)
-class PatientDatum:
-    """One row of patient data: biomarkers, medication doses, comorbidity
-    flags, an optional outcome, and the date of the record."""
-
+# A NamedTuple body cannot define __new__: a record that checks its fields subclasses them.
+class _PatientFields(NamedTuple):
     pat_id: str
     timestamp: date
     row_index: int
@@ -80,38 +77,53 @@ class PatientDatum:
     acei_arni: float | None = None
     sglt2: float | None = None
     mra: float | None = None
-    extra: dict[str, str] = field(default_factory=dict)
+    extra: dict[str, str] | None = None  # None: a fresh empty dict
 
-    def __post_init__(self):
+
+class PatientDatum(_PatientFields):
+    """One row of patient data: biomarkers, medication doses, comorbidity
+    flags, an optional outcome, and the date of the record."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        if len(args) < len(cls._fields) and kwargs.get("extra") is None:
+            kwargs["extra"] = {}
+        self = super().__new__(cls, *args, **kwargs)
         if self.lvef is not None and not 0 <= self.lvef <= 100:
             raise InputError(f"LVEF must lie in [0, 100], got {self.lvef}")
         flags = (self.hfref, self.hfmref, self.hfpef)
         if all(f is not None for f in flags) and sum(bool(f) for f in flags) > 1:
-            raise InputError(
-                f"patient {self.pat_id}: more than one phenotype flag set"
-            )
+            raise InputError(f"patient {self.pat_id}: more than one phenotype flag set")
+        return self
 
 
 # Clinical fields copied onto events by the transform stage, in the order of
 # the source table: every PatientDatum field but the row's identity and extras.
 CLINICAL_FIELDS: tuple[str, ...] = tuple(
-    f.name for f in fields(PatientDatum)
-    if f.name not in ("pat_id", "timestamp", "row_index", "extra")
+    name for name in PatientDatum._fields
+    if name not in ("pat_id", "timestamp", "row_index", "extra")
 )
 
 
-@dataclass(frozen=True)
-class Event:
-    """A case/activity/timestamp triple with an attribute payload."""
-
+class _EventFields(NamedTuple):
     case_id: str
     activity: str
     timestamp: date
-    attributes: dict[str, AttrValue] = field(default_factory=dict)
+    attributes: dict[str, AttrValue]
 
-    def __post_init__(self):
-        if not self.activity:
+
+class Event(_EventFields):
+    """A case/activity/timestamp triple with an attribute payload."""
+
+    __slots__ = ()
+
+    def __new__(cls, case_id: str, activity: str, timestamp: date,
+                attributes: dict[str, AttrValue] | None = None):
+        if not activity:
             raise InputError("event activity must be non-empty")
+        attributes = {} if attributes is None else attributes
+        return super().__new__(cls, case_id, activity, timestamp, attributes)
 
 
 def case_phenotype(trace: tuple[Event, ...]) -> str | None:
@@ -131,7 +143,6 @@ def case_phenotype(trace: tuple[Event, ...]) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
 class EventLog:
     """A collection of events with a deterministic trace view.
 
@@ -140,7 +151,20 @@ class EventLog:
     patient data is source-row order. The grouping is computed once per log.
     """
 
-    events: tuple[Event, ...] = ()
+    def __init__(self, events: tuple[Event, ...] = ()):
+        object.__setattr__(self, "events", events)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        return self.events == other.events if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.events,))
+
+    def __repr__(self) -> str:
+        return f"EventLog(events={self.events!r})"
 
     def __len__(self) -> int:
         return len(self.events)
@@ -175,19 +199,21 @@ class EventLog:
         }
 
 
-@dataclass(frozen=True)
-class PatientSequence:
-    """All rows of one patient, sorted by (timestamp, source row)."""
-
+class _SequenceFields(NamedTuple):
     pat_id: str
     data: tuple[PatientDatum, ...]
 
-    def __post_init__(self):
-        for earlier, later in zip(self.data, self.data[1:]):
+
+class PatientSequence(_SequenceFields):
+    """All rows of one patient, sorted by (timestamp, source row)."""
+
+    __slots__ = ()
+
+    def __new__(cls, pat_id: str, data: tuple[PatientDatum, ...]):
+        for earlier, later in zip(data, data[1:]):
             if later.timestamp < earlier.timestamp:
-                raise InputError(
-                    f"patient {self.pat_id}: sequence timestamps decrease"
-                )
+                raise InputError(f"patient {pat_id}: sequence timestamps decrease")
+        return super().__new__(cls, pat_id, data)
 
     def __len__(self) -> int:
         return len(self.data)

@@ -1,14 +1,13 @@
 """Labeled Petri nets with silent transitions and token-firing semantics."""
 
-from dataclasses import dataclass
 from operator import add
+from typing import NamedTuple
 
 from .errors import InputError, SemanticsError
 from .model import VISIT_AFTER, VISIT_BEFORE, Outcome
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """A net transition; ``label is None`` marks it silent."""
 
     id: str
@@ -64,8 +63,7 @@ class Marking:
         return self._key
 
 
-@dataclass(frozen=True)
-class PetriNet:
+class _NetFields(NamedTuple):
     places: frozenset[str]
     transitions: tuple[Transition, ...]
     arcs: frozenset[tuple[str, str]]
@@ -73,7 +71,12 @@ class PetriNet:
     final_marking: Marking
     name: str = "net"
 
-    def __post_init__(self):
+
+class PetriNet(_NetFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         trans_ids = {t.id for t in self.transitions}
         if len(trans_ids) != len(self.transitions):
             raise InputError("duplicate transition ids")
@@ -89,6 +92,7 @@ class PetriNet:
             for place in marking:
                 if place not in self.places:
                     raise InputError(f"marking references unknown place {place}")
+        return self
 
     def __eq__(self, other) -> bool:
         """Structural equality; transition order and net name are cosmetic."""
@@ -100,6 +104,9 @@ class PetriNet:
             and self.initial_marking == other.initial_marking
             and self.final_marking == other.final_marking
         )
+
+    def __ne__(self, other) -> bool:  # not tuple's field-by-field test
+        return not self == other
 
     def __hash__(self) -> int:
         return hash(
@@ -134,8 +141,7 @@ class PetriNet:
         return {t.label for t in self.transitions if t.label is not None}
 
 
-@dataclass(frozen=True)
-class DecisionPoint:
+class DecisionPoint(NamedTuple):
     """A place where more than one transition competes for the token."""
 
     place: str

@@ -32,8 +32,8 @@ positive sum. Omitted places and attributes keep their defaults.
 import json
 import math
 import random
-from dataclasses import dataclass, field, fields
 from datetime import date, timedelta
+from typing import NamedTuple, get_type_hints
 
 from .errors import ConfigError
 from .model import Outcome, PatientDatum, classify_phenotype
@@ -69,8 +69,7 @@ DEFAULT_PLACE_WEIGHTS: dict[str, dict[str, float]] = {
 }
 
 
-@dataclass(frozen=True)
-class AttributeSampler:
+class AttributeSampler(NamedTuple):
     """Distribution spec for one clinical attribute.
 
     kinds: uniform (real in [low, high], rounded to ``decimals``),
@@ -122,9 +121,8 @@ DEFAULT_ATTRIBUTE_SAMPLERS: dict[str, AttributeSampler] = {
 _SAMPLED_FIELDS = tuple(DEFAULT_ATTRIBUTE_SAMPLERS)
 
 # The type a sampled attribute holds in a PatientDatum: int for ``int | None``.
-_FIELD_TYPES = {
-    f.name: f.type.__args__[0] for f in fields(PatientDatum) if f.name in _SAMPLED_FIELDS
-}
+_FIELD_TYPES = {name: hint.__args__[0] for name, hint in get_type_hints(PatientDatum).items()
+                if name in _SAMPLED_FIELDS}
 
 
 # The sampler kinds whose draws have a field's type, so that the CSV written
@@ -213,17 +211,22 @@ def _later(day: date, days: int, pat_id: str) -> date:
         raise ConfigError(f"patient {pat_id}: a timestamp falls after {date.max}") from None
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class _ConfigFields(NamedTuple):
     patients: int = 240
     seed: int = 7
     start_date: date = date(2019, 4, 1)
     start_window_days: int = 365
     gap_days: tuple[int, int] = (7, 120)
-    place_probs: dict[str, dict[str, float]] = field(default_factory=dict)
-    attributes: dict[str, AttributeSampler] = field(default_factory=dict)
+    # None: the defaults. A config holds fresh dicts of every place's weights and every sampler.
+    place_probs: dict[str, dict[str, float]] | None = None
+    attributes: dict[str, AttributeSampler] | None = None
 
-    def __post_init__(self):
+
+class SimulationConfig(_ConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         lo, hi = self.gap_days
         for key, value in (
             ("patients", self.patients),
@@ -244,19 +247,18 @@ class SimulationConfig:
             place: _normalize_weights(place, dict(DEFAULT_PLACE_WEIGHTS[place]))
             for place in _PLACE_CHOICES
         }
-        for place, weights in self.place_probs.items():
+        for place, weights in (self.place_probs or {}).items():
             if place not in _PLACE_CHOICES:
                 raise ConfigError(f"unknown decision place {place!r}")
             probs[place] = _normalize_weights(place, dict(weights))
         _check_walk_ends(probs)
-        object.__setattr__(self, "place_probs", probs)
         samplers = dict(DEFAULT_ATTRIBUTE_SAMPLERS)
-        for name, sampler in self.attributes.items():
+        for name, sampler in (self.attributes or {}).items():
             if name not in samplers:
                 raise ConfigError(f"unknown attribute {name!r}")
             _check_sampler(name, sampler)
             samplers[name] = sampler
-        object.__setattr__(self, "attributes", samplers)
+        return self._replace(place_probs=probs, attributes=samplers)
 
 
 def load_config(data: bytes | str, **overrides) -> SimulationConfig:

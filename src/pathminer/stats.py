@@ -16,7 +16,7 @@ compared across groups.
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError
 from .model import VISIT_AFTER, VISIT_BEFORE, Event, EventLog, case_phenotype
@@ -108,15 +108,13 @@ def normal_sf(z: float) -> float:
 # --- the tests --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KruskalResult:
+class KruskalResult(NamedTuple):
     h: float
     df: int
     p_value: float
 
 
-@dataclass(frozen=True)
-class DunnMatrix:
+class DunnMatrix(NamedTuple):
     labels: tuple[str, ...]
     p_values: tuple[tuple[float, ...], ...]
 
@@ -215,8 +213,7 @@ def case_flag(trace: tuple[Event, ...], axis: str) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class ActivityTest:
+class ActivityTest(NamedTuple):
     activity: str
     testable: bool
     reason: str = ""
@@ -224,8 +221,7 @@ class ActivityTest:
     dunn: DunnMatrix | None = None
 
 
-@dataclass(frozen=True)
-class CohortReport:
+class CohortReport(NamedTuple):
     axis: str
     alpha: float
     group_labels: tuple[str, ...]

@@ -8,7 +8,7 @@ so downstream statistics and decision mining never need to re-join the
 source table.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError
 from .model import (
@@ -24,8 +24,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class SplitSequence:
+class SplitSequence(NamedTuple):
     """A patient sequence cut at the first outcome-bearing row."""
 
     pat_id: str

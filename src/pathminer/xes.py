@@ -25,7 +25,8 @@ _BOOLEANS = {"true": True, "false": False, "1": True, "0": False}
 # ElementTree's attribute escapes, and a character outside the XML 1.0 Char production.
 _ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
                           "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"})
-_NOT_XML_CHAR = re.compile(r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+# Spelled as the excluded ranges: the negated Char class compiles ten times slower.
+_NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _date_value(day: date) -> str:

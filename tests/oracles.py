@@ -971,6 +971,7 @@ def reference_train_classifier(
             train_size=len(instances),
             test_size=0,
             degenerate=True,
+            detail={},
         )
 
     train_idx, test_idx = _stratified_split(labels, split, seed)
@@ -994,5 +995,6 @@ def reference_train_classifier(
         confusion=confusion,
         train_size=len(train_idx),
         test_size=len(test_idx),
+        degenerate=False,
         detail=detail,
     )

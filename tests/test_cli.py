@@ -275,6 +275,28 @@ class TestErrorHandling:
             "after a prefix (precision)\n")
         assert not out.exists()
 
+    def test_decide_with_a_string_where_training_holds_numbers_exits_1(self, tmp_path, capsys):
+        # the sixth weight of the seed-7 log falls in p1's test rows; the
+        # classifiers would call float() on it and exit 2
+        csv, log, net = (tmp_path / name for name in ("a.csv", "a.xes", "net.json"))
+        run_ok(["simulate", "--patients", 240, "--seed", 7, "--output", csv])
+        run_ok(["transform", "--input", csv, "--output", log])
+        run_ok(["dejure", "--output", net])
+        text = log.read_text()
+        at = -1
+        for _ in range(6):
+            at = text.index('<float key="weight"', at + 1)
+        end = text.index("/>", at) + 2
+        log.write_text(text[:at] + '<string key="weight" value="abc" />' + text[end:])
+        out = tmp_path / "d.json"
+        code = main(["decide", "--log", str(log), "--net", str(net), "--place", "p1",
+                     "--classifiers", "naive-bayes,logistic,decision-tree", "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "pathminer: error: case '0007': attribute 'weight' holds 'abc' "
+            "where the training rows hold numbers\n")
+        assert not out.exists()
+
     def test_conform_on_alpha_net_without_a_run_exits_1(self, tmp_path, capsys):
         # on this cohort the alpha net never consumes from its sink place, so
         # no run reaches the final marking; the search must say so, not
@@ -405,9 +427,12 @@ STAGES_LOADED = {
     "decide": {"classifiers", "conformance", "decision_mining", "net_io", "petri", "xes"},
 }
 
+# The package's modules and the stdlib modules it keeps off start-up:
+# dataclasses costs its class compiles and its import of inspect.
 LOADED_MODULES = (
     "import sys; from pathminer.cli import main; code = main(sys.argv[1:]); "
-    "print(code, sorted(m for m in sys.modules if m.startswith('pathminer.')))"
+    "print(code, sorted(m for m in sys.modules "
+    "if m.startswith('pathminer.') or m in ('dataclasses', 'inspect')))"
 )
 
 
@@ -430,9 +455,10 @@ def test_each_subcommand_loads_only_its_stages(tmp_path, command):
         text=True,
     )
     assert result.returncode == 0, result.stderr
-    loaded = STAGES_LOADED[command] | {"cli", "errors", "model"}
-    expected = sorted(f"pathminer.{m}" for m in loaded)
-    assert result.stdout == f"0 {expected}\n"
+    loaded = {f"pathminer.{m}" for m in STAGES_LOADED[command] | {"cli", "errors", "model"}}
+    if command == "decide":  # the tree's records are dataclasses, and numpy imports inspect
+        loaded |= {"dataclasses", "inspect"}
+    assert result.stdout == f"0 {sorted(loaded)}\n"
 
 
 # The names a tracer replaces on this module to time each layer of a run.

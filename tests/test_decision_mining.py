@@ -1,3 +1,6 @@
+import re
+from datetime import date
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 import pathminer.decision_mining as decision_mining
 from conftest import make_log
 from oracles import reference_train_classifier
-from pathminer.classifiers import KINDS
+from pathminer.classifiers import KINDS, _feature_space
 from pathminer.decision_mining import (
     distribution,
     extract_instances,
@@ -152,6 +155,19 @@ class TestTrainClassifier:
         assert report.accuracy >= 95.0
         assert report.detail["root_split"]["feature"] == "nt_pro_bnp"
 
+    @pytest.mark.parametrize("bad", ["abc", date(2020, 1, 1)])
+    def test_a_non_number_where_training_holds_numbers_names_its_case(self, bad):
+        instances = self._instances(50, seed=4)
+        _, test = decision_mining._stratified_split([i.chosen for i in instances], 0.2, 0)
+        case = instances[test[0]].case_id
+        instances[test[0]] = instances[test[0]]._replace(features={"nt_pro_bnp": bad})
+        for kind in ("naive-bayes", "logistic", "decision-tree"):
+            with pytest.raises(InputError, match=re.escape(
+                    f"case '{case}': attribute 'nt_pro_bnp' holds {bad!r} where the training")):
+                train_classifier(instances, kind)
+        # the majority classifier reads no feature
+        assert train_classifier(instances, "majority").test_size == len(test)
+
     def test_learners_clear_majority_floor_on_planted_rule(self):
         instances = self._instances(500, seed=10)
         baseline = train_classifier(instances, "majority", split=0.2, seed=2)
@@ -200,8 +216,7 @@ _DEVIANT = {"p1": {"None": 40, "HF": 20, "CV": 20, "Stroke": 10, "MI": 10},
 
 
 def _outcome(call):
-    """What ``call`` returns, or what it raises: a test row may hold a
-    string where the training rows held only numbers."""
+    """What ``call`` returns, or what it raises."""
     try:
         return repr(call())
     except (InputError, ValueError) as exc:
@@ -213,6 +228,15 @@ class TestAgainstParentTraining:
     @given(classifier_rows(), st.sampled_from([0.1, 0.2, 0.5]), st.integers(0, 3))
     def test_one_holdout_per_place_gives_the_parents_reports(self, data, split, seed):
         rows, labels = data
+        # the test rows stay within the training rows' feature space: a
+        # non-number where training holds numbers is an InputError, pinned in
+        # TestTrainClassifier
+        train, test = decision_mining._stratified_split(labels, split, seed)
+        numeric = {name for name, kind in _feature_space([rows[i] for i in train]).items()
+                   if kind == "numeric"}
+        for i in test:
+            rows[i] = {name: None if name in numeric and not isinstance(v, (int, float)) else v
+                       for name, v in rows[i].items()}
         instances = [DecisionInstance(f"c{i}", "p1", row, label)
                      for i, (row, label) in enumerate(zip(rows, labels))]
         holdout = decision_mining._Holdout(instances, split, seed)

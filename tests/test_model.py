@@ -145,3 +145,33 @@ class TestEventLog:
         del first["b"]
         assert log.traces() == second
         assert list(log.traces()) == ["a", "b"]
+
+
+class TestRecords:
+    """The records keep what their frozen dataclasses gave: field-wise
+    equality, hash and repr, and no assignment."""
+
+    def test_fields_refuse_assignment(self):
+        event = Event("c", "a", date(2023, 1, 1))
+        for record, name in ((event, "activity"), (EventLog((event,)), "events"),
+                             (row("p", 1, 1), "lvef")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+    def test_each_record_gets_its_own_default_dict(self):
+        first, second = Event("c", "a", date(2023, 1, 1)), Event("c", "a", date(2023, 1, 1))
+        assert first.attributes == second.attributes == {}
+        assert first.attributes is not second.attributes
+        assert row("p", 1, 1).extra is not row("p", 1, 1).extra
+
+    def test_a_record_hashes_and_prints_its_fields(self):
+        day = date(2023, 1, 1)
+        log = EventLog((Event("c", "a", day),))
+        assert repr(Event("c", "a", day, {"x": 1})) == (
+            "Event(case_id='c', activity='a', timestamp=datetime.date(2023, 1, 1), "
+            "attributes={'x': 1})")
+        assert repr(log) == f"EventLog(events=({log.events[0]!r},))"
+        assert log == EventLog((Event("c", "a", day),)) != EventLog()
+        assert hash(EventLog()) == hash(((),))
+        assert repr(row("p", 1, 1)).startswith(
+            "PatientDatum(pat_id='p', timestamp=datetime.date(2023, 2, 1), row_index=1, lvef=None")

@@ -73,6 +73,15 @@ def test_no_module_of_the_package_imports_element_tree():
     assert offenders == []
 
 
+def test_only_the_classifiers_import_dataclasses():
+    # dataclasses imports inspect, and each class compiles its methods at
+    # import: records elsewhere are NamedTuples, so that every command but
+    # decide starts without them
+    importers = {where.split(":")[0] for where, name in _package_imports()
+                 if name.split(".")[0] == "dataclasses"}
+    assert importers == {"classifiers.py"}
+
+
 def test_scipy_is_only_a_test_dependency():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     assert not any(dep.startswith("scipy") for dep in project["dependencies"])

@@ -202,3 +202,21 @@ class TestCompiledNet:
     def test_marking_with_unknown_place_is_rejected(self):
         with pytest.raises(InputError, match="unknown place"):
             enabled(linear_net(), Marking(["nowhere"]))
+
+
+def test_nets_differing_only_in_transition_order_or_name_are_equal():
+    net = linear_net()
+    reordered = PetriNet(net.places, net.transitions[::-1], net.arcs, net.initial_marking,
+                         net.final_marking, name="other")
+    assert net == reordered and not net != reordered
+    assert hash(net) == hash(reordered)
+    assert net != PetriNet(net.places, net.transitions, net.arcs, net.initial_marking,
+                           Marking(["p1"]))
+    with pytest.raises(AttributeError):
+        net.name = "renamed"
+
+
+def test_a_transition_hashes_as_its_field_tuple():
+    # as a frozen dataclass did, so sets of transitions keep their order
+    assert hash(Transition("a", "b")) == hash(("a", "b"))
+    assert repr(Transition("t")) == "Transition(id='t', label=None)"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import ReferenceXes
 from pathminer.errors import FormatError, PathminerError
 from pathminer.model import Event, EventLog
-from pathminer.xes import read_xes, write_xes
+from pathminer.xes import _NOT_XML_CHAR, read_xes, write_xes
 
 names = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=126),
@@ -217,6 +217,20 @@ NOT_XML_CHARS = {
     "u-fffe": "\ufffe",
     "u-ffff": "\uffff",
 }
+
+
+# The XML 1.0 Char production, as inclusive code-point ranges.
+XML_CHAR_RANGES = ((0x9, 0x9), (0xA, 0xA), (0xD, 0xD), (0x20, 0xD7FF), (0xE000, 0xFFFD),
+                   (0x10000, 0x10FFFF))
+
+
+def test_the_writers_pattern_matches_exactly_the_characters_outside_xml():
+    ends = {end for pair in XML_CHAR_RANGES for end in pair}
+    edges = {c + step for c in ends for step in (-1, 0, 1) if 0 <= c + step <= 0x10FFFF}
+    sample = random.Random(2024).sample(range(0x110000), 20_000)
+    for code in sorted(edges | {0, *sample}):
+        allowed = any(lo <= code <= hi for lo, hi in XML_CHAR_RANGES)
+        assert bool(_NOT_XML_CHAR.fullmatch(chr(code))) is not allowed, hex(code)
 
 
 def _two_cases(**second):
