@@ -26,7 +26,7 @@ _EXPORTS = {
               "build_sequences", "classify_phenotype"),
     "net_io": ("read_net_json", "write_dot", "write_net_json"),
     "patient_csv": ("parse_patient_csv", "write_patient_csv"),
-    "petri": ("Marking", "PetriNet", "build_dejure", "decision_points", "enabled", "fire"),
+    "petri": ("Marking", "PetriNet", "build_dejure", "decision_points"),
     "simulate": ("SimulationConfig", "load_config", "simulate"),
     "stats": ("compare_cohorts", "count_c", "count_l", "dunn_bonferroni", "kruskal_wallis"),
     "transform": ("split_sequence", "trans_post", "trans_pre", "transform_log"),

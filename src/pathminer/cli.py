@@ -17,7 +17,7 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import InputError, PathminerError
+from .errors import DEFAULT_CAP, InputError, PathminerError
 from .model import Phenotype
 
 
@@ -199,7 +199,7 @@ def build_parser() -> _Parser:
     p.add_argument("--log", required=True, type=Path)
     p.add_argument("--net", required=True, type=Path)
     p.add_argument("--output", required=True, type=Path)
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
     p = sub.add_parser("dejure", help="emit the built-in reference net")
     p.set_defaults(artifacts=_dejure)

@@ -31,7 +31,7 @@ import math
 from collections import Counter
 from typing import NamedTuple
 
-from .errors import InputError, ModelError, ResourceError
+from .errors import DEFAULT_CAP, InputError, ModelError, ResourceError
 from .model import Event, EventLog
 from .petri import CompiledNet, PetriNet
 
@@ -39,8 +39,6 @@ SYNC = "synchronous"
 LOG = "log"
 MODEL = "model"
 SILENT = "silent"
-
-DEFAULT_CAP = 1_000_000
 
 _NO_RUN = "the net has no run from its initial marking to its final marking"
 
@@ -80,6 +78,11 @@ def _as_labels(trace) -> tuple[str, ...]:
     return tuple(e.activity if isinstance(e, Event) else str(e) for e in trace)
 
 
+def _check_cap(cap: int) -> None:
+    if cap < 0:
+        raise InputError(f"state-space cap must be at least 0, got {cap}")
+
+
 def align(net: PetriNet | CompiledNet, trace, *, cap: int = DEFAULT_CAP) -> Alignment:
     """Compute a minimal-cost alignment of ``trace`` against ``net``.
 
@@ -90,8 +93,7 @@ def align(net: PetriNet | CompiledNet, trace, *, cap: int = DEFAULT_CAP) -> Alig
     expanded search states raise :class:`ResourceError`; a negative ``cap``
     raises :class:`InputError`.
     """
-    if cap < 0:
-        raise InputError(f"state-space cap must be at least 0, got {cap}")
+    _check_cap(cap)
     compiled = CompiledNet.of(net)
     labels = _as_labels(trace)
     # A place that no transition consumes from never loses a token, so a
@@ -272,6 +274,7 @@ def conformance_report(
     variant's model run, weighted by its number of cases, gathers what
     fitness, precision and generalization need.
     """
+    _check_cap(cap)
     compiled = CompiledNet(net)
     worst_model = model_path_cost(compiled, cap=cap) if log.events else 0
     total_cost = total_worst = 0

@@ -35,10 +35,10 @@ class ExtractionResult(NamedTuple):
 
 def extract_instances(net: PetriNet, log: EventLog, place: str) -> ExtractionResult:
     """Replay aligned traces and capture every choice made at ``place``."""
-    if place not in {dp.place for dp in decision_points(net)}:
+    compiled = CompiledNet(net)
+    if place not in {dp.place for dp in decision_points(compiled)}:
         raise InputError(f"{place!r} is not a decision point of the net")
 
-    compiled = CompiledNet(net)
     place_index = compiled.place_index[place]
     alignments = align_log(compiled, log)
     traces = log.traces()

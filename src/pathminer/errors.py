@@ -21,12 +21,12 @@ class FormatError(PathminerError):
     """A serialized document (XES, net JSON, DOT input) is malformed."""
 
 
-class SemanticsError(PathminerError):
-    """A Petri-net operation violated firing semantics."""
-
-
 class ModelError(PathminerError):
     """A model is unusable for the requested analysis (e.g. no path to the final marking)."""
+
+
+# The default state-space cap of the alignment search, for conform and decide.
+DEFAULT_CAP = 100_000
 
 
 class ResourceError(PathminerError):

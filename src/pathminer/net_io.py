@@ -36,10 +36,11 @@ _JSON_TYPES = {
 
 def _typed(value, kind, path: str):
     """``value`` if it has the JSON type ``kind`` (a type or a tuple of
-    types); ``path`` names it in the error."""
-    if isinstance(value, kind):
+    types), so a boolean is not an integer; ``path`` names it in the error."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if type(value) in kinds:
         return value
-    wanted = " or ".join(_JSON_TYPES[k] for k in (kind if isinstance(kind, tuple) else (kind,)))
+    wanted = " or ".join(_JSON_TYPES[k] for k in kinds)
     raise FormatError(f"net JSON {path} must be {wanted}, got {_JSON_TYPES[type(value)]}")
 
 

@@ -1,9 +1,9 @@
-"""Labeled Petri nets with silent transitions and token-firing semantics."""
+"""Labeled Petri nets: a checked value (PetriNet) and its token game (CompiledNet)."""
 
 from operator import add
 from typing import NamedTuple
 
-from .errors import InputError, SemanticsError
+from .errors import InputError
 from .model import VISIT_AFTER, VISIT_BEFORE, Outcome
 
 
@@ -57,9 +57,6 @@ class Marking:
         return f"Marking({{{inner}}})"
 
     def items(self):
-        return self._key
-
-    def key(self) -> tuple:
         return self._key
 
 
@@ -118,27 +115,6 @@ class PetriNet(_NetFields):
                 self.final_marking,
             )
         )
-
-    def transition(self, tid: str) -> Transition:
-        for t in self.transitions:
-            if t.id == tid:
-                return t
-        raise InputError(f"unknown transition {tid}")
-
-    def preset(self, tid: str) -> tuple[str, ...]:
-        return tuple(sorted(s for s, t in self.arcs if t == tid))
-
-    def postset(self, tid: str) -> tuple[str, ...]:
-        return tuple(sorted(t for s, t in self.arcs if s == tid))
-
-    def place_outputs(self, place: str) -> tuple[str, ...]:
-        return tuple(sorted(t for s, t in self.arcs if s == place))
-
-    def visible_transitions(self) -> tuple[Transition, ...]:
-        return tuple(t for t in self.transitions if not t.silent)
-
-    def labels(self) -> set[str]:
-        return {t.label for t in self.transitions if t.label is not None}
 
 
 class DecisionPoint(NamedTuple):
@@ -211,10 +187,6 @@ class CompiledNet:
             counts[index] = n
         return tuple(counts)
 
-    def marking(self, counts: tuple[int, ...]) -> Marking:
-        """The :class:`Marking` of a count tuple."""
-        return Marking({p: n for p, n in zip(self.places, counts) if n})
-
     def enabled(self, counts: tuple[int, ...]) -> list[int]:
         """Indices of the enabled transitions, in ``net.transitions`` order.
 
@@ -233,37 +205,18 @@ class CompiledNet:
         return tuple(map(add, counts, self.delta[t]))
 
 
-def enabled(net: PetriNet, marking: Marking) -> list[Transition]:
-    """Transitions whose every input place holds a token under ``marking``."""
-    compiled = CompiledNet(net)
-    return [net.transitions[t] for t in compiled.enabled(compiled.counts(marking))]
-
-
-def fire(net: PetriNet, marking: Marking, transition: str | Transition) -> Marking:
-    """Fire a transition: consume one token per input arc, produce one per
-    output arc. Firing a disabled transition is an error."""
-    tid = transition.id if isinstance(transition, Transition) else transition
-    net.transition(tid)
-    compiled = CompiledNet(net)
-    t = compiled.index[tid]
-    counts = compiled.counts(marking)
-    if not all(counts[p] for p in compiled.pre[t]):
-        raise SemanticsError(f"transition {tid} is not enabled")
-    return compiled.marking(compiled.fire(counts, t))
-
-
 # The choice label of a silent transition at a decision point.
 SILENT_CHOICE = "None"
 
 
-def decision_points(net: PetriNet) -> list[DecisionPoint]:
-    """All places with at least two outgoing arcs, with their transitions."""
-    by_id = {t.id: t for t in net.transitions}
+def decision_points(net: PetriNet | CompiledNet) -> list[DecisionPoint]:
+    """All places with at least two outgoing arcs, with their transitions by id."""
+    compiled = CompiledNet.of(net)
     points = []
-    for place in sorted(net.places):
-        outs = net.place_outputs(place)
-        if len(outs) >= 2:
-            points.append(DecisionPoint(place, tuple(by_id[t] for t in outs)))
+    for place, consumers in zip(compiled.places, compiled.consumers):
+        if len(consumers) >= 2:
+            outs = sorted((compiled.transitions[t] for t in consumers), key=lambda t: t.id)
+            points.append(DecisionPoint(place, tuple(outs)))
     return points
 
 

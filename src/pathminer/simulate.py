@@ -37,15 +37,17 @@ from typing import NamedTuple, get_type_hints
 
 from .errors import ConfigError
 from .model import Outcome, PatientDatum, classify_phenotype
-from .petri import P1, P2, P3, P4, P_END, P_START, SILENT_CHOICE, build_dejure, decision_points
+from .petri import (P1, P2, P3, P4, P_END, P_START, SILENT_CHOICE, CompiledNet, build_dejure,
+                    decision_points)
 
 _OUTCOME_BY_LABEL = {o.value: o for o in Outcome}
 
-_DEJURE = build_dejure()
+_DEJURE = CompiledNet(build_dejure())
 
 # The place each choice label leads to, at each decision place of the reference net.
 _PLACE_CHOICES: dict[str, dict[str, str]] = {
-    point.place: {t.label or SILENT_CHOICE: _DEJURE.postset(t.id)[0] for t in point.transitions}
+    point.place: {t.label or SILENT_CHOICE: _DEJURE.places[_DEJURE.post[_DEJURE.index[t.id]][0]]
+                  for t in point.transitions}
     for point in decision_points(_DEJURE)
 }
 

@@ -42,7 +42,7 @@ from pathminer.conformance import (
 from pathminer.decision_mining import ClassifierReport, _stratified_split
 from pathminer.model import AttrValue, Event, EventLog
 from pathminer.errors import (
-    FormatError, InputError, ModelError, ResourceError, SemanticsError,
+    FormatError, InputError, ModelError, ResourceError,
 )
 from pathminer.petri import CompiledNet, Marking, PetriNet, Transition
 
@@ -234,14 +234,19 @@ class ReferenceDecisionTree:
         return {"feature": root.feature, "category": root.category}
 
 
+class SemanticsError(Exception):
+    """:class:`ReferenceSemantics` was asked to fire a disabled transition."""
+
+
 class ReferenceSemantics:
     """Token firing on :class:`Marking` objects, with presets and postsets
     as dicts of place ids: the semantics the compiled net must agree with."""
 
     def __init__(self, net: PetriNet):
         self.net = net
-        self.pre = {t.id: net.preset(t.id) for t in net.transitions}
-        self.post = {t.id: net.postset(t.id) for t in net.transitions}
+        ids = [t.id for t in net.transitions]
+        self.pre = {tid: tuple(sorted(s for s, d in net.arcs if d == tid)) for tid in ids}
+        self.post = {tid: tuple(sorted(d for s, d in net.arcs if s == tid)) for tid in ids}
 
     def enabled(self, marking: Marking) -> list[Transition]:
         """Enabled transitions in ``net.transitions`` order."""
@@ -338,13 +343,13 @@ def brute_force_cost(net: PetriNet, labels) -> float:
     labels = tuple(labels)
     sem = ReferenceSemantics(net)
     n = len(labels)
-    goal = (net.final_marking.key(), n)
+    goal = (net.final_marking.items(), n)
     best: dict = {}
     best_goal = math.inf
     stack = [(net.initial_marking, 0, 0)]
     while stack:
         marking, pos, g = stack.pop()
-        state = (marking.key(), pos)
+        state = (marking.items(), pos)
         if g >= best.get(state, math.inf) or g >= best_goal:
             continue
         best[state] = g
@@ -728,7 +733,7 @@ def reference_precision(net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP)
 
 
 def _generalization(net: PetriNet, weighted: list[tuple[Alignment, int]]) -> float:
-    visible = net.visible_transitions()
+    visible = [t for t in net.transitions if not t.silent]
     if not visible:
         return 1.0
     counts = {t.id: 0 for t in visible}
@@ -742,7 +747,7 @@ def _generalization(net: PetriNet, weighted: list[tuple[Alignment, int]]) -> flo
 
 
 def reference_generalization(net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP) -> float:
-    if not net.visible_transitions():
+    if all(t.silent for t in net.transitions):
         return 1.0
     return _generalization(net, _weighted(align_log(net, log, cap=cap)))
 

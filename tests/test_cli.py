@@ -9,6 +9,7 @@ import pathminer.cli as cli
 from conftest import DATA_DIR, GOLDEN_DIR
 from pathminer.cli import main
 from pathminer.errors import FormatError
+from pathminer.petri import CompiledNet
 
 TABLE = DATA_DIR / "patients_table.csv"
 
@@ -255,6 +256,19 @@ class TestErrorHandling:
         assert "state-space cap must be at least 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_conform_negative_cap_on_an_empty_log_is_an_input_error(self, tmp_path, capsys):
+        # an empty log aligns nothing, so the cap is checked before any alignment
+        _, net = prepare_inputs(tmp_path)
+        log = tmp_path / "empty.xes"
+        log.write_text("<log></log>")
+        out = tmp_path / "report.json"
+        code = main(["conform", "--log", str(log), "--net", str(net), "--cap", "-1",
+                     "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "pathminer: error: state-space cap must be at least 0, got -1\n")
+        assert not out.exists()
+
     def test_conform_on_a_net_with_an_unbounded_silent_run_exits_1(self, tmp_path, capsys):
         # found by the input fuzzer: without its input arc the silent
         # back_to_watch fires from any marking, so the silent runs after a
@@ -414,6 +428,51 @@ def test_decide_without_logistic_or_tree_never_imports_numpy(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stdout == "0 []\n"
     assert [c["kind"] for c in json.loads(out.read_text())["classifiers"]] == ["majority", "naive-bayes"]
+
+
+def test_decide_on_a_net_with_an_unbounded_silent_run_stops_at_the_default_cap(tmp_path):
+    # without its input arc the silent end_record fires from any marking, so
+    # the alignment search never runs out of states; the default cap ends it
+    # with exit 1, not a MemoryError, within 1 GiB of address space
+    csv, log, net = (tmp_path / name for name in ("a.csv", "a.xes", "net.json"))
+    run_ok(["simulate", "--patients", 30, "--seed", 7, "--output", csv])
+    run_ok(["transform", "--input", csv, "--output", log])
+    run_ok(["dejure", "--output", net])
+    doc = json.loads(net.read_text())
+    doc["arcs"].remove({"source": "p1", "target": "end_record"})
+    net.write_text(json.dumps(doc))
+    out = tmp_path / "d.json"
+    result = subprocess.run(
+        [sys.executable, "-c", "import resource, sys; "
+         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+         "from pathminer.cli import main; sys.exit(main(sys.argv[1:]))",
+         "decide", "--log", str(log), "--net", str(net), "--place", "p1", "--output", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1, result.stderr
+    assert result.stderr == (
+        "pathminer: error: state-space cap of 100000 markings exceeded aligning case '0001' "
+        "(a variant of 1 events)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, options", [
+    ("conform", []),
+    ("decide", ["--place", "p1", "--classifiers", "majority"]),
+])
+def test_a_command_compiles_its_net_once(tmp_path, monkeypatch, command, options):
+    log, net = prepare_inputs(tmp_path)
+    compiled = []
+    compile_net = CompiledNet.__init__
+
+    def counting(self, net):
+        compiled.append(net)
+        compile_net(self, net)
+
+    monkeypatch.setattr(CompiledNet, "__init__", counting)
+    run_ok([command, "--log", log, "--net", net, *options, "--output", tmp_path / "out.json"])
+    assert len(compiled) == 1
 
 
 # The stage modules each subcommand loads, beyond cli, errors and model.

@@ -103,7 +103,8 @@ def mutants(draw):
 
 def check_mutant(kind: str, data: bytes, existing: bool) -> None:
     # decide has no --cap: on a net with unbounded silent runs its search
-    # would grow to the default cap of 10^6 markings, gigabytes of memory
+    # grows to the default cap of 10^5 markings, about 4 s per command, so
+    # a cap of 2000 keeps each example fast
     small_cap = partial(align_log, cap=2000)
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(decision_mining, "align_log", small_cap):

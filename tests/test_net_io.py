@@ -123,9 +123,13 @@ def test_non_utf8_byte_is_a_format_error(dejure):
     (lambda doc: {**doc, "places": {"p0": {}}}, "net JSON places must be an array, got an object"),
     (lambda doc: {**doc, "initial_marking": {"p0": 1.0}},
      "net JSON initial_marking.p0 must be an integer, got a number"),
+    (lambda doc: {**doc, "initial_marking": {"p0": True}},
+     "net JSON initial_marking.p0 must be an integer, got a boolean"),
+    (lambda doc: {**doc, "final_marking": {"p_end": True}},
+     "net JSON final_marking.p_end must be an integer, got a boolean"),
     (lambda doc: {k: v for k, v in doc.items() if k != "arcs"}, "net JSON missing field arcs"),
 ], ids=["array-root", "place", "transition", "arc", "arc-target", "places", "marking-count",
-        "missing-arcs"])
+        "initial-marking-boolean", "final-marking-boolean", "missing-arcs"])
 def test_a_value_of_the_wrong_type_is_named(dejure, edit, message):
     doc = json.loads(write_net_json(dejure))
     with pytest.raises(FormatError) as err:

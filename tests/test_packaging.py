@@ -150,3 +150,18 @@ def test_only_the_cli_writer_and_the_cohorts_directory_write_files():
     # a second write path could leave a partial output behind
     assert sorted(set(_write_sites())) == [("cli.py", "_cohorts", "mkdir"),
                                            ("cli.py", "_write", "write_bytes")]
+
+
+def test_every_error_type_is_raised_somewhere():
+    # an error type that nothing raises is dead code and a false promise to
+    # callers that catch it
+    tree = ast.parse((ROOT / "src" / "pathminer" / "errors.py").read_text(encoding="utf-8"))
+    declared = {node.name for node in tree.body if isinstance(node, ast.ClassDef)
+                and any(getattr(base, "id", None) == "PathminerError" for base in node.bases)}
+    raised = set()
+    for path in (ROOT / "src" / "pathminer").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None))
+    assert declared and sorted(declared - raised) == []

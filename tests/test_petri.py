@@ -6,16 +6,8 @@ from hypothesis import strategies as st
 
 from oracles import ReferenceSemantics, random_workflow_net
 from pathminer.conformance import align
-from pathminer.errors import InputError, SemanticsError
-from pathminer.petri import (
-    CompiledNet,
-    Marking,
-    PetriNet,
-    Transition,
-    decision_points,
-    enabled,
-    fire,
-)
+from pathminer.errors import InputError
+from pathminer.petri import CompiledNet, Marking, PetriNet, Transition, decision_points
 
 
 def linear_net():
@@ -28,30 +20,31 @@ def linear_net():
     )
 
 
+def enabled_ids(compiled: CompiledNet, counts: tuple[int, ...]) -> list[str]:
+    return [compiled.transitions[t].id for t in compiled.enabled(counts)]
+
+
 class TestSemantics:
     def test_enabled_at_dejure_initial(self, dejure):
-        ids = {t.id for t in enabled(dejure, dejure.initial_marking)}
-        assert ids == {"visit_first", "skip_first_visit"}
+        compiled = CompiledNet(dejure)
+        assert enabled_ids(compiled, compiled.initial) == ["visit_first", "skip_first_visit"]
 
     def test_sequence_fire(self):
-        net = linear_net()
-        after_a = fire(net, net.initial_marking, "a")
-        assert {t.id for t in enabled(net, after_a)} == {"b"}
-        assert fire(net, after_a, "b") == net.final_marking
-
-    def test_firing_disabled_transition_is_error(self):
-        net = linear_net()
-        with pytest.raises(SemanticsError):
-            fire(net, net.initial_marking, "b")
+        compiled = CompiledNet(linear_net())
+        after_a = compiled.fire(compiled.initial, compiled.index["a"])
+        assert enabled_ids(compiled, after_a) == ["b"]
+        assert compiled.fire(after_a, compiled.index["b"]) == compiled.final
 
     def test_token_conservation_per_arc_structure(self, dejure):
-        marking = dejure.initial_marking
+        compiled = CompiledNet(dejure)
+        counts = compiled.initial
         for tid in ("visit_first", "co_hf", "visit_after", "back_to_watch"):
-            before = len(marking)
-            marking = fire(dejure, marking, tid)
-            pre = len(dejure.preset(tid))
-            post = len(dejure.postset(tid))
-            assert len(marking) == before - pre + post
+            assert tid in enabled_ids(compiled, counts)
+            before = sum(counts)
+            counts = compiled.fire(counts, compiled.index[tid])
+            pre = sum(1 for _, target in dejure.arcs if target == tid)
+            post = sum(1 for source, _ in dejure.arcs if source == tid)
+            assert sum(counts) == before - pre + post
 
     def test_marking_is_multiset(self):
         m = Marking(["p", "p", "q"])
@@ -157,13 +150,12 @@ class TestCompiledNet:
         compiled = CompiledNet(net)
         places = sorted(net.places)
         marking = Marking(dict(zip(places, counts)))
-        assert compiled.marking(compiled.counts(marking)) == marking
-        ids = [net.transitions[t].id for t in compiled.enabled(compiled.counts(marking))]
+        assert compiled.counts(marking) == tuple(marking[p] for p in places)
+        ids = enabled_ids(compiled, compiled.counts(marking))
         assert ids == [t.id for t in reference.enabled(marking)]
         for tid in ids:
             fired = compiled.fire(compiled.counts(marking), compiled.index[tid])
-            assert compiled.marking(fired) == reference.fire(marking, tid)
-            assert fire(net, marking, tid) == reference.fire(marking, tid)
+            assert fired == compiled.counts(reference.fire(marking, tid))
 
     def test_agrees_along_random_walks(self):
         rng = random.Random(31)
@@ -180,7 +172,7 @@ class TestCompiledNet:
                 chosen = rng.choice(expected)
                 marking = reference.fire(marking, chosen.id)
                 counts = compiled.fire(counts, compiled.index[chosen.id])
-                assert compiled.marking(counts) == marking
+                assert counts == compiled.counts(marking)
 
     def test_transition_without_inputs_is_always_enabled(self):
         # the alpha miner leaves such transitions for unpreceded self-loops
@@ -194,14 +186,15 @@ class TestCompiledNet:
         reference = ReferenceSemantics(net)
         compiled = CompiledNet(net)
         for marking in (Marking(), Marking(["p0"]), Marking(["p1", "p1"])):
-            ids = [net.transitions[t].id for t in compiled.enabled(compiled.counts(marking))]
+            ids = enabled_ids(compiled, compiled.counts(marking))
             assert ids == [t.id for t in reference.enabled(marking)]
             assert "gen" in ids
-        assert fire(net, Marking(), "gen") == Marking(["p1"])
+        fired = compiled.fire(compiled.counts(Marking()), compiled.index["gen"])
+        assert fired == compiled.counts(Marking(["p1"]))
 
     def test_marking_with_unknown_place_is_rejected(self):
         with pytest.raises(InputError, match="unknown place"):
-            enabled(linear_net(), Marking(["nowhere"]))
+            CompiledNet(linear_net()).counts(Marking(["nowhere"]))
 
 
 def test_nets_differing_only_in_transition_order_or_name_are_equal():
