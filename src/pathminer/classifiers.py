@@ -20,9 +20,8 @@ Nothing here draws randomness: training is deterministic given the rows.
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial, reduce
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError
 
@@ -242,19 +241,25 @@ class LogisticClassifier(_Classifier):
         return self.predict_rows([row])[0]
 
 
-@dataclass
 class _TreeNode:
-    prediction: str
-    feature: str | None = None
-    threshold: float | None = None
-    category: str | None = None
-    missing_left: bool = True
-    left: "_TreeNode | None" = None
-    right: "_TreeNode | None" = None
+    """A leaf, or a split whose fields ``_build`` sets after creating it."""
+
+    __slots__ = ("prediction", "feature", "threshold", "category", "missing_left", "left", "right")
+
+    def __init__(self, prediction: str, feature: str | None = None,
+                 threshold: float | None = None, category: str | None = None,
+                 missing_left: bool = True, left: "_TreeNode | None" = None,
+                 right: "_TreeNode | None" = None):
+        self.prediction = prediction
+        self.feature = feature
+        self.threshold = threshold
+        self.category = category
+        self.missing_left = missing_left
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class _Column:
+class _Column(NamedTuple):
     """One feature of a tree's training rows, encoded once per fit.
 
     A numeric column holds float values with a missing mask (the values

@@ -269,5 +269,23 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> None:
+    """Run ``main`` as a program, and end the process once it returns.
+
+    Every artifact is on disk by then, so after flushing stdout and stderr
+    the process exits at once: atexit handlers and the interpreter's
+    teardown do not run. A flush that fails, and an exit that ``--help``
+    raises, take the normal way out, which reports them. Callers in the
+    same process use ``main``, which returns.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # a closed or broken stream: teardown reports it
+        raise SystemExit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

@@ -68,11 +68,6 @@ class Alignment(NamedTuple):
             m.transition for m in self.moves if m.kind in (SYNC, MODEL, SILENT)
         )
 
-    def visible_model_projection(self) -> tuple[str, ...]:
-        return tuple(
-            m.transition for m in self.moves if m.kind in (SYNC, MODEL)
-        )
-
 
 def _as_labels(trace) -> tuple[str, ...]:
     return tuple(e.activity if isinstance(e, Event) else str(e) for e in trace)

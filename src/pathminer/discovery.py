@@ -187,9 +187,6 @@ class Footprint(NamedTuple):
     activities: tuple[str, ...]
     relations: dict[tuple[str, str], str]
 
-    def relation(self, a: str, b: str) -> str:
-        return self.relations[(a, b)]
-
 
 def build_footprint(log: EventLog) -> Footprint:
     dfg = build_dfg(log)

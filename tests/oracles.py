@@ -75,6 +75,15 @@ def cohort_log(seed: str, cases_per_group: int, death_probability) -> EventLog:
     return EventLog(tuple(events))
 
 
+def tree_fields(node: _TreeNode | None) -> dict | None:
+    """A tree as nested dicts of its nodes' seven fields, for comparing two trees."""
+    if node is None:
+        return None
+    fields = {name: getattr(node, name)
+              for name in ("prediction", "feature", "threshold", "category", "missing_left")}
+    return {**fields, "left": tree_fields(node.left), "right": tree_fields(node.right)}
+
+
 class ReferenceDecisionTree:
     """CART-style tree on gini impurity with explicit missing handling."""
 
@@ -732,13 +741,18 @@ def reference_precision(net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP)
     return _precision(compiled, _weighted(alignments))
 
 
+def visible_model_projection(alignment: Alignment) -> tuple[str, ...]:
+    """Ids of the visible transitions an alignment fires in the model."""
+    return tuple(m.transition for m in alignment.moves if m.kind in (SYNC, MODEL))
+
+
 def _generalization(net: PetriNet, weighted: list[tuple[Alignment, int]]) -> float:
     visible = [t for t in net.transitions if not t.silent]
     if not visible:
         return 1.0
     counts = {t.id: 0 for t in visible}
     for alignment, cases in weighted:
-        for tid in alignment.visible_model_projection():
+        for tid in visible_model_projection(alignment):
             counts[tid] += cases
     penalty = sum(
         1.0 if c == 0 else 1.0 / math.sqrt(c) for c in counts.values()

@@ -1,11 +1,10 @@
 import random
-from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ReferenceDecisionTree, ReferenceLogistic, ReferenceNaiveBayes
+from oracles import ReferenceDecisionTree, ReferenceLogistic, ReferenceNaiveBayes, tree_fields
 from pathminer.classifiers import (
     DecisionTreeClassifier,
     LogisticClassifier,
@@ -199,7 +198,7 @@ class TestDecisionTreeAgainstReference:
         params = dict(max_depth=max_depth, min_leaf=min_leaf, min_split=min_split)
         expected = ReferenceDecisionTree(**params).fit(rows, labels)
         model = DecisionTreeClassifier(**params).fit(rows, labels)
-        assert asdict(model.root_) == asdict(expected.root_)
+        assert tree_fields(model.root_) == tree_fields(expected.root_)
         assert model.root_split() == expected.root_split()
 
     @pytest.mark.parametrize("columns, classes, params", _ORDER_CASES)
@@ -208,7 +207,7 @@ class TestDecisionTreeAgainstReference:
         labels = [f"class{c}" for c in classes]
         expected = ReferenceDecisionTree(**params).fit(rows, labels)
         model = DecisionTreeClassifier(**params).fit(rows, labels)
-        assert asdict(model.root_) == asdict(expected.root_)
+        assert tree_fields(model.root_) == tree_fields(expected.root_)
 
     def test_equal_partitions_tie_on_feature_name(self):
         # "hfref" and "lvef <= 40.5" split the rows identically; the name decides
@@ -228,7 +227,7 @@ class TestDecisionTreeAgainstReference:
             labels = [i.chosen for i in instances]
             expected = ReferenceDecisionTree().fit(rows, labels)
             model = DecisionTreeClassifier().fit(rows, labels)
-            assert asdict(model.root_) == asdict(expected.root_)
+            assert tree_fields(model.root_) == tree_fields(expected.root_)
 
 
 def test_unknown_kind_rejected():
@@ -317,7 +316,7 @@ class TestAgainstParentClassifiers:
         params = dict(min_leaf=1, min_split=2)
         expected = ReferenceDecisionTree(**params).fit(rows, labels)
         model = DecisionTreeClassifier(**params).fit(rows, labels, _feature_space(rows))
-        assert asdict(model.root_) == asdict(expected.root_)
+        assert tree_fields(model.root_) == tree_fields(expected.root_)
 
     def test_naive_bayes_tie_goes_to_the_first_class(self):
         # identical rows and equal priors give every class the same score

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -392,14 +393,108 @@ class TestAllOrNothing:
         assert not net.exists() and not (tmp_path / "net.dot").exists()
 
 
-def test_console_entry_point_runs():
+def buffered_env():
+    """This environment without PYTHONUNBUFFERED, so that a child's stdout is
+    block-buffered into its pipe and reaches it only when flushed."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def test_console_entry_point_runs(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     result = subprocess.run(
         [sys.executable, "-m", "pathminer", "--help"],
         capture_output=True,
         text=True,
+        env=buffered_env(),
     )
     assert result.returncode == 0
     assert "transform" in result.stdout
+    assert result.stdout == cli.build_parser().format_help()
+
+
+# A child that registers an atexit handler writing a marker file (its first
+# argument), then runs the rest of its arguments either as a program, the
+# way ``python -m pathminer`` does, or through an in-process ``main`` that
+# returns into the interpreter's normal teardown. BROKEN_STDOUT, put before
+# either, makes every flush of stdout fail.
+MARKER = ("import atexit, errno, io, pathlib, runpy, sys\n"
+          "atexit.register(pathlib.Path(sys.argv.pop(1)).write_text, 'atexit ran')\n")
+BROKEN_STDOUT = ("class Broken(io.StringIO):\n"
+                 "    def flush(self):\n"
+                 "        raise OSError(errno.EPIPE, 'broken pipe')\n"
+                 "sys.stdout = Broken()\n")
+AS_PROGRAM = "runpy.run_module('pathminer', run_name='__main__', alter_sys=True)\n"
+IN_PROCESS = "from pathminer.cli import main\nraise SystemExit(main(sys.argv[1:]))\n"
+
+
+def run_child(script, marker, argv):
+    return subprocess.run(
+        [sys.executable, "-c", script, str(marker), *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env=buffered_env(),
+    )
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["dejure", "--output", "{tmp}/net.json"], 0),
+    (["conform", "--log", "{tmp}/log.xes", "--net", "{tmp}/dejure.json", "--cap", "-1",
+      "--output", "{tmp}/c.json"], 1),
+    (["conform", "--log", "{tmp}/log.xes", "--no-such-option"], 1),
+    (["transform", "--input", "{tmp}/missing.csv", "--output", "{tmp}/t.xes"], 1),
+], ids=["dejure", "conform-cap", "usage", "missing-input"])
+def test_a_program_skips_atexit_and_keeps_the_exit_code_and_stderr_of_main(tmp_path, argv, code):
+    prepare_inputs(tmp_path)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    program = run_child(MARKER + AS_PROGRAM, tmp_path / "program.marker", argv)
+    returned = run_child(MARKER + IN_PROCESS, tmp_path / "returned.marker", argv)
+    assert not (tmp_path / "program.marker").exists()
+    assert (tmp_path / "returned.marker").read_text() == "atexit ran"
+    assert (program.returncode, program.stdout, program.stderr) == (
+        returned.returncode, returned.stdout, returned.stderr)
+    assert program.returncode == code
+    errors = [line for line in program.stderr.splitlines() if line.startswith("pathminer: ")]
+    assert len(errors) == code and all(e.startswith("pathminer: error: ") for e in errors)
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--input", TABLE, "--output", "{out}/log.xes"],
+    ["dejure", "--output", "{out}/net.json", "--dot", "{out}/net.dot"],
+    ["discover", "--input", "{tmp}/log.xes", "--algorithm", "alpha", "--output", "{out}/a.json"],
+    ["conform", "--log", "{tmp}/log.xes", "--net", "{tmp}/dejure.json", "--output", "{out}/c.json"],
+    ["cohorts", "--log", "{tmp}/log.xes", "--axis", "ckd", "--outdir", "{out}/co"],
+    ["decide", "--log", "{tmp}/log.xes", "--net", "{tmp}/dejure.json", "--place", "p1",
+     "--classifiers", "majority,naive-bayes,logistic,decision-tree", "--output", "{out}/d.json"],
+], ids=lambda argv: argv[0])
+def test_a_program_writes_the_bytes_that_main_writes(tmp_path, argv):
+    prepare_inputs(tmp_path)
+    program, returned = tmp_path / "program", tmp_path / "returned"
+    program.mkdir()
+    returned.mkdir()
+    result = subprocess.run(
+        [sys.executable, "-m", "pathminer", *(str(a).format(tmp=tmp_path, out=program) for a in argv)],
+        capture_output=True,
+        text=True,
+        env=buffered_env(),
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+    run_ok([str(a).format(tmp=tmp_path, out=returned) for a in argv])
+    files = {p.relative_to(returned): p.read_bytes() for p in sorted(returned.rglob("*")) if p.is_file()}
+    assert files
+    assert {p.relative_to(program): p.read_bytes()
+            for p in sorted(program.rglob("*")) if p.is_file()} == files
+
+
+def test_a_failed_flush_falls_back_to_the_normal_exit(tmp_path):
+    argv = ["dejure", "--output", tmp_path / "net.json"]
+    program = run_child(MARKER + BROKEN_STDOUT + AS_PROGRAM, tmp_path / "program.marker", argv)
+    # the atexit handler runs, and teardown reports the failed flush, as it
+    # does after main() returns
+    assert (tmp_path / "program.marker").read_text() == "atexit ran"
+    returned = run_child(MARKER + BROKEN_STDOUT + IN_PROCESS, tmp_path / "returned.marker", argv)
+    assert program.returncode == returned.returncode != 0
+    assert "BrokenPipeError: [Errno 32] broken pipe" in program.stderr
+    assert program.stderr.splitlines()[-1] == returned.stderr.splitlines()[-1]
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
@@ -515,8 +610,6 @@ def test_each_subcommand_loads_only_its_stages(tmp_path, command):
     )
     assert result.returncode == 0, result.stderr
     loaded = {f"pathminer.{m}" for m in STAGES_LOADED[command] | {"cli", "errors", "model"}}
-    if command == "decide":  # the tree's records are dataclasses, and numpy imports inspect
-        loaded |= {"dataclasses", "inspect"}
     assert result.stdout == f"0 {sorted(loaded)}\n"
 
 

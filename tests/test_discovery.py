@@ -148,17 +148,17 @@ class TestMineAlpha:
 
     def test_transformed_example_footprint(self, example_log):
         footprint = build_footprint(example_log)
-        assert footprint.relation("Visit before CO", "HF") == "->"
-        assert footprint.relation("HF", "Death_HF") == "->"
-        assert footprint.relation("HF", "Visit before CO") == "<-"
-        assert footprint.relation("Visit before CO", "Death_HF") == "#"
+        assert footprint.relations[("Visit before CO", "HF")] == "->"
+        assert footprint.relations[("HF", "Death_HF")] == "->"
+        assert footprint.relations[("HF", "Visit before CO")] == "<-"
+        assert footprint.relations[("Visit before CO", "Death_HF")] == "#"
 
     def test_footprint_matrix_is_consistent(self, example_log):
         footprint = build_footprint(example_log)
         flip = {"->": "<-", "<-": "->", "||": "||", "#": "#"}
         for a in footprint.activities:
             for b in footprint.activities:
-                assert footprint.relation(b, a) == flip[footprint.relation(a, b)]
+                assert footprint.relations[(b, a)] == flip[footprint.relations[(a, b)]]
 
     def test_matches_brute_force_on_random_logs(self):
         rng = random.Random(7)

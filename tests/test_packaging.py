@@ -41,23 +41,31 @@ def _opens_for_writing(call: ast.Call) -> bool:
                     and not set(m.value) & set("wax+")) for m in modes)
 
 
-def _write_sites():
-    """(file, innermost enclosing function, call) for each call in
-    ``src/pathminer`` that can write to the file system."""
+def _called_name(call: ast.Call):
+    return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+
+def _writes(call: ast.Call) -> bool:
+    name = _called_name(call)
+    return name in WRITE_CALLS or name == "open" and _opens_for_writing(call)
+
+
+def _call_sites(matches):
+    """(file, innermost enclosing function, called name) for each call in
+    ``src/pathminer`` that ``matches``."""
 
     def visit(node, where, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from visit(child, where, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                name = getattr(child.func, "attr", getattr(child.func, "id", None))
-                if name in WRITE_CALLS or name == "open" and _opens_for_writing(child):
-                    yield where, function, name
+            if isinstance(child, ast.Call) and matches(child):
+                yield where, function, _called_name(child)
             yield from visit(child, where, function)
 
     for path in sorted((ROOT / "src" / "pathminer").glob("*.py")):
         yield from visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "<module>")
+
 
 def test_no_module_of_the_package_imports_scipy():
     # scipy is a test-only oracle; the program must run without it
@@ -73,13 +81,13 @@ def test_no_module_of_the_package_imports_element_tree():
     assert offenders == []
 
 
-def test_only_the_classifiers_import_dataclasses():
+def test_no_module_of_the_package_imports_dataclasses():
     # dataclasses imports inspect, and each class compiles its methods at
-    # import: records elsewhere are NamedTuples, so that every command but
-    # decide starts without them
+    # import: records are NamedTuples or plain classes, so that no command
+    # starts with them
     importers = {where.split(":")[0] for where, name in _package_imports()
                  if name.split(".")[0] == "dataclasses"}
-    assert importers == {"classifiers.py"}
+    assert importers == set()
 
 
 def test_scipy_is_only_a_test_dependency():
@@ -148,8 +156,21 @@ def test_simulate_stays_the_function_after_its_module_is_imported():
 def test_only_the_cli_writer_and_the_cohorts_directory_write_files():
     # every artifact goes through one writer, which checks every target first;
     # a second write path could leave a partial output behind
-    assert sorted(set(_write_sites())) == [("cli.py", "_cohorts", "mkdir"),
-                                           ("cli.py", "_write", "write_bytes")]
+    assert sorted(set(_call_sites(_writes))) == [("cli.py", "_cohorts", "mkdir"),
+                                                 ("cli.py", "_write", "write_bytes")]
+
+
+def test_only_the_process_entry_ends_the_process():
+    # os._exit skips teardown, so only the one way in that a program takes
+    # may call it; main(), which tests and embedding callers use, returns
+    exits = _call_sites(lambda call: _called_name(call) == "_exit")
+    assert list(exits) == [("cli.py", "entry", "_exit")]
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"pathminer": "pathminer.cli:entry"}
+    dunder_main = ast.parse((ROOT / "src" / "pathminer" / "__main__.py").read_text(encoding="utf-8"))
+    assert ast.unparse(dunder_main) == "from .cli import entry\nentry()"
+    cli_guard = ast.parse((ROOT / "src" / "pathminer" / "cli.py").read_text(encoding="utf-8")).body[-1]
+    assert ast.unparse(cli_guard) == "if __name__ == '__main__':\n    entry()"
 
 
 def test_every_error_type_is_raised_somewhere():
