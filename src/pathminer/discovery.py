@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import InputError
 from .model import EventLog
-from .petri import Marking, PetriNet, Transition
+from .petri import Marking, PetriNet, Transition, reachable
 
 CAUSAL = "->"
 REVERSE = "<-"
@@ -68,45 +68,20 @@ def _retained_edges(dfg: DirectlyFollowsGraph, paths: float) -> tuple[set, list]
     return retained, dropped
 
 
-_SOURCE = object()
-_SINK = object()
+def _wired_to_sink(dfg: DirectlyFollowsGraph, retained: set) -> set[str]:
+    """The end activities and every activity without a retained outgoing edge."""
+    return set(dfg.ends) | (set(dfg.activities) - {a for a, _ in retained})
 
 
 def _coverage(dfg: DirectlyFollowsGraph, retained: set) -> set[str]:
-    """Activities lying on a source-to-sink path of the retained graph.
-
-    Start activities hang off the source; end activities and activities
-    without any retained outgoing edge reach the sink.
-    """
-    forward: dict[object, set] = {a: set() for a in dfg.activities}
-    forward[_SOURCE] = set(dfg.starts)
-    backward: dict[object, set] = {a: set() for a in dfg.activities}
+    """Activities lying on a source-to-sink path of the retained graph:
+    reached from a start activity, and reaching one wired to the sink."""
+    forward: dict[str, set[str]] = {}
+    backward: dict[str, set[str]] = {}
     for a, b in retained:
-        forward[a].add(b)
-        backward[b].add(a)
-    sink_feeders = set(dfg.ends) | {
-        a for a in dfg.activities if not forward[a]
-    }
-
-    reach_fwd: set[str] = set()
-    frontier = list(forward[_SOURCE])
-    while frontier:
-        node = frontier.pop()
-        if node in reach_fwd:
-            continue
-        reach_fwd.add(node)
-        frontier.extend(forward[node])
-
-    reach_bwd: set[str] = set()
-    frontier = list(sink_feeders)
-    while frontier:
-        node = frontier.pop()
-        if node in reach_bwd:
-            continue
-        reach_bwd.add(node)
-        frontier.extend(backward[node])
-
-    return reach_fwd & reach_bwd
+        forward.setdefault(a, set()).add(b)
+        backward.setdefault(b, set()).add(a)
+    return reachable(dfg.starts, forward) & reachable(_wired_to_sink(dfg, retained), backward)
 
 
 def _repair_connectivity(dfg: DirectlyFollowsGraph, retained: set, dropped: list) -> set:
@@ -124,6 +99,12 @@ def _repair_connectivity(dfg: DirectlyFollowsGraph, retained: set, dropped: list
         retained.add(candidate)
         covered = _coverage(dfg, retained)
     return retained
+
+
+def _workflow_net(places: set[str], transitions, arcs: set, name: str) -> PetriNet:
+    """The net that runs from one token on ``source`` to one on ``sink``."""
+    return PetriNet(frozenset(places), tuple(transitions), frozenset(arcs),
+                    Marking(["source"]), Marking(["sink"]), name)
 
 
 def dfg_to_net(dfg: DirectlyFollowsGraph, retained: set, name: str = "dfm") -> PetriNet:
@@ -148,11 +129,7 @@ def dfg_to_net(dfg: DirectlyFollowsGraph, retained: set, name: str = "dfm") -> P
         transitions.append(Transition(tid))
         arcs.update((("source", tid), (tid, f"in [{activity}]")))
 
-    out_degree = {a: 0 for a in dfg.activities}
-    for a, _ in retained:
-        out_degree[a] += 1
-    end_wired = set(dfg.ends) | {a for a, deg in out_degree.items() if deg == 0}
-    for activity in sorted(end_wired):
+    for activity in sorted(_wired_to_sink(dfg, retained)):
         tid = f"end [{activity}]"
         transitions.append(Transition(tid))
         arcs.update(((f"out [{activity}]", tid), (tid, "sink")))
@@ -161,14 +138,7 @@ def dfg_to_net(dfg: DirectlyFollowsGraph, retained: set, name: str = "dfm") -> P
         transitions.append(Transition("skip"))
         arcs.update((("source", "skip"), ("skip", "sink")))
 
-    return PetriNet(
-        places=frozenset(places),
-        transitions=tuple(transitions),
-        arcs=frozenset(arcs),
-        initial_marking=Marking(["source"]),
-        final_marking=Marking(["sink"]),
-        name=name,
-    )
+    return _workflow_net(places, transitions, arcs, name)
 
 
 def mine_dfm(log: EventLog, paths: float) -> PetriNet:
@@ -276,11 +246,4 @@ def mine_alpha(log: EventLog) -> PetriNet:
         arcs.add(("source", f"act [{start}]"))
     for end in sorted(dfg.ends):
         arcs.add((f"act [{end}]", "sink"))
-    return PetriNet(
-        places=frozenset(places),
-        transitions=transitions,
-        arcs=frozenset(arcs),
-        initial_marking=Marking(["source"]),
-        final_marking=Marking(["sink"]),
-        name="alpha",
-    )
+    return _workflow_net(places, transitions, arcs, "alpha")

@@ -73,7 +73,17 @@ def read_net_json(data: bytes | str) -> PetriNet:
                 _typed(place, str, f"{key}[{i}]")
         return Marking(value)
 
-    places = frozenset(_field(p, "id", str, path) for path, p in objects("places"))
+    def distinct(key: str, what: str, read) -> frozenset:
+        """``read(object, path)`` of each entry of ``doc[key]``; a repeat is an error."""
+        seen: set = set()
+        for path, item in objects(key):
+            value = read(item, path)
+            if value in seen:
+                raise FormatError(f"net JSON {path} repeats {what} {value!r}")
+            seen.add(value)
+        return frozenset(seen)
+
+    places = distinct("places", "place", lambda p, path: _field(p, "id", str, path))
     transitions = tuple(
         Transition(
             _field(t, "id", str, path),
@@ -82,9 +92,8 @@ def read_net_json(data: bytes | str) -> PetriNet:
         )
         for path, t in objects("transitions")
     )
-    arcs = frozenset(
-        (_field(a, "source", str, path), _field(a, "target", str, path)) for path, a in objects("arcs")
-    )
+    arcs = distinct("arcs", "arc", lambda a, path: (_field(a, "source", str, path),
+                                                     _field(a, "target", str, path)))
     name = _typed(doc.get("name", "net"), str, "name")
     try:
         return PetriNet(places, transitions, arcs, marking("initial_marking"),

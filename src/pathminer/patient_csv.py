@@ -15,7 +15,7 @@ import math
 from datetime import date
 
 from .errors import PathminerError, RowError, SchemaError
-from .model import Outcome, PatientDatum
+from .model import CLINICAL_FIELDS, Outcome, PatientDatum
 
 # Column name -> PatientDatum field, in canonical file order.
 COLUMNS: tuple[tuple[str, str], ...] = (
@@ -40,6 +40,8 @@ COLUMNS: tuple[tuple[str, str], ...] = (
     ("MRA", "mra"),
     ("Timestamp", "timestamp"),
 )
+# Lower-cased column name -> column name: header names match case-insensitively.
+_REQUIRED = {column.lower(): column for column, _ in COLUMNS}
 
 _INT_FIELDS = {"lvef", "hf_diagnosis_year"}
 _BOOL_FIELDS = {"hfref", "hfmref", "hfpef", "diabetes", "ckd"}
@@ -127,12 +129,21 @@ def parse_patient_csv(data: bytes | str) -> list[PatientDatum]:
     except StopIteration:
         raise SchemaError("empty file: header row required") from None
 
-    lookup = {name.strip(_SPACE).lower(): i for i, name in enumerate(header)}
+    named: dict[str, int] = {}  # header name -> position; a required column's is canonical
+    for i, cell in enumerate(header):
+        name = cell.strip(_SPACE)
+        name = _REQUIRED.get(name.lower(), name)
+        if name in CLINICAL_FIELDS:
+            raise _record_error(0, f"column {name!r} names a clinical attribute")
+        if name in named:
+            raise _record_error(0, f"column {name!r} appears twice")
+        if name:
+            named[name] = i
     positions: dict[str, int] = {}
     for column, field in COLUMNS:
-        if column.lower() not in lookup:
+        if column not in named:
             raise SchemaError(f"missing required column {column!r}")
-        positions[field] = lookup[column.lower()]
+        positions[field] = named[column]
     known = set(positions.values())
     extras = [(name.strip(_SPACE), i) for i, name in enumerate(header) if i not in known]
 

@@ -220,6 +220,19 @@ def decision_points(net: PetriNet | CompiledNet) -> list[DecisionPoint]:
     return points
 
 
+def reachable(seeds, successors) -> set:
+    """The seeds and every node reached from them over ``successors``, a
+    ``node -> nodes`` map in which a node without an entry has none."""
+    reached = set()
+    frontier = list(seeds)
+    while frontier:
+        node = frontier.pop()
+        if node not in reached:
+            reached.add(node)
+            frontier.extend(successors.get(node, ()))
+    return reached
+
+
 # Stable ids for the hand-built treatment-path reference model. Place names
 # follow the usual sequential convention; the decision-mining API and the
 # simulator address places by these ids.

@@ -38,7 +38,7 @@ from typing import NamedTuple, get_type_hints
 from .errors import ConfigError
 from .model import Outcome, PatientDatum, classify_phenotype
 from .petri import (P1, P2, P3, P4, P_END, P_START, SILENT_CHOICE, CompiledNet, build_dejure,
-                    decision_points)
+                    decision_points, reachable)
 
 _OUTCOME_BY_LABEL = {o.value: o for o in Outcome}
 
@@ -193,15 +193,11 @@ def _check_walk_ends(probs: dict[str, dict[str, float]]) -> None:
     positive-weight choices lead to the final place: that walk never ends."""
     steps = {place: {_PLACE_CHOICES[place][label] for label, p in weights.items() if p > 0}
              for place, weights in probs.items()}
-    reached, frontier = {P_START}, [P_START]
-    while frontier:
-        for place in steps.get(frontier.pop(), set()) - reached:
-            reached.add(place)
-            frontier.append(place)
-    ending = {P_END}
-    while grown := {place for place, nexts in steps.items() if nexts & ending} - ending:
-        ending |= grown
-    if stuck := sorted(reached - ending):
+    before: dict[str, set[str]] = {}
+    for place, nexts in steps.items():
+        for following in nexts:
+            before.setdefault(following, set()).add(place)
+    if stuck := sorted(reachable([P_START], steps) - reachable([P_END], before)):
         raise ConfigError(f"the place weights give a walk through {', '.join(stuck)} no way "
                           f"to reach {P_END}, so it never ends")
 

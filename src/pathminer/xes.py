@@ -102,10 +102,10 @@ def read_xes(data: bytes | str) -> EventLog:
     The case id is the last trace-level ``concept:name``; an event's first
     ``concept:name`` and ``time:timestamp`` are its activity and timestamp,
     its other direct children its attributes. Booleans must be xs:boolean,
-    numbers ASCII with no ``_``, floats finite, case ids unique; a
-    ``<trace>`` or ``<event>`` inside an event, attribute or trace is
-    misplaced. Errors come in the order a tree reader meets them: malformed
-    XML, root, then per trace case id, events."""
+    numbers ASCII with no ``_``, floats finite, case ids unique, traces
+    not empty; a ``<trace>`` or ``<event>`` inside an event, attribute or
+    trace is misplaced. Errors come in the order a tree reader meets them:
+    malformed XML, root, then per trace case id, events, emptiness."""
     events: list[Event] = []
     trace_of_case: dict[str, int] = {}
     days: dict[str, date] = {}
@@ -197,6 +197,8 @@ def read_xes(data: bytes | str) -> EventLog:
                 events.extend(Event(case_id, *fields) for fields in pending)
                 if error is not None:
                     raise FormatError(error)
+                if not pending:  # an EventLog holds no case without events
+                    raise FormatError(f"trace {t_index}: {case_id!r} holds no <event>")
         depth -= 1
 
     try:

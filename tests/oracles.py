@@ -21,7 +21,11 @@ that one holdout and one feature space per place replaced: naive Bayes
 rescans the rows per class and feature, logistic regression encodes one
 row at a time and reduces along the class axis, and every call draws its
 own split; ``ReferenceNaiveBayes.scores`` is ``predict``'s loop returning
-every class's score.
+every class's score. ``reference_coverage`` and ``reference_check_walk_ends``
+are the two hand-written graph walks that ``petri.reachable`` replaced: a
+forward and a backward stack search over the retained edges of a
+directly-follows graph, and a stack search plus a fixpoint over the
+simulator's positive-weight place steps.
 """
 
 import heapq
@@ -40,11 +44,13 @@ from pathminer.conformance import (
     _silent_closure_enabled, align_log, f1, model_path_cost, simplicity,
 )
 from pathminer.decision_mining import ClassifierReport, _stratified_split
+from pathminer.discovery import DirectlyFollowsGraph
 from pathminer.model import AttrValue, Event, EventLog
 from pathminer.errors import (
-    FormatError, InputError, ModelError, ResourceError,
+    ConfigError, FormatError, InputError, ModelError, ResourceError,
 )
-from pathminer.petri import CompiledNet, Marking, PetriNet, Transition
+from pathminer.petri import P_END, P_START, CompiledNet, Marking, PetriNet, Transition
+from pathminer.simulate import _PLACE_CHOICES
 
 PHENOTYPE_FLAGS = {
     "HFrEF": {"hfref": True, "hfmref": False, "hfpef": False},
@@ -489,6 +495,64 @@ def random_trace(rng: random.Random, net: PetriNet, max_length: int = 6) -> tupl
     return tuple(walked[:max_length])
 
 
+_SOURCE = object()
+
+
+def reference_coverage(dfg: DirectlyFollowsGraph, retained: set) -> set[str]:
+    """Activities lying on a source-to-sink path of the retained graph.
+
+    Start activities hang off the source; end activities and activities
+    without any retained outgoing edge reach the sink.
+    """
+    forward: dict[object, set] = {a: set() for a in dfg.activities}
+    forward[_SOURCE] = set(dfg.starts)
+    backward: dict[object, set] = {a: set() for a in dfg.activities}
+    for a, b in retained:
+        forward[a].add(b)
+        backward[b].add(a)
+    sink_feeders = set(dfg.ends) | {
+        a for a in dfg.activities if not forward[a]
+    }
+
+    reach_fwd: set[str] = set()
+    frontier = list(forward[_SOURCE])
+    while frontier:
+        node = frontier.pop()
+        if node in reach_fwd:
+            continue
+        reach_fwd.add(node)
+        frontier.extend(forward[node])
+
+    reach_bwd: set[str] = set()
+    frontier = list(sink_feeders)
+    while frontier:
+        node = frontier.pop()
+        if node in reach_bwd:
+            continue
+        reach_bwd.add(node)
+        frontier.extend(backward[node])
+
+    return reach_fwd & reach_bwd
+
+
+def reference_check_walk_ends(probs: dict[str, dict[str, float]]) -> None:
+    """Reject weights under which a walk reaches a place from which no
+    positive-weight choices lead to the final place: that walk never ends."""
+    steps = {place: {_PLACE_CHOICES[place][label] for label, p in weights.items() if p > 0}
+             for place, weights in probs.items()}
+    reached, frontier = {P_START}, [P_START]
+    while frontier:
+        for place in steps.get(frontier.pop(), set()) - reached:
+            reached.add(place)
+            frontier.append(place)
+    ending = {P_END}
+    while grown := {place for place, nexts in steps.items() if nexts & ending} - ending:
+        ending |= grown
+    if stuck := sorted(reached - ending):
+        raise ConfigError(f"the place weights give a walk through {', '.join(stuck)} no way "
+                          f"to reach {P_END}, so it never ends")
+
+
 class ReferenceXes:
     """XES through an ElementTree: the writer builds, indents and serializes
     a tree, and the reader walks ``ET.fromstring``'s tree, so it reads every
@@ -614,6 +678,8 @@ class ReferenceXes:
                 if timestamp is None:
                     raise FormatError(f"{where}: missing time:timestamp")
                 events.append(Event(case_id, str(activity), timestamp, attributes))
+            if next(trace.iter("event"), None) is None:
+                raise FormatError(f"trace {t_index}: {case_id!r} holds no <event>")
         return EventLog(tuple(events))
 
 

@@ -2,10 +2,15 @@ import random
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_log
+from oracles import reference_coverage
 from pathminer.conformance import align, fitness
 from pathminer.discovery import (
+    DirectlyFollowsGraph,
+    _coverage,
     alpha_pairs,
     build_dfg,
     build_footprint,
@@ -86,6 +91,29 @@ class TestMineDfm:
     def test_empty_log_yields_walkable_net(self):
         net = mine_dfm(EventLog(), 1.0)
         assert align(net, ()).total_cost == 0
+
+
+@st.composite
+def dfgs_with_retained_edges(draw):
+    """A directly-follows graph over 1-8 activities, with any starts, ends
+    and edges (self-loops and exitless cycles included), and a retained
+    subset of its edges."""
+    activities = "abcdefgh"[:draw(st.integers(1, 8))]
+    pairs = [(a, b) for a in activities for b in activities]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    starts = draw(st.lists(st.sampled_from(activities), unique=True))
+    ends = draw(st.lists(st.sampled_from(activities), unique=True))
+    retained = draw(st.sets(st.sampled_from(edges))) if edges else set()
+    dfg = DirectlyFollowsGraph(dict.fromkeys(activities, 1), dict.fromkeys(edges, 1),
+                               dict.fromkeys(starts, 1), dict.fromkeys(ends, 1))
+    return dfg, retained
+
+
+@settings(max_examples=300, deadline=None)
+@given(dfgs_with_retained_edges())
+def test_coverage_matches_the_two_loop_reference(case):
+    dfg, retained = case
+    assert _coverage(dfg, retained) == reference_coverage(dfg, retained)
 
 
 def brute_alpha_pairs(log):

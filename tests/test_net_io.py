@@ -135,3 +135,17 @@ def test_a_value_of_the_wrong_type_is_named(dejure, edit, message):
     with pytest.raises(FormatError) as err:
         read_net_json(json.dumps(edit(doc)))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("key, message", [
+    ("places", "net JSON places[6] repeats place 'p0'"),
+    ("arcs", "net JSON arcs[30] repeats arc ('back_to_watch', 'p1')"),
+], ids=["place", "arc"])
+def test_a_repeated_place_or_arc_is_named(dejure, key, message):
+    # both used to fold into a set; a repeated arc most likely means a
+    # weight, which a net of unit arcs cannot hold
+    doc = json.loads(write_net_json(dejure))
+    doc[key].append(doc[key][0])
+    with pytest.raises(FormatError) as err:
+        read_net_json(json.dumps(doc))
+    assert str(err.value) == message

@@ -173,6 +173,46 @@ def test_only_the_process_entry_ends_the_process():
     assert ast.unparse(cli_guard) == "if __name__ == '__main__':\n    entry()"
 
 
+def _bound_names(statement) -> set[str]:
+    """The names a module-level definition or assignment binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {statement.name}
+    if isinstance(statement, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        return {node.id for target in targets for node in ast.walk(target)
+                if isinstance(node, ast.Name)}
+    return set()
+
+
+def _loaded_names(statement) -> set[str]:
+    """The names a statement reads: as a name, an attribute, or an import."""
+    names = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_private_module_name_is_read_outside_its_own_binding():
+    # a private name that nothing reads is dead code; one that only its own
+    # body reads (a recursive helper nothing calls) is dead too
+    statements = [(path.name, statement)
+                  for path in sorted((ROOT / "src" / "pathminer").glob("*.py"))
+                  for statement in ast.parse(path.read_text(encoding="utf-8")).body]
+    loaded = [_loaded_names(statement) for _, statement in statements]
+    private = [(where, i, name) for i, (where, statement) in enumerate(statements)
+               for name in _bound_names(statement)
+               if name.startswith("_") and not name.startswith("__")]
+    assert len(private) > 50
+    unread = [f"{where}:{name}" for where, i, name in private
+              if not any(name in names for j, names in enumerate(loaded) if j != i)]
+    assert unread == []
+
+
 def test_every_error_type_is_raised_somewhere():
     # an error type that nothing raises is dead code and a false promise to
     # callers that catch it

@@ -83,6 +83,30 @@ def test_extra_columns_preserved_as_text():
     assert rows[0].extra == {"Note": "stable"}
 
 
+@pytest.mark.parametrize(
+    "extra_header,name",
+    [("LVEF", "LVEF"), (" lvef ", "LVEF"), ("Note,Note ", "Note")],
+    ids=["required-again", "required-in-other-case", "extra-twice"],
+)
+def test_a_column_named_twice_is_a_schema_error(extra_header, name):
+    # the last of two LVEF columns used to win, and the first stayed on as text
+    data = (HEADER + f",{extra_header}\n007,35,0,0,1,,,,,,,,,,,,,,,2023-02-20,70,x\n").encode()
+    with pytest.raises(SchemaError, match=rf"^header row: column '{name}' appears twice$"):
+        parse_patient_csv(data)
+
+
+def test_an_extra_column_named_like_a_clinical_attribute_is_a_schema_error():
+    # its text used to replace the parsed dose among the event's attributes
+    data = (HEADER + ",beta_blocker\n007,,,,,,,,,,,,,,,50,,,,2023-02-20,lots\n").encode()
+    with pytest.raises(SchemaError, match="^header row: column 'beta_blocker' names a clinical"):
+        parse_patient_csv(data)
+
+
+def test_blank_extra_header_cells_may_repeat():
+    data = (HEADER + ", ,\n007,,,,,,,,,,,,,,,,,,,2023-02-20,,x\n").encode()
+    assert parse_patient_csv(data)[0].extra == {"": "x"}
+
+
 def test_round_trip_is_fixpoint(table_rows):
     written = write_patient_csv(table_rows)
     reparsed = parse_patient_csv(written)

@@ -3,7 +3,10 @@ from datetime import date
 
 import pytest
 import scipy.stats as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_check_walk_ends
 from pathminer.conformance import fitness
 from pathminer.errors import ConfigError, PathminerError
 from pathminer.model import Outcome
@@ -13,6 +16,8 @@ from pathminer.simulate import (
     DEFAULT_PLACE_WEIGHTS,
     AttributeSampler,
     SimulationConfig,
+    _check_walk_ends,
+    _PLACE_CHOICES,
     load_config,
     simulate,
     simulate_detailed,
@@ -177,6 +182,26 @@ def test_a_uniform_lvef_is_refused_and_names_the_type():
 def test_lvef_draws_outside_0_to_100_are_refused(spec):
     with pytest.raises(ConfigError, match="^attribute 'lvef': draws LVEF values outside"):
         SimulationConfig(attributes={"lvef": AttributeSampler(**spec)})
+
+
+# Each decision place with every one of its choices weighted 0, 0.5 or 1.
+_place_weights = st.fixed_dictionaries({
+    place: st.fixed_dictionaries({label: st.sampled_from([0.0, 0.5, 1.0]) for label in choices})
+    for place, choices in _PLACE_CHOICES.items()
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_place_weights)
+def test_walk_end_check_matches_the_fixpoint_reference(probs):
+    try:
+        reference_check_walk_ends(probs)
+    except ConfigError as expected:
+        with pytest.raises(ConfigError) as err:
+            _check_walk_ends(probs)
+        assert str(err.value) == str(expected)
+    else:
+        _check_walk_ends(probs)
 
 
 class TestWalks:

@@ -176,6 +176,18 @@ def test_duplicate_case_id_rejected():
         read_xes(data)
 
 
+def test_a_trace_without_events_is_rejected_after_its_case_id_checks():
+    # an EventLog cannot hold the case, which used to vanish from the log
+    empty = '<trace><string key="concept:name" value="{}"/></trace>'
+    data = "<log>" + empty.format("empty") + _one_event_trace("a") + "</log>"
+    for read in (read_xes, ReferenceXes.read_xes):
+        with pytest.raises(FormatError, match="^trace 0: 'empty' holds no <event>$"):
+            read(data)
+    data = "<log>" + _one_event_trace("a") + empty.format("a") + "</log>"
+    with pytest.raises(FormatError, match="^trace 1: concept:name 'a' already names trace 0$"):
+        read_xes(data)
+
+
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
 def test_non_finite_float_rejected(text):
     data = "<log>" + _one_event_trace("A", f'<float key="wbc" value="{text}"/>') + "</log>"
