@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "conformance": ("Alignment", "ConformanceReport", "align", "conformance_report", "f1",
                     "fitness", "generalization", "precision", "simplicity"),
-    "decision_mining": ("DecisionInstance", "distribution", "extract_instances", "mine_place",
-                        "train_classifier"),
+    "decision_mining": ("DecisionInstance", "Holdout", "distribution", "extract_instances",
+                        "mine_place", "train_classifier"),
     "discovery": ("build_dfg", "build_footprint", "mine_alpha", "mine_dfm"),
     "model": ("Event", "EventLog", "Outcome", "PatientDatum", "PatientSequence", "Phenotype",
               "build_sequences", "classify_phenotype"),

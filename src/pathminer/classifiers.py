@@ -1,20 +1,25 @@
-"""Small deterministic classifiers over attribute-map features.
+"""Small deterministic classifiers over one column encoding per place.
 
-All four models consume rows as ``{attribute: value}`` dicts in which any
-value may be None. Missing data is part of the contract, never imputed
-behind the caller's back:
+``encode`` turns rows, ``{attribute: value}`` dicts in which any value may
+be None, into one column per feature: floats with a missing mask, or codes
+into the training rows' sorted categories, where a missing value is the
+``⊥`` category and a text that no training row holds is -1. Each model fits
+on the columns at the training row positions and predicts at others.
+Missing data is part of the contract, never imputed behind the caller's
+back:
 
 - majority: ignores features entirely.
-- naive Bayes: a missing value simply drops that feature's likelihood term.
+- naive Bayes: a missing value simply drops that feature's likelihood term;
+  a literal ``⊥`` text is a category like any other.
 - logistic regression: numeric features are mean-imputed and paired with a
-  missing indicator column; categoricals are one-hot with an explicit
-  missing category.
+  missing indicator column; categoricals are one-hot, ``⊥`` included.
 - decision tree: missing is its own branch content; numeric splits route
   missing rows to whichever side scores better, and categorical splits may
   test for missingness itself.
 
 Nothing here draws randomness: training is deterministic given the rows.
-``fit`` takes the rows' ``_feature_space`` as ``space`` if the caller has it.
+``encode`` is pure Python, so only logistic regression and the tree load
+numpy.
 """
 
 import math
@@ -29,8 +34,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 MISSING = "⊥"  # rendering of an absent categorical value
-
-KINDS = ("majority", "naive-bayes", "logistic", "decision-tree")
 
 # priority when a feature shows mixed value types across rows
 _RANK = {"unknown": 0, "numeric": 1, "categorical": 2, "ignored": 3}
@@ -74,143 +77,161 @@ def _categorical(value) -> str:
     return str(value)
 
 
-class _Classifier:
-    """Predicts many rows; a subclass may encode them together."""
+class Column(NamedTuple):
+    """One feature of a place's rows, indexed by row position.
 
-    def predict_rows(self, rows) -> list[str]:
-        return [self.predict(row) for row in rows]
+    A numeric column (``categories`` None) holds floats, 0.0 where missing;
+    a categorical one holds codes into ``categories``. ``missing`` marks the
+    rows whose value is None.
+    """
+
+    name: str
+    values: list
+    missing: list[bool]
+    categories: tuple[str, ...] | None = None
 
 
-class MajorityClassifier(_Classifier):
+def encode(rows, space: dict[str, str], train) -> list[Column]:
+    """One column per feature of ``space`` over ``rows``, with categories
+    drawn from the rows at the positions ``train``."""
+    columns = []
+    for name, kind in space.items():
+        raw = [row.get(name) for row in rows]
+        missing = [value is None for value in raw]
+        if kind == "numeric":
+            columns.append(Column(name, [0.0 if v is None else float(v) for v in raw], missing))
+            continue
+        text = [_categorical(v) for v in raw]
+        categories = tuple(sorted({text[i] for i in train}))
+        code = {category: j for j, category in enumerate(categories)}
+        columns.append(Column(name, [code.get(t, -1) for t in text], missing, categories))
+    return columns
+
+
+class MajorityClassifier:
     """Predicts the most frequent training label, ties broken
     lexicographically."""
 
-    kind = "majority"
-
-    def fit(self, rows, labels, space=None):
+    def fit(self, columns, rows, labels):
         counts = Counter(labels)
         top = max(counts.values())
         self.label_ = min(l for l, c in counts.items() if c == top)
         return self
 
-    def predict(self, row) -> str:
-        return self.label_
+    def predict(self, columns, rows) -> list[str]:
+        return [self.label_] * len(rows)
 
 
 def _gaussian(values) -> tuple[float, float, float] | None:
     """One class's Gaussian as (mean, -0.5*log(2πvar), 2*var)."""
     if not values:
         return None
-    values = [float(v) for v in values]
     mean = sum(values) / len(values)
     var = sum((v - mean) ** 2 for v in values) / len(values) + 1e-9
     return mean, -0.5 * math.log(2 * math.pi * var), 2 * var
 
 
-class NaiveBayesClassifier(_Classifier):
+class NaiveBayesClassifier:
     """Gaussian/categorical naive Bayes with per-row feature skipping.
 
-    Per feature, ``terms_`` holds each class's Gaussian (None without
-    values), or per-class log-probabilities by category and for an unseen one.
+    Per column, ``terms_`` holds each class's Gaussian (None without
+    values), or per-class log-probabilities by category code and for an
+    unseen one. Only rows with a value count, so a missing value is no
+    category here.
     """
 
-    kind = "naive-bayes"
-
-    def fit(self, rows, labels, space=None):
-        self.space_ = _feature_space(rows) if space is None else space
+    def fit(self, columns, rows, labels):
         self.classes_ = sorted(set(labels))
         by_class = {c: [] for c in self.classes_}
-        for row, label in zip(rows, labels):
-            by_class[label].append(row)
+        for i, label in zip(rows, labels):
+            by_class[label].append(i)
         self.log_prior_ = [math.log(len(by_class[c]) / len(labels)) for c in self.classes_]
         self.terms_ = []
-        for name, kind in self.space_.items():
-            present = [[r[name] for r in by_class[c] if r.get(name) is not None] for c in self.classes_]
-            if kind == "numeric":
-                self.terms_.append((name, True, [_gaussian(values) for values in present]))
+        for column in columns:
+            present = [[column.values[i] for i in by_class[c] if not column.missing[i]]
+                       for c in self.classes_]
+            if column.categories is None:
+                self.terms_.append([_gaussian(values) for values in present])
                 continue
-            tallies = [Counter(map(_categorical, values)) for values in present]
-            cats = sorted(set().union(*tallies))
+            tallies = [Counter(codes) for codes in present]
+            cats = set().union(*tallies)
             table = {cat: [math.log((t[cat] + 1) / (t.total() + len(cats))) for t in tallies] for cat in cats}
             unseen = [-math.log(len(cats) + 1) if cats else 0.0] * len(self.classes_)
-            self.terms_.append((name, False, (table, unseen)))
+            self.terms_.append((table, unseen))
         return self
 
-    def _scores(self, row) -> list[float]:
-        """Each class's prior plus the terms of the row's present features,
-        added in feature order."""
+    def _scores(self, columns, i: int) -> list[float]:
+        """Each class's prior plus the terms of row ``i``'s present
+        features, added in feature order."""
         scores = list(self.log_prior_)
-        for name, numeric, terms in self.terms_:
-            value = row.get(name)
-            if value is None:
+        for column, terms in zip(columns, self.terms_):
+            if column.missing[i]:
                 continue
-            if numeric:
-                x = float(value)
-                for i, gaussian in enumerate(terms):
+            x = column.values[i]
+            if column.categories is None:
+                for c, gaussian in enumerate(terms):
                     if gaussian is not None:
-                        scores[i] += gaussian[1] - ((x - gaussian[0]) ** 2) / gaussian[2]
+                        scores[c] += gaussian[1] - ((x - gaussian[0]) ** 2) / gaussian[2]
             else:
-                for i, logp in enumerate(terms[0].get(_categorical(value), terms[1])):
-                    scores[i] += logp
+                for c, logp in enumerate(terms[0].get(x, terms[1])):
+                    scores[c] += logp
         return scores
 
-    def predict(self, row) -> str:
-        scores = self._scores(row)
-        return self.classes_[max(range(len(scores)), key=scores.__getitem__)]
+    def predict(self, columns, rows) -> list[str]:
+        predicted = []
+        for i in rows:
+            scores = self._scores(columns, i)
+            predicted.append(self.classes_[max(range(len(scores)), key=scores.__getitem__)])
+        return predicted
 
 
-class LogisticClassifier(_Classifier):
+class LogisticClassifier:
     """Multinomial softmax regression trained by full-batch gradient
     descent from a zero start; no randomness involved.
 
-    The rows are encoded column by column into one matrix, and each row is
-    scored as its own vector-matrix product. The epoch loop reduces over
-    the class columns left to right and works in place, with the float
-    operations of a row-wise softmax, so the weights keep their bits.
+    Each row is scored as its own vector-matrix product. The epoch loop
+    reduces over the class columns left to right and works in place, with
+    the float operations of a row-wise softmax, so the weights keep their
+    bits.
     """
 
-    kind = "logistic"
     EPOCHS = 400
     LEARNING_RATE = 0.5
     L2 = 1e-3
 
-    def _matrix(self, rows) -> "np.ndarray":
-        """Per numeric feature the scaled value (0 when missing) and a
-        missing indicator, per categorical feature one indicator per
+    def _matrix(self, columns, rows) -> "np.ndarray":
+        """Per numeric column the scaled value (0 when missing) and a
+        missing indicator, per categorical column one indicator per
         category, and the intercept last, as a C-ordered matrix."""
         import numpy as np
 
-        columns = []
-        for name, kind in self.space_.items():
-            values = [row.get(name) for row in rows]
-            if kind == "numeric":
-                mean, std = self.scaling_[name]
-                columns.append([0.0 if v is None else (float(v) - mean) / std for v in values])
-                columns.append([1.0 if v is None else 0.0 for v in values])
+        idx = np.asarray(rows, dtype=np.intp)
+        parts = []
+        for column, scaling in zip(columns, self.scaling_):
+            values = np.asarray(column.values)[idx]
+            if scaling is None:
+                parts.extend(values == j for j in range(len(column.categories)))
             else:
-                text = [_categorical(v) for v in values]
-                columns.extend([1.0 if t == c else 0.0 for t in text] for c in self.categories_[name])
-        columns.append([1.0] * len(rows))
-        return np.array(columns, dtype=np.float64).T.copy()
+                missing = np.asarray(column.missing, dtype=bool)[idx]
+                parts += [np.where(missing, 0.0, (values - scaling[0]) / scaling[1]), missing]
+        parts.append(np.ones(len(idx)))
+        return np.array(parts, dtype=np.float64).T.copy()
 
-    def fit(self, rows, labels, space=None):
+    def fit(self, columns, rows, labels):
         import numpy as np
 
-        self.space_ = _feature_space(rows) if space is None else space
         self.classes_ = sorted(set(labels))
-        self.scaling_ = {}
-        self.categories_ = {}
-        for name, kind in self.space_.items():
-            if kind == "numeric":
-                values = [float(r[name]) for r in rows if r.get(name) is not None]
-                mean = sum(values) / len(values) if values else 0.0
-                var = sum((v - mean) ** 2 for v in values) / len(values) if values else 0.0
-                self.scaling_[name] = (mean, math.sqrt(var) or 1.0)
-            else:
-                cats = {_categorical(r.get(name)) for r in rows}
-                self.categories_[name] = sorted(cats)
+        self.scaling_ = []  # per column (mean, std) of its present values, None if categorical
+        for column in columns:
+            if column.categories is not None:
+                self.scaling_.append(None)
+                continue
+            values = [column.values[i] for i in rows if not column.missing[i]]
+            mean = sum(values) / len(values) if values else 0.0
+            var = sum((v - mean) ** 2 for v in values) / len(values) if values else 0.0
+            self.scaling_.append((mean, math.sqrt(var) or 1.0))
 
-        matrix = self._matrix(rows)
+        matrix = self._matrix(columns, rows)
         index = {c: i for i, c in enumerate(self.classes_)}
         target = np.zeros((len(rows), len(self.classes_)))
         for i, label in enumerate(labels):
@@ -220,10 +241,10 @@ class LogisticClassifier(_Classifier):
         n, decay = len(rows), np.empty_like(weights)
         for _ in range(self.EPOCHS):
             scores = matrix @ weights
-            columns = [scores[:, j] for j in range(len(self.classes_))]
-            scores -= reduce(np.maximum, columns)[:, None]
+            per_class = [scores[:, j] for j in range(len(self.classes_))]
+            scores -= reduce(np.maximum, per_class)[:, None]
             np.exp(scores, out=scores)
-            scores /= sum(columns[1:], columns[0])[:, None]
+            scores /= sum(per_class[1:], per_class[0])[:, None]
             scores -= target  # now probs - target
             gradient = matrix.T @ scores
             gradient /= n
@@ -232,13 +253,10 @@ class LogisticClassifier(_Classifier):
             weights -= gradient
         return self
 
-    def predict_rows(self, rows) -> list[str]:
+    def predict(self, columns, rows) -> list[str]:
         import numpy as np
 
-        return [self.classes_[int(np.argmax(row @ self.weights_))] for row in self._matrix(rows)]
-
-    def predict(self, row) -> str:
-        return self.predict_rows([row])[0]
+        return [self.classes_[int(np.argmax(row @ self.weights_))] for row in self._matrix(columns, rows)]
 
 
 class _TreeNode:
@@ -259,33 +277,6 @@ class _TreeNode:
         self.right = right
 
 
-class _Column(NamedTuple):
-    """One feature of a tree's training rows, encoded once per fit.
-
-    A numeric column holds float values with a missing mask (the values
-    under the mask are placeholders); a categorical column holds codes into
-    its sorted categories and no mask.
-    """
-
-    name: str
-    values: "np.ndarray"
-    missing: "np.ndarray | None" = None
-    categories: tuple[str, ...] = ()
-
-    @classmethod
-    def encode(cls, rows, name: str, kind: str) -> "_Column":
-        import numpy as np
-
-        raw = [row.get(name) for row in rows]
-        if kind == "numeric":
-            values = np.array([0.0 if v is None else float(v) for v in raw], dtype=np.float64)
-            return cls(name, values, np.array([v is None for v in raw], dtype=bool))
-        text = [_categorical(v) for v in raw]
-        categories = tuple(sorted(set(text)))
-        code = {category: i for i, category in enumerate(categories)}
-        return cls(name, np.array([code[t] for t in text], dtype=np.intp), categories=categories)
-
-
 def _first_seen(codes) -> tuple[list[int], list[int]]:
     """The distinct codes in order of first appearance, and the position of
     each first appearance."""
@@ -296,15 +287,15 @@ def _first_seen(codes) -> tuple[list[int], list[int]]:
     return distinct[order].tolist(), first[order].tolist()
 
 
-class DecisionTreeClassifier(_Classifier):
+class DecisionTreeClassifier:
     """CART-style tree on gini impurity with explicit missing handling.
 
-    ``fit`` encodes the rows once: each numeric feature as a float column
-    with a missing mask, each categorical feature as codes over its sorted
-    categories (``⊥`` among them), and the labels as codes over the sorted
-    labels. Each node then screens every split in vector form, from
-    cumulative class counts over one stable sort of each numeric column and
-    one category-by-class count table per categorical column.
+    ``fit`` reads the columns as arrays, where a categorical column's
+    missing mask plays no part (a missing value is the ``⊥`` category), and
+    the labels as codes over the sorted labels. Each node then screens every
+    split in vector form, from cumulative class counts over one stable sort
+    of each numeric column and one category-by-class count table per
+    categorical column.
 
     A split's gain is defined by the float expression in ``_gini``, with
     each side's class shares summed in order of first appearance: rows in
@@ -316,8 +307,6 @@ class DecisionTreeClassifier(_Classifier):
     again that way, and the key ``(-gain, feature, threshold or category,
     not missing_left)`` picks among them.
     """
-
-    kind = "decision-tree"
 
     _RESCORE_WINDOW = 1e-9  # far above the screen's rounding error
 
@@ -344,7 +333,7 @@ class DecisionTreeClassifier(_Classifier):
         allowed = (n_left >= self.min_leaf) & (n_right >= self.min_leaf)
         return np.where(allowed, gains, -np.inf)
 
-    def _numeric_splits(self, column: _Column, idx, y, parent: float):
+    def _numeric_splits(self, column: Column, idx, y, parent: float):
         """Screened gains and a re-scorer for every threshold of a numeric
         column, per missing side."""
         import numpy as np
@@ -402,7 +391,7 @@ class DecisionTreeClassifier(_Classifier):
             for missing_left, lc, ln, rc, rn in sides
         ]
 
-    def _categorical_splits(self, column: _Column, idx, y, counts, parent: float):
+    def _categorical_splits(self, column: Column, idx, y, counts, parent: float):
         """Screened gains and a re-scorer for every category of a
         categorical column; index j of the gains is category code j."""
         import numpy as np
@@ -428,7 +417,7 @@ class DecisionTreeClassifier(_Classifier):
 
         return [(gains, rescore)]
 
-    def _best_split(self, columns: list[_Column], idx, y):
+    def _best_split(self, columns: list[Column], idx, y):
         """The best split of the rows ``idx`` as ``(column, threshold or
         category, missing_left)``, or None when no split gains more than
         1e-12."""
@@ -440,10 +429,10 @@ class DecisionTreeClassifier(_Classifier):
         parent = self._gini([int(counts[c]) for c in order], n)
         screened = []  # (column, gains, rescore)
         for column in columns:
-            if column.missing is None:
-                splits = self._categorical_splits(column, idx, y, counts, parent)
-            else:
+            if column.categories is None:
                 splits = self._numeric_splits(column, idx, y, parent)
+            else:
+                splits = self._categorical_splits(column, idx, y, counts, parent)
             screened.extend((column, gains, rescore) for gains, rescore in splits)
         top = max((float(gains.max()) for _, gains, _ in screened if len(gains)), default=-math.inf)
         if top == -math.inf:
@@ -461,7 +450,7 @@ class DecisionTreeClassifier(_Classifier):
             return None
         return column, pivot, missing_left
 
-    def _build(self, columns: list[_Column], labels, idx, depth: int) -> _TreeNode:
+    def _build(self, columns: list[Column], labels, idx, depth: int) -> _TreeNode:
         import numpy as np
 
         y = labels[idx]
@@ -479,43 +468,45 @@ class DecisionTreeClassifier(_Classifier):
         if split is None:
             return node
         column, pivot, missing_left = split
-        if column.missing is None:
-            goes_left = column.values[idx] == column.categories.index(pivot)
-            node.feature, node.category = column.name, pivot
-        else:
+        if column.categories is None:
             goes_left = np.where(column.missing[idx], missing_left, column.values[idx] <= pivot)
             node.feature, node.threshold, node.missing_left = column.name, pivot, missing_left
+        else:
+            goes_left = column.values[idx] == column.categories.index(pivot)
+            node.feature, node.category = column.name, pivot
         node.left = self._build(columns, labels, idx[goes_left], depth + 1)
         node.right = self._build(columns, labels, idx[~goes_left], depth + 1)
         return node
 
-    def fit(self, rows, labels, space=None):
+    def fit(self, columns, rows, labels):
         import numpy as np
 
-        rows = list(rows)
-        self.space_ = _feature_space(rows) if space is None else space
         self.classes_ = sorted(set(labels))
         code = {label: i for i, label in enumerate(self.classes_)}
-        codes = np.array([code[label] for label in labels], dtype=np.intp)
-        columns = [_Column.encode(rows, name, kind) for name, kind in self.space_.items()]
-        self.root_ = self._build(columns, codes, np.arange(len(rows)), 0)
+        codes = np.zeros(max(rows) + 1, dtype=np.intp)
+        codes[rows] = [code[label] for label in labels]
+        arrays = [column._replace(values=np.asarray(column.values),
+                                  missing=np.asarray(column.missing, dtype=bool)) for column in columns]
+        self.root_ = self._build(arrays, codes, np.asarray(rows, dtype=np.intp), 0)
         return self
 
-    def predict(self, row) -> str:
-        node = self.root_
-        while node.left is not None:
-            if node.threshold is not None:
-                value = row.get(node.feature)
-                if value is None:
-                    node = node.left if node.missing_left else node.right
-                elif float(value) <= node.threshold:
-                    node = node.left
+    def predict(self, columns, rows) -> list[str]:
+        by_name = {column.name: column for column in columns}
+        predicted = []
+        for i in rows:
+            node = self.root_
+            while node.left is not None:
+                column = by_name[node.feature]
+                if node.threshold is None:
+                    code = column.values[i]
+                    goes_left = code >= 0 and column.categories[code] == node.category
+                elif column.missing[i]:
+                    goes_left = node.missing_left
                 else:
-                    node = node.right
-            else:
-                value = _categorical(row.get(node.feature))
-                node = node.left if value == node.category else node.right
-        return node.prediction
+                    goes_left = column.values[i] <= node.threshold
+                node = node.left if goes_left else node.right
+            predicted.append(node.prediction)
+        return predicted
 
     def root_split(self) -> dict:
         root = self.root_
@@ -526,13 +517,12 @@ class DecisionTreeClassifier(_Classifier):
         return {"feature": root.feature, "category": root.category}
 
 
+_MODELS = {"majority": MajorityClassifier, "naive-bayes": NaiveBayesClassifier,
+           "logistic": LogisticClassifier, "decision-tree": DecisionTreeClassifier}
+KINDS = tuple(_MODELS)
+
+
 def make_classifier(kind: str):
-    if kind == "majority":
-        return MajorityClassifier()
-    if kind == "naive-bayes":
-        return NaiveBayesClassifier()
-    if kind == "logistic":
-        return LogisticClassifier()
-    if kind == "decision-tree":
-        return DecisionTreeClassifier()
-    raise InputError(f"unknown classifier kind {kind!r}; expected one of {KINDS}")
+    if kind not in _MODELS:
+        raise InputError(f"unknown classifier kind {kind!r}; expected one of {KINDS}")
+    return _MODELS[kind]()

@@ -14,7 +14,7 @@ from collections import Counter, deque
 from functools import cached_property
 from typing import NamedTuple
 
-from .classifiers import DecisionTreeClassifier, _feature_space, make_classifier
+from .classifiers import Column, DecisionTreeClassifier, _feature_space, encode, make_classifier
 from .conformance import align_log
 from .errors import InputError
 from .model import AttrValue, EventLog, case_phenotype
@@ -124,12 +124,11 @@ def _stratified_split(labels: list[str], split: float, seed: int):
     return sorted(train), sorted(test)
 
 
-class _Holdout:
+class Holdout:
     """The stratified holdout of one instance set, drawn once for every
-    classifier trained on it, and the feature space of its training rows,
-    inferred and checked against the test rows on first use."""
+    classifier trained on it, and its rows encoded once on first use."""
 
-    def __init__(self, instances, split: float, seed: int):
+    def __init__(self, instances, split: float = 0.2, seed: int = 0):
         if len(instances) < 2:
             raise InputError("at least two decision instances are required")
         if not 0.0 < split < 1.0:
@@ -142,7 +141,9 @@ class _Holdout:
             self.train, self.test = _stratified_split(self.labels, split, seed)
 
     @cached_property
-    def space(self) -> dict[str, str]:
+    def columns(self) -> list[Column]:
+        """The rows encoded over the training rows' feature space, after a
+        check that no test row holds a non-number where it is numeric."""
         space = _feature_space([self.rows[i] for i in self.train])
         for i in self.test:
             for name, kind in space.items():
@@ -150,49 +151,36 @@ class _Holdout:
                 if kind == "numeric" and value is not None and not isinstance(value, (int, float)):
                     raise InputError(f"case {self.instances[i].case_id!r}: attribute {name!r} holds "
                                      f"{value!r} where the training rows hold numbers")
-        return space
+        return encode(self.rows, space, self.train)
 
 
-def train_classifier(
-    instances, kind: str, split: float = 0.2, seed: int = 0, *, holdout: _Holdout | None = None
-) -> ClassifierReport:
-    """Train one classifier on a stratified holdout and score it.
+def train_classifier(holdout: Holdout, kind: str) -> ClassifierReport:
+    """Train one classifier on the holdout's training rows and score it on
+    its test rows.
 
-    Deterministic under ``seed``. A single-class instance set short-circuits
-    to a degenerate 100%-accuracy report. ``mine_place`` passes the
-    ``holdout`` it draws once for all kinds; without one, it is drawn here.
+    A single-class instance set short-circuits to a degenerate
+    100%-accuracy report.
     """
-    holdout = holdout or _Holdout(list(instances), split, seed)
     model = make_classifier(kind)
-    labels, rows = holdout.labels, holdout.rows
+    labels = holdout.labels
     if len(holdout.classes) == 1:
         only, n = holdout.classes[0], len(labels)
         return ClassifierReport(kind, 100.0, {only: {only: n}}, n, 0, degenerate=True, detail={})
 
     train_idx, test_idx = holdout.train, holdout.test
-    space = None if kind == "majority" else holdout.space
-    model.fit([rows[i] for i in train_idx], [labels[i] for i in train_idx], space)
+    columns = None if kind == "majority" else holdout.columns
+    model.fit(columns, train_idx, [labels[i] for i in train_idx])
 
     confusion: dict[str, dict[str, int]] = {}
     correct = 0
-    for i, predicted in zip(test_idx, model.predict_rows([rows[i] for i in test_idx])):
+    for i, predicted in zip(test_idx, model.predict(columns, test_idx)):
         confusion.setdefault(labels[i], {}).setdefault(predicted, 0)
         confusion[labels[i]][predicted] += 1
         if predicted == labels[i]:
             correct += 1
-    accuracy = 100.0 * correct / len(test_idx)
-    detail: dict = {}
-    if isinstance(model, DecisionTreeClassifier):
-        detail["root_split"] = model.root_split()
-    return ClassifierReport(
-        kind=kind,
-        accuracy=accuracy,
-        confusion=confusion,
-        train_size=len(train_idx),
-        test_size=len(test_idx),
-        degenerate=False,
-        detail=detail,
-    )
+    detail = {"root_split": model.root_split()} if isinstance(model, DecisionTreeClassifier) else {}
+    return ClassifierReport(kind, 100.0 * correct / len(test_idx), confusion, len(train_idx),
+                            len(test_idx), degenerate=False, detail=detail)
 
 
 class DecisionMiningReport(NamedTuple):
@@ -225,12 +213,10 @@ def mine_place(
         log = EventLog(tuple(e for e in log if e.case_id in keep))
     extraction = extract_instances(net, log, place)
     kinds = tuple(kinds)
-    # one holdout for all kinds; bench/tracing.py wraps train_classifier to time each kind
-    holdout = _Holdout(extraction.instances, split, seed) if kinds else None
-    reports = tuple(
-        train_classifier(extraction.instances, kind, split=split, seed=seed, holdout=holdout)
-        for kind in kinds
-    )
+    # one holdout and one encoding for all kinds; bench/tracing.py wraps
+    # train_classifier to time each kind
+    holdout = Holdout(extraction.instances, split, seed) if kinds else None
+    reports = tuple(train_classifier(holdout, kind) for kind in kinds)
     return DecisionMiningReport(
         place=place,
         phenotype_filter=phenotype_filter,

@@ -7,7 +7,7 @@ maps. Serialization sorts everything, so equal nets produce equal bytes.
 
 import json
 
-from .errors import FormatError, PathminerError
+from .errors import FormatError
 from .petri import Marking, PetriNet, Transition
 
 
@@ -66,40 +66,49 @@ def read_net_json(data: bytes | str) -> PetriNet:
     def marking(key: str) -> Marking:
         value = _field(doc, key, (dict, list))
         if isinstance(value, dict):
-            for place, count in value.items():
-                _typed(count, int, f"{key}.{place}")
+            entries = [(f"{key}.{p}", p, _typed(n, int, f"{key}.{p}")) for p, n in value.items()]
         else:
-            for i, place in enumerate(value):
-                _typed(place, str, f"{key}[{i}]")
+            entries = [(f"{key}[{i}]", _typed(p, str, f"{key}[{i}]"), 1) for i, p in enumerate(value)]
+        for path, place, count in entries:
+            if count < 0:
+                raise FormatError(f"net JSON {path}: negative token count for place {place}")
+            if place not in places:
+                raise FormatError(f"net JSON {path}: marking references unknown place {place}")
         return Marking(value)
 
-    def distinct(key: str, what: str, read) -> frozenset:
-        """``read(object, path)`` of each entry of ``doc[key]``; a repeat is an error."""
+    def distinct(key: str, what: str, read, ident=lambda value: value) -> list:
+        """(path, ``read(object, path)``) of each entry of ``doc[key]``; an
+        entry whose ``ident`` repeats an earlier one is an error."""
         seen: set = set()
+        entries = []
         for path, item in objects(key):
             value = read(item, path)
-            if value in seen:
-                raise FormatError(f"net JSON {path} repeats {what} {value!r}")
-            seen.add(value)
-        return frozenset(seen)
+            if ident(value) in seen:
+                raise FormatError(f"net JSON {path} repeats {what} {ident(value)!r}")
+            seen.add(ident(value))
+            entries.append((path, value))
+        return entries
 
-    places = distinct("places", "place", lambda p, path: _field(p, "id", str, path))
-    transitions = tuple(
-        Transition(
-            _field(t, "id", str, path),
-            None if _typed(t.get("silent", False), bool, f"{path}.silent")
-            else _field(t, "label", (str, type(None)), path),
-        )
-        for path, t in objects("transitions")
-    )
+    places = frozenset(p for _, p in distinct("places", "place", lambda p, path: _field(p, "id", str, path)))
+    transitions = distinct("transitions", "transition", lambda t, path: Transition(
+        _field(t, "id", str, path),
+        None if _typed(t.get("silent", False), bool, f"{path}.silent")
+        else _field(t, "label", (str, type(None)), path),
+    ), lambda t: t.id)
+    for path, t in transitions:
+        if t.id in places:
+            raise FormatError(f"net JSON {path} reuses place id {t.id!r}")
+    ids = places | {t.id for _, t in transitions}
     arcs = distinct("arcs", "arc", lambda a, path: (_field(a, "source", str, path),
                                                      _field(a, "target", str, path)))
+    for path, (source, target) in arcs:
+        if source not in ids or target not in ids:
+            raise FormatError(f"net JSON {path}: arc {source}->{target} references unknown id")
+        if (source in places) == (target in places):
+            raise FormatError(f"net JSON {path}: arc {source}->{target} is not bipartite")
     name = _typed(doc.get("name", "net"), str, "name")
-    try:
-        return PetriNet(places, transitions, arcs, marking("initial_marking"),
-                        marking("final_marking"), name=name)
-    except PathminerError as exc:
-        raise FormatError(str(exc)) from None
+    return PetriNet(places, tuple(t for _, t in transitions), frozenset(a for _, a in arcs),
+                    marking("initial_marking"), marking("final_marking"), name=name)
 
 
 def _quoted(text: str) -> str:

@@ -15,9 +15,10 @@ checked. The ``reference_*`` conformance metrics are the three-walk code the
 one-walk ``conformance_report`` replaced: each variant is regrouped by
 object identity and walked once per metric, and the public metrics compile
 and align on their own, with their own early returns.
-``ReferenceNaiveBayes``, ``ReferenceLogistic`` and
-``reference_train_classifier`` are the classifiers and the training loop
-that one holdout and one feature space per place replaced: naive Bayes
+``ReferenceMajority``, ``ReferenceNaiveBayes``, ``ReferenceLogistic`` and
+``reference_train_classifier`` are the row-based classifiers and the
+training loop that one holdout and one column encoding per place replaced:
+naive Bayes
 rescans the rows per class and feature, logistic regression encodes one
 row at a time and reduces along the class axis, and every call draws its
 own split; ``ReferenceNaiveBayes.scores`` is ``predict``'s loop returning
@@ -36,9 +37,7 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 from datetime import date, datetime, timedelta, timezone
 
-from pathminer.classifiers import (
-    MajorityClassifier, _TreeNode, _categorical, _feature_space, make_classifier,
-)
+from pathminer.classifiers import _TreeNode, _categorical, _feature_space, make_classifier
 from pathminer.conformance import (
     DEFAULT_CAP, LOG, MODEL, SILENT, SYNC, Alignment, ConformanceReport, Move, _as_labels,
     _silent_closure_enabled, align_log, f1, model_path_cost, simplicity,
@@ -1020,9 +1019,22 @@ class ReferenceLogistic:
         return self.classes_[int(np.argmax(scores))]
 
 
+class ReferenceMajority:
+    """The most frequent training label, ties broken lexicographically."""
+
+    def fit(self, rows, labels):
+        counts = Counter(labels)
+        top = max(counts.values())
+        self.label_ = min(l for l, c in counts.items() if c == top)
+        return self
+
+    def predict(self, row) -> str:
+        return self.label_
+
+
 def _reference_classifier(kind: str):
     """``make_classifier`` over the reference models."""
-    models = {"majority": MajorityClassifier, "naive-bayes": ReferenceNaiveBayes,
+    models = {"majority": ReferenceMajority, "naive-bayes": ReferenceNaiveBayes,
               "logistic": ReferenceLogistic, "decision-tree": ReferenceDecisionTree}
     if kind not in models:
         make_classifier(kind)  # raises the InputError

@@ -17,7 +17,7 @@ from conftest import DATA_DIR, make_log
 from oracles import brute_force_cost, cohort_log, random_trace, random_workflow_net
 from pathminer.cli import main as cli_main
 from pathminer.conformance import align, f1, fitness
-from pathminer.decision_mining import distribution, extract_instances, train_classifier
+from pathminer.decision_mining import Holdout, distribution, extract_instances, train_classifier
 from pathminer.discovery import mine_dfm
 from pathminer.patient_csv import parse_patient_csv
 from pathminer.simulate import SimulationConfig, simulate
@@ -222,7 +222,7 @@ def test_c08_majority_baseline_consistency(big_cohort_instances):
         ("p1", big_cohort_instances[0], 91.8),
         ("p4", big_cohort_instances[1], 98.0),
     ):
-        report_obj = train_classifier(instances, "majority", split=0.2, seed=0)
+        report_obj = train_classifier(Holdout(instances, split=0.2, seed=0), "majority")
         labels = [inst.chosen for inst in instances]
         _, test_idx = _stratified_split(labels, 0.2, 0)
         holdout = [labels[i] for i in test_idx]
@@ -260,7 +260,7 @@ def test_c09_planted_rule_recovery(dejure):
             )
     log = transform_log(rows)
     instances = extract_instances(dejure, log, "p4").instances
-    tree = train_classifier(instances, "decision-tree", split=0.2, seed=1)
+    tree = train_classifier(Holdout(instances, split=0.2, seed=1), "decision-tree")
     assert tree.accuracy >= 95.0
     assert tree.detail["root_split"]["feature"] == "nt_pro_bnp"
 

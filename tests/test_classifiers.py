@@ -11,6 +11,7 @@ from pathminer.classifiers import (
     MajorityClassifier,
     NaiveBayesClassifier,
     _feature_space,
+    encode,
     make_classifier,
 )
 from pathminer.decision_mining import extract_instances
@@ -18,6 +19,31 @@ from pathminer.errors import InputError
 from pathminer.petri import build_dejure
 from pathminer.simulate import SimulationConfig, simulate
 from pathminer.transform import transform_log
+
+
+class Encoded:
+    """``model`` fitted on ``rows`` through the one column encoding.
+
+    Test rows are encoded together with the training rows, after them, so a
+    test row that cannot be encoded fails on its own, as a row-based
+    reference fails per row.
+    """
+
+    def __init__(self, model, rows, labels):
+        self.rows = list(rows)
+        self.space = _feature_space(self.rows)
+        self.train = list(range(len(self.rows)))
+        self.model = model.fit(self.encode()[0], self.train, labels)
+
+    def encode(self, *test_rows):
+        """The columns of the training rows and ``test_rows``, and the
+        positions of ``test_rows``."""
+        n = len(self.rows)
+        columns = encode(self.rows + list(test_rows), self.space, self.train)
+        return columns, list(range(n, n + len(test_rows)))
+
+    def predict(self, *test_rows) -> list[str]:
+        return self.model.predict(*self.encode(*test_rows))
 
 
 def planted_rows(n, seed, threshold=1000.0, missing_rate=0.0):
@@ -40,76 +66,73 @@ def planted_rows(n, seed, threshold=1000.0, missing_rate=0.0):
 
 class TestMajority:
     def test_predicts_mode(self):
-        model = MajorityClassifier().fit([{}] * 5, ["a", "b", "b", "b", "a"])
-        assert model.predict({}) == "b"
+        model = Encoded(MajorityClassifier(), [{}] * 5, ["a", "b", "b", "b", "a"])
+        assert model.predict({}) == ["b"]
 
     def test_tie_breaks_lexicographically(self):
-        model = MajorityClassifier().fit([{}] * 4, ["b", "a", "b", "a"])
-        assert model.predict({}) == "a"
+        model = Encoded(MajorityClassifier(), [{}] * 4, ["b", "a", "b", "a"])
+        assert model.predict({}) == ["a"]
 
 
 class TestNaiveBayes:
     def test_learns_numeric_separation(self):
         rows, labels = planted_rows(400, seed=1)
-        model = NaiveBayesClassifier().fit(rows, labels)
-        assert model.predict({"nt_pro_bnp": 1900.0}) == "Death_HF"
-        assert model.predict({"nt_pro_bnp": 150.0}) == "None"
+        model = Encoded(NaiveBayesClassifier(), rows, labels)
+        assert model.predict({"nt_pro_bnp": 1900.0}, {"nt_pro_bnp": 150.0}) == ["Death_HF", "None"]
 
     def test_missing_feature_is_skipped(self):
         rows, labels = planted_rows(400, seed=2)
-        model = NaiveBayesClassifier().fit(rows, labels)
-        prediction = model.predict({"nt_pro_bnp": None, "lvef": 30})
+        model = Encoded(NaiveBayesClassifier(), rows, labels)
+        [prediction] = model.predict({"nt_pro_bnp": None, "lvef": 30})
         assert prediction in ("Death_HF", "None")  # prior-driven, no crash
 
     def test_categorical_features(self):
         rows = [{"flag": True}] * 30 + [{"flag": False}] * 30
         labels = ["yes"] * 30 + ["no"] * 30
-        model = NaiveBayesClassifier().fit(rows, labels)
-        assert model.predict({"flag": True}) == "yes"
-        assert model.predict({"flag": False}) == "no"
+        model = Encoded(NaiveBayesClassifier(), rows, labels)
+        assert model.predict({"flag": True}, {"flag": False}) == ["yes", "no"]
 
 
 class TestLogistic:
     def test_learns_numeric_separation(self):
         rows, labels = planted_rows(400, seed=3)
-        model = LogisticClassifier().fit(rows, labels)
-        correct = sum(model.predict(r) == l for r, l in zip(rows, labels))
+        model = Encoded(LogisticClassifier(), rows, labels)
+        correct = sum(p == l for p, l in zip(model.predict(*rows), labels))
         assert correct / len(rows) >= 0.95
 
     def test_deterministic(self):
         rows, labels = planted_rows(120, seed=4, missing_rate=0.2)
-        a = LogisticClassifier().fit(rows, labels)
-        b = LogisticClassifier().fit(rows, labels)
-        assert all(a.predict(r) == b.predict(r) for r in rows)
+        a = Encoded(LogisticClassifier(), rows, labels)
+        b = Encoded(LogisticClassifier(), rows, labels)
+        assert a.predict(*rows) == b.predict(*rows)
 
     def test_handles_missing_numerics(self):
         rows, labels = planted_rows(200, seed=5, missing_rate=0.5)
-        model = LogisticClassifier().fit(rows, labels)
-        assert model.predict({"nt_pro_bnp": None, "lvef": None}) in ("Death_HF", "None")
+        model = Encoded(LogisticClassifier(), rows, labels)
+        assert model.predict({"nt_pro_bnp": None, "lvef": None})[0] in ("Death_HF", "None")
 
 
 class TestDecisionTree:
     def test_recovers_planted_threshold_at_root(self):
         rows, labels = planted_rows(600, seed=6)
-        model = DecisionTreeClassifier().fit(rows, labels)
-        root = model.root_split()
+        model = Encoded(DecisionTreeClassifier(), rows, labels)
+        root = model.model.root_split()
         assert root["feature"] == "nt_pro_bnp"
         assert abs(root["threshold"] - 1000.0) < 60.0
-        correct = sum(model.predict(r) == l for r, l in zip(rows, labels))
+        correct = sum(p == l for p, l in zip(model.predict(*rows), labels))
         assert correct / len(rows) >= 0.98
 
     def test_missing_values_route_consistently(self):
         rows, labels = planted_rows(300, seed=7, missing_rate=0.3)
-        model = DecisionTreeClassifier().fit(rows, labels)
-        assert model.predict({"nt_pro_bnp": None, "lvef": None}) in ("Death_HF", "None")
+        model = Encoded(DecisionTreeClassifier(), rows, labels)
+        assert model.predict({"nt_pro_bnp": None, "lvef": None})[0] in ("Death_HF", "None")
 
     def test_categorical_split_on_missingness(self):
         # the label is determined by whether the flag is recorded at all
         rows = [{"flag": True} for _ in range(30)] + [{"flag": None} for _ in range(30)]
         labels = ["recorded"] * 30 + ["absent"] * 30
-        model = DecisionTreeClassifier(min_leaf=2, min_split=4).fit(rows, labels)
-        assert model.predict({"flag": True}) == "recorded"
-        assert model.predict({"flag": None}) == "absent"
+        model = Encoded(DecisionTreeClassifier(min_leaf=2, min_split=4), rows, labels)
+        assert model.predict({"flag": True}, {"flag": None}) == ["recorded", "absent"]
 
 
 _NUMBERS = st.one_of(st.none(), st.integers(-3, 3), st.sampled_from([-1.5, 0.25, 0.5, 2.0, 2.75]))
@@ -197,7 +220,7 @@ class TestDecisionTreeAgainstReference:
         rows, labels = data
         params = dict(max_depth=max_depth, min_leaf=min_leaf, min_split=min_split)
         expected = ReferenceDecisionTree(**params).fit(rows, labels)
-        model = DecisionTreeClassifier(**params).fit(rows, labels)
+        model = Encoded(DecisionTreeClassifier(**params), rows, labels).model
         assert tree_fields(model.root_) == tree_fields(expected.root_)
         assert model.root_split() == expected.root_split()
 
@@ -206,7 +229,7 @@ class TestDecisionTreeAgainstReference:
         rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
         labels = [f"class{c}" for c in classes]
         expected = ReferenceDecisionTree(**params).fit(rows, labels)
-        model = DecisionTreeClassifier(**params).fit(rows, labels)
+        model = Encoded(DecisionTreeClassifier(**params), rows, labels).model
         assert tree_fields(model.root_) == tree_fields(expected.root_)
 
     def test_equal_partitions_tie_on_feature_name(self):
@@ -214,7 +237,7 @@ class TestDecisionTreeAgainstReference:
         rows = [{"lvef": v, "hfref": v <= 40} for v in (20, 25, 30, 35, 40, 45, 50, 55, 60, 65)]
         labels = ["HF"] * 5 + ["None"] * 5
         params = dict(min_leaf=1, min_split=2)
-        model = DecisionTreeClassifier(**params).fit(rows, labels)
+        model = Encoded(DecisionTreeClassifier(**params), rows, labels).model
         expected = ReferenceDecisionTree(**params).fit(rows, labels)
         assert model.root_split() == expected.root_split() == {
             "feature": "hfref", "category": "false"}
@@ -226,7 +249,7 @@ class TestDecisionTreeAgainstReference:
             rows = [i.features for i in instances]
             labels = [i.chosen for i in instances]
             expected = ReferenceDecisionTree().fit(rows, labels)
-            model = DecisionTreeClassifier().fit(rows, labels)
+            model = Encoded(DecisionTreeClassifier(), rows, labels).model
             assert tree_fields(model.root_) == tree_fields(expected.root_)
 
 
@@ -237,23 +260,23 @@ def test_unknown_kind_rejected():
 
 def test_sanity_floor_against_majority():
     rows, labels = planted_rows(500, seed=8)
-    majority = MajorityClassifier().fit(rows, labels)
-    baseline = sum(majority.predict(r) == l for r, l in zip(rows, labels)) / len(rows)
+    majority = Encoded(MajorityClassifier(), rows, labels)
+    baseline = sum(p == l for p, l in zip(majority.predict(*rows), labels)) / len(rows)
     for kind in ("naive-bayes", "decision-tree"):
-        model = make_classifier(kind).fit(rows, labels)
-        score = sum(model.predict(r) == l for r, l in zip(rows, labels)) / len(rows)
+        model = Encoded(make_classifier(kind), rows, labels)
+        score = sum(p == l for p, l in zip(model.predict(*rows), labels)) / len(rows)
         assert score >= baseline - 0.005
 
 
 _INTS = [None, -7, -1, 0, 2, 3, 11]
 _FLOATS = [None, -250.5, -0.0, 0.1, 0.25, 3.0, 42.75, 1e3]
-_WORDS = [None, True, False, "a", "b", "c"]
+_WORDS = [None, True, False, "a", "b", "c", "⊥"]  # "⊥" is a text, not a missing value
 _FEATURES = {
     "count": _INTS,
     "level": _FLOATS + [1, 4],
     "mixed": _INTS + _FLOATS + _WORDS,
     "flag": [None, True, False],
-    "site": [None, "a", "b", "c"],
+    "site": [None, "a", "b", "c", "⊥"],
     "void": [None],  # a numeric column that is missing in every row
     "dose": _INTS + _FLOATS + _WORDS + ["absent"] * 4,  # absent from some rows
 }
@@ -290,24 +313,29 @@ def _outcome(call):
 
 class TestAgainstParentClassifiers:
     @settings(max_examples=100, deadline=None)
-    @given(classifier_rows(), classifier_rows(min_size=1, max_size=10), st.booleans())
-    def test_same_bits_as_the_parent(self, train, test, shared):
+    @given(classifier_rows(), classifier_rows(min_size=1, max_size=10))
+    def test_same_bits_as_the_parent(self, train, test):
         rows, labels = train
         test_rows = test[0] + rows[:5]
-        space = _feature_space(rows) if shared else None
         expected = ReferenceLogistic().fit(rows, labels)
-        model = LogisticClassifier().fit(rows, labels, space)
+        fitted = Encoded(LogisticClassifier(), rows, labels)
+        model = fitted.model
         assert model.weights_.tobytes() == expected.weights_.tobytes()
-        assert _outcome(lambda: [(row @ model.weights_).tobytes() for row in model._matrix(test_rows)]) \
-            == _outcome(lambda: [(expected._encode(r) @ expected.weights_).tobytes() for r in test_rows])
-        assert _outcome(lambda: model.predict_rows(test_rows)) \
-            == _outcome(lambda: [expected.predict(r) for r in test_rows])
+        for row in test_rows:
+            assert _outcome(lambda: (model._matrix(*fitted.encode(row))[0] @ model.weights_).tobytes()) \
+                == _outcome(lambda: (expected._encode(row) @ expected.weights_).tobytes())
+            assert _outcome(lambda: fitted.predict(row)) == _outcome(lambda: [expected.predict(row)])
 
         expected = ReferenceNaiveBayes().fit(rows, labels)
-        model = NaiveBayesClassifier().fit(rows, labels, space)
+        fitted = Encoded(NaiveBayesClassifier(), rows, labels)
+
+        def scores(row):
+            columns, [i] = fitted.encode(row)
+            return fitted.model._scores(columns, i)
+
         for row in test_rows:
-            assert repr(_outcome(lambda: model._scores(row))) == repr(_outcome(lambda: expected.scores(row)))
-            assert _outcome(lambda: model.predict(row)) == _outcome(lambda: expected.predict(row))
+            assert repr(_outcome(lambda: scores(row))) == repr(_outcome(lambda: expected.scores(row)))
+            assert _outcome(lambda: fitted.predict(row)) == _outcome(lambda: [expected.predict(row)])
 
     @settings(max_examples=50, deadline=None)
     @given(classifier_rows())
@@ -315,7 +343,7 @@ class TestAgainstParentClassifiers:
         rows, labels = train
         params = dict(min_leaf=1, min_split=2)
         expected = ReferenceDecisionTree(**params).fit(rows, labels)
-        model = DecisionTreeClassifier(**params).fit(rows, labels, _feature_space(rows))
+        model = Encoded(DecisionTreeClassifier(**params), rows, labels).model
         assert tree_fields(model.root_) == tree_fields(expected.root_)
 
     def test_naive_bayes_tie_goes_to_the_first_class(self):
@@ -323,10 +351,11 @@ class TestAgainstParentClassifiers:
         rows = [{"x": 1.5, "site": "a"}, {"x": 2.5, "site": None}] * 3
         labels = ["b", "b", "c", "c", "a", "a"]
         expected = ReferenceNaiveBayes().fit(rows, labels)
-        model = NaiveBayesClassifier().fit(rows, labels)
+        fitted = Encoded(NaiveBayesClassifier(), rows, labels)
         for row in ({"x": 2.0, "site": "a"}, {"site": "z"}, {}):
-            assert len(set(model._scores(row))) == 1
-            assert model.predict(row) == expected.predict(row) == "a"
+            columns, [i] = fitted.encode(row)
+            assert len(set(fitted.model._scores(columns, i))) == 1
+            assert fitted.predict(row) == [expected.predict(row)] == ["a"]
 
     def test_on_simulated_instances(self):
         cohort = transform_log(simulate(SimulationConfig(patients=240, seed=11)))
@@ -334,7 +363,8 @@ class TestAgainstParentClassifiers:
             instances = extract_instances(build_dejure(), cohort, place).instances
             rows = [i.features for i in instances]
             labels = [i.chosen for i in instances]
-            logistic = LogisticClassifier().fit(rows, labels)
+            logistic = Encoded(LogisticClassifier(), rows, labels).model
             assert logistic.weights_.tobytes() == ReferenceLogistic().fit(rows, labels).weights_.tobytes()
-            bayes, expected = NaiveBayesClassifier().fit(rows, labels), ReferenceNaiveBayes().fit(rows, labels)
-            assert [bayes._scores(r) for r in rows] == [expected.scores(r) for r in rows]
+            bayes, expected = Encoded(NaiveBayesClassifier(), rows, labels), ReferenceNaiveBayes().fit(rows, labels)
+            columns, _ = bayes.encode()
+            assert [bayes.model._scores(columns, i) for i in bayes.train] == [expected.scores(r) for r in rows]

@@ -15,6 +15,7 @@ from pathminer.decision_mining import (
     mine_place,
     train_classifier,
     DecisionInstance,
+    Holdout,
 )
 from pathminer.petri import build_dejure
 from test_classifiers import classifier_rows
@@ -113,8 +114,8 @@ class TestTrainClassifier:
 
     def test_deterministic_under_seed(self):
         instances = self._instances()
-        a = train_classifier(instances, "decision-tree", seed=3)
-        b = train_classifier(instances, "decision-tree", seed=3)
+        a = train_classifier(Holdout(instances, seed=3), "decision-tree")
+        b = train_classifier(Holdout(instances, seed=3), "decision-tree")
         assert a == b
 
     def test_single_class_is_degenerate(self):
@@ -122,25 +123,25 @@ class TestTrainClassifier:
             DecisionInstance("a", "p4", {}, "None"),
             DecisionInstance("b", "p4", {}, "None"),
         ]
-        report = train_classifier(instances, "majority")
+        report = train_classifier(Holdout(instances), "majority")
         assert report.degenerate and report.accuracy == 100.0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):
-            train_classifier(self._instances(), "svm")
+            train_classifier(Holdout(self._instances()), "svm")
 
     def test_unknown_kind_rejected_when_every_instance_chose_one_label(self):
         instances = [DecisionInstance("a", "p1", {}, "x"), DecisionInstance("b", "p1", {}, "x")]
         with pytest.raises(InputError, match="unknown classifier kind 'bogus'"):
-            train_classifier(instances, "bogus")
+            train_classifier(Holdout(instances), "bogus")
 
     def test_too_few_instances_rejected(self):
         with pytest.raises(InputError):
-            train_classifier([DecisionInstance("a", "p4", {}, "x")], "majority")
+            train_classifier(Holdout([DecisionInstance("a", "p4", {}, "x")]), "majority")
 
     def test_majority_accuracy_equals_top_share(self):
         instances = self._instances(300, seed=8)
-        report = train_classifier(instances, "majority", split=0.2, seed=0)
+        report = train_classifier(Holdout(instances, split=0.2, seed=0), "majority")
         # reconstruct the holdout share directly from the confusion counts
         total = sum(sum(row.values()) for row in report.confusion.values())
         top = max(
@@ -151,7 +152,7 @@ class TestTrainClassifier:
 
     def test_planted_rule_tree(self):
         instances = self._instances(600, seed=9)
-        report = train_classifier(instances, "decision-tree", seed=1)
+        report = train_classifier(Holdout(instances, seed=1), "decision-tree")
         assert report.accuracy >= 95.0
         assert report.detail["root_split"]["feature"] == "nt_pro_bnp"
 
@@ -164,15 +165,16 @@ class TestTrainClassifier:
         for kind in ("naive-bayes", "logistic", "decision-tree"):
             with pytest.raises(InputError, match=re.escape(
                     f"case '{case}': attribute 'nt_pro_bnp' holds {bad!r} where the training")):
-                train_classifier(instances, kind)
+                train_classifier(Holdout(instances), kind)
         # the majority classifier reads no feature
-        assert train_classifier(instances, "majority").test_size == len(test)
+        assert train_classifier(Holdout(instances), "majority").test_size == len(test)
 
     def test_learners_clear_majority_floor_on_planted_rule(self):
         instances = self._instances(500, seed=10)
-        baseline = train_classifier(instances, "majority", split=0.2, seed=2)
+        holdout = Holdout(instances, split=0.2, seed=2)
+        baseline = train_classifier(holdout, "majority")
         for kind in ("naive-bayes", "decision-tree"):
-            report = train_classifier(instances, kind, split=0.2, seed=2)
+            report = train_classifier(holdout, kind)
             assert report.accuracy >= baseline.accuracy - 0.5
 
 
@@ -239,11 +241,11 @@ class TestAgainstParentTraining:
                        for name, v in rows[i].items()}
         instances = [DecisionInstance(f"c{i}", "p1", row, label)
                      for i, (row, label) in enumerate(zip(rows, labels))]
-        holdout = decision_mining._Holdout(instances, split, seed)
+        holdout = Holdout(instances, split, seed)
         for kind in KINDS:
             expected = _outcome(lambda: reference_train_classifier(instances, kind, split, seed))
-            assert _outcome(lambda: train_classifier(instances, kind, split, seed, holdout=holdout)) \
-                == _outcome(lambda: train_classifier(instances, kind, split, seed)) == expected
+            assert _outcome(lambda: train_classifier(holdout, kind)) \
+                == _outcome(lambda: train_classifier(Holdout(instances, split, seed), kind)) == expected
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(5, 60), st.integers(0, 10_000), st.booleans(), st.sampled_from(["p1", "p4"]))
@@ -271,6 +273,23 @@ def test_mine_place_calls_the_module_train_classifier_once_per_kind(dejure, monk
     report = mine_place(dejure, log, "p4", KINDS)
     assert calls == list(KINDS)
     assert [c.kind for c in report.classifiers] == list(KINDS)
+
+
+def test_mine_place_encodes_each_place_once_and_only_for_a_feature_reader(dejure, monkeypatch):
+    calls = []
+    original = decision_mining.encode
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(decision_mining, "encode", counting)
+    log = transform_log(simulate(SimulationConfig(patients=60, seed=3)))
+    for place in ("p1", "p4"):
+        mine_place(dejure, log, place, KINDS)
+    assert len(calls) == 2
+    mine_place(dejure, log, "p1", ("majority",))
+    assert len(calls) == 2
 
 
 def test_mine_place_with_no_kinds_draws_no_holdout(dejure):

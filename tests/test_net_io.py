@@ -149,3 +149,34 @@ def test_a_repeated_place_or_arc_is_named(dejure, key, message):
     with pytest.raises(FormatError) as err:
         read_net_json(json.dumps(doc))
     assert str(err.value) == message
+
+
+_SMALL = {"places": [{"id": "a"}, {"id": "b"}], "transitions": [{"id": "t", "label": "T"}],
+          "arcs": [{"source": "a", "target": "t"}, {"source": "t", "target": "b"}],
+          "initial_marking": {"a": 1}, "final_marking": {"b": 1}}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["transitions"].append({"id": "t", "silent": True}),
+     "net JSON transitions[1] repeats transition 't'"),
+    (lambda doc: doc["transitions"].insert(0, {"id": "a", "label": "A"}),
+     "net JSON transitions[0] reuses place id 'a'"),
+    (lambda doc: doc["arcs"].insert(0, {"source": "a", "target": "b"}),
+     "net JSON arcs[0]: arc a->b is not bipartite"),
+    (lambda doc: doc["arcs"].insert(0, {"source": "a", "target": "zz"}),
+     "net JSON arcs[0]: arc a->zz references unknown id"),
+    (lambda doc: doc["initial_marking"].update(q=1),
+     "net JSON initial_marking.q: marking references unknown place q"),
+    (lambda doc: doc.update(final_marking=["b", "q"]),
+     "net JSON final_marking[1]: marking references unknown place q"),
+    (lambda doc: doc["initial_marking"].update(a=-1),
+     "net JSON initial_marking.a: negative token count for place a"),
+], ids=["repeated-transition", "transition-reuses-place", "not-bipartite", "unknown-arc-end",
+        "unknown-marking-place", "unknown-marking-list-place", "negative-count"])
+def test_a_net_check_names_its_entry(edit, message):
+    doc = json.loads(json.dumps(_SMALL))
+    read_net_json(json.dumps(doc))  # the unedited net is valid
+    edit(doc)
+    with pytest.raises(FormatError) as err:
+        read_net_json(json.dumps(doc))
+    assert str(err.value) == message
