@@ -58,13 +58,11 @@ def _net_files(args, stage, net) -> dict[Path, bytes]:
     return files
 
 
-def _transform(args, stage) -> dict[Path, bytes]:
-    rows = stage.parse_patient_csv(args.input.read_bytes())
+def _transform(args, stage, rows) -> dict[Path, bytes]:
     return {args.output: stage.write_xes(stage.transform_log(rows))}
 
 
-def _discover(args, stage) -> dict[Path, bytes]:
-    log = stage.read_xes(args.input.read_bytes())
+def _discover(args, stage, log) -> dict[Path, bytes]:
     if args.algorithm == "dfg":
         net = stage.mine_dfm(log, args.paths)
     else:
@@ -72,9 +70,7 @@ def _discover(args, stage) -> dict[Path, bytes]:
     return _net_files(args, stage, net)
 
 
-def _conform(args, stage) -> dict[Path, bytes]:
-    log = stage.read_xes(args.log.read_bytes())
-    net = stage.read_net_json(args.net.read_bytes())
+def _conform(args, stage, log, net) -> dict[Path, bytes]:
     report = stage.conformance_report(net, log, cap=args.cap)
     metrics = ("fitness", "precision", "generalization", "simplicity", "f1")
     body = ",\n".join(f'  "{name}": {getattr(report, name):.4f}' for name in metrics)
@@ -85,8 +81,7 @@ def _dejure(args, stage) -> dict[Path, bytes]:
     return _net_files(args, stage, stage.build_dejure())
 
 
-def _cohorts(args, stage) -> dict[Path, bytes]:
-    log = stage.read_xes(args.log.read_bytes())
+def _cohorts(args, stage, log) -> dict[Path, bytes]:
     report = stage.compare_cohorts(log, args.axis, args.alpha)
     kruskal = ["activity,p_value,testable"]
     activities = {}
@@ -116,7 +111,6 @@ def _cohorts(args, stage) -> dict[Path, bytes]:
         "excluded_cases": report.excluded_cases,
         "activities": activities,
     }
-    args.outdir.mkdir(parents=True, exist_ok=True)
     return {
         args.outdir / f"kruskal_{args.axis}.csv": _text(kruskal),
         args.outdir / f"cohorts_{args.axis}.json": _json(summary),
@@ -124,9 +118,7 @@ def _cohorts(args, stage) -> dict[Path, bytes]:
     }
 
 
-def _decide(args, stage) -> dict[Path, bytes]:
-    log = stage.read_xes(args.log.read_bytes())
-    net = stage.read_net_json(args.net.read_bytes())
+def _decide(args, stage, log, net) -> dict[Path, bytes]:
     kinds = tuple(k.strip() for k in args.classifiers.split(",") if k.strip())
     if not kinds:
         raise InputError("--classifiers must name at least one classifier")
@@ -182,12 +174,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("transform", help="patient CSV -> XES event log")
-    p.set_defaults(artifacts=_transform)
+    p.set_defaults(artifacts=_transform, inputs={"input": "parse_patient_csv"})
     p.add_argument("--input", required=True, type=Path)
     p.add_argument("--output", required=True, type=Path)
 
     p = sub.add_parser("discover", help="XES -> discovered net JSON (and DOT)")
-    p.set_defaults(artifacts=_discover)
+    p.set_defaults(artifacts=_discover, inputs={"input": "read_xes"})
     p.add_argument("--input", required=True, type=Path)
     p.add_argument("--algorithm", choices=("dfg", "alpha"), default="dfg")
     p.add_argument("--paths", type=float, default=0.9)
@@ -195,26 +187,26 @@ def build_parser() -> _Parser:
     p.add_argument("--dot", type=Path)
 
     p = sub.add_parser("conform", help="XES + net JSON -> metric report JSON")
-    p.set_defaults(artifacts=_conform)
+    p.set_defaults(artifacts=_conform, inputs={"log": "read_xes", "net": "read_net_json"})
     p.add_argument("--log", required=True, type=Path)
     p.add_argument("--net", required=True, type=Path)
     p.add_argument("--output", required=True, type=Path)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
     p = sub.add_parser("dejure", help="emit the built-in reference net")
-    p.set_defaults(artifacts=_dejure)
+    p.set_defaults(artifacts=_dejure, inputs={})
     p.add_argument("--output", required=True, type=Path)
     p.add_argument("--dot", type=Path)
 
     p = sub.add_parser("cohorts", help="XES -> cohort statistics CSV/JSON")
-    p.set_defaults(artifacts=_cohorts)
+    p.set_defaults(artifacts=_cohorts, inputs={"log": "read_xes"})
     p.add_argument("--log", required=True, type=Path)
     p.add_argument("--axis", choices=("diabetes", "ckd"), required=True)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--outdir", required=True, type=Path)
 
     p = sub.add_parser("decide", help="XES + net JSON -> decision mining JSON")
-    p.set_defaults(artifacts=_decide)
+    p.set_defaults(artifacts=_decide, inputs={"log": "read_xes", "net": "read_net_json"})
     p.add_argument("--log", required=True, type=Path)
     p.add_argument("--net", required=True, type=Path)
     p.add_argument("--place", required=True)
@@ -229,7 +221,7 @@ def build_parser() -> _Parser:
     p.add_argument("--output", required=True, type=Path)
 
     p = sub.add_parser("simulate", help="config -> synthetic patient CSV")
-    p.set_defaults(artifacts=_simulate)
+    p.set_defaults(artifacts=_simulate, inputs={})
     p.add_argument("--config", type=Path)
     p.add_argument("--patients", type=int)
     p.add_argument("--seed", type=int)
@@ -238,23 +230,30 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _write(files: dict[Path, bytes]) -> None:
+def _write(files: dict[Path, bytes], outdir: Path | None) -> None:
     """Write every artifact, or none: first raise the error that a write
-    would raise for a target that is a directory or whose parent is not."""
+    would raise for a target that is a directory or whose parent is not,
+    except for ``outdir``, which is made once every target has passed."""
     for path in files:
         try:
             if path.is_dir():
                 raise OSError(errno.EISDIR, os.strerror(errno.EISDIR))
-            os.stat(os.path.join(path.parent, ""))  # the trailing "/" requires a directory
+            if path.parent != outdir:
+                os.stat(os.path.join(path.parent, ""))  # the trailing "/" requires a directory
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, str(path)) from None
+    if outdir is not None:
+        outdir.mkdir(parents=True, exist_ok=True)
     for path, data in files.items():
         path.write_bytes(data)
 
 
 def run(argv) -> int:
     args = build_parser().parse_args(argv)
-    _write(args.artifacts(args, sys.modules[__name__]))
+    stage = sys.modules[__name__]  # readers and stages are looked up here at call time
+    inputs = [getattr(stage, read)(getattr(args, option).read_bytes())
+              for option, read in args.inputs.items()]
+    _write(args.artifacts(args, stage, *inputs), getattr(args, "outdir", None))
     return 0
 
 

@@ -51,7 +51,7 @@ def extract_instances(net: PetriNet, log: EventLog, place: str) -> ExtractionRes
             skipped.append(case)
             continue
         events = traces[case]
-        first_attrs = events[0].attributes if events else {}
+        first_attrs = events[0].attributes
 
         queues = [deque() for _ in compiled.places]
         for p, count in enumerate(compiled.initial):

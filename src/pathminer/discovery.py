@@ -42,8 +42,6 @@ def build_dfg(log: EventLog) -> DirectlyFollowsGraph:
     starts: dict[str, int] = {}
     ends: dict[str, int] = {}
     for sequence in log.activity_sequences().values():
-        if not sequence:
-            continue
         starts[sequence[0]] = starts.get(sequence[0], 0) + 1
         ends[sequence[-1]] = ends.get(sequence[-1], 0) + 1
         for activity in sequence:

@@ -129,8 +129,6 @@ class Event(_EventFields):
 def case_phenotype(trace: tuple[Event, ...]) -> str | None:
     """Initial phenotype of a case: the first event's phenotype flags, or
     its LVEF when no flag is set. None when undeterminable."""
-    if not trace:
-        return None
     attrs = trace[0].attributes
     for key, phenotype in (("hfref", Phenotype.HFREF),
                            ("hfmref", Phenotype.HFMREF),

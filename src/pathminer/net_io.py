@@ -54,7 +54,7 @@ def _field(doc: dict, key: str, kind, path: str = ""):
 def read_net_json(data: bytes | str) -> PetriNet:
     try:
         doc = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # also bytes that are not UTF-8, and an int past str's digit limit
         raise FormatError(f"malformed net JSON: {exc}") from None
     _typed(doc, dict, "root")
 

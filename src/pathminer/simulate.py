@@ -25,13 +25,15 @@ Configuration is also accepted as JSON::
       "attributes": {"lvef": {"kind": "uniform_int", "low": 10, "high": 70}, ...}
     }
 
-Place weights are normalized; they only need to be non-negative with a
-positive sum. Omitted places and attributes keep their defaults.
+Place weights are normalized; they must be non-negative numbers with a
+positive sum. Omitted places and attributes keep their defaults; any other
+key is an error.
 """
 
 import json
 import math
 import random
+import sys
 from datetime import date, timedelta
 from typing import NamedTuple, get_type_hints
 
@@ -137,7 +139,9 @@ def _is_integer(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite float, or an int that a float can stand for: not a bool, not a string."""
+    return (isinstance(value, float) and math.isfinite(value)
+            or _is_integer(value) and abs(value) <= sys.float_info.max)
 
 
 def _check_sampler(name: str, sampler: AttributeSampler) -> None:
@@ -180,6 +184,10 @@ def _normalize_weights(place: str, weights: dict[str, float]) -> dict[str, float
     unknown = set(weights) - set(choices)
     if unknown:
         raise ConfigError(f"place {place}: unknown choice labels {sorted(unknown)}")
+    for label, weight in weights.items():
+        if not _is_number(weight):
+            raise ConfigError(f"place {place}: weight of {label!r} is not a finite number: {weight!r}")
+    weights = {label: float(weight) for label, weight in weights.items()}
     if any(w < 0 for w in weights.values()):
         raise ConfigError(f"place {place}: negative weight")
     total = sum(weights.values())
@@ -263,10 +271,13 @@ def load_config(data: bytes | str, **overrides) -> SimulationConfig:
     """Build a config from JSON, with keyword arguments taking precedence."""
     try:
         doc = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # also bytes that are not UTF-8, and an int past str's digit limit
         raise ConfigError(f"malformed config JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config JSON must be an object")
+    if unknown := sorted(set(doc) - {"patients", "seed", "start_date", "start_window_days",
+                                     "gap_days", "places", "attributes"}):
+        raise ConfigError(f"unknown config keys {unknown}")
 
     kwargs = {}
     try:
@@ -281,10 +292,8 @@ def load_config(data: bytes | str, **overrides) -> SimulationConfig:
                 raise ConfigError("gap_days must be a [min, max] pair")
             kwargs["gap_days"] = tuple(gap)
         if "places" in doc:
-            kwargs["place_probs"] = {
-                place: {str(k): float(v) for k, v in weights.items()}
-                for place, weights in doc["places"].items()
-            }
+            kwargs["place_probs"] = {place: dict(weights.items())
+                                     for place, weights in doc["places"].items()}
         if "attributes" in doc:
             samplers = {}
             for name, spec in doc["attributes"].items():
@@ -292,8 +301,6 @@ def load_config(data: bytes | str, **overrides) -> SimulationConfig:
                     raise ConfigError(f"attribute {name!r}: sampler needs a kind")
                 samplers[name] = AttributeSampler(**spec)
             kwargs["attributes"] = samplers
-    except ConfigError:
-        raise
     except (TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"bad config value: {exc}") from None
     kwargs.update(overrides)

@@ -205,8 +205,6 @@ def dunn_bonferroni(groups, labels=None) -> DunnMatrix:
 
 def case_flag(trace: tuple[Event, ...], axis: str) -> int | None:
     """Comorbidity flag (0/1) of a case from its first event, or None."""
-    if not trace:
-        return None
     value = trace[0].attributes.get(axis)
     if isinstance(value, bool):
         return int(value)

@@ -108,7 +108,6 @@ def read_xes(data: bytes | str) -> EventLog:
     malformed XML, root, then per trace case id, events, emptiness."""
     events: list[Event] = []
     trace_of_case: dict[str, int] = {}
-    days: dict[str, date] = {}
     # depths of: this element, the open trace, its open event's children, the next close
     depth = trace_depth = attr_depth = closes = 0
     case_id = activity = timestamp = None
@@ -139,8 +138,7 @@ def read_xes(data: bytes | str) -> EventLog:
                     if "_" in text or not text.isascii():
                         raise ValueError  # int() takes "1_000" and non-ASCII digits
                 elif tag == "date":
-                    value = days.get(text) or days.setdefault(
-                        text, datetime.fromisoformat(text.replace("Z", "+00:00")).date())
+                    value = datetime.fromisoformat(text.replace("Z", "+00:00")).date()
                 elif tag == "event" or tag == "trace":
                     raise FormatError(f"trace {len(trace_of_case)}: misplaced <{tag}>")
                 else:

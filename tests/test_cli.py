@@ -238,6 +238,34 @@ class TestErrorHandling:
         assert err.startswith("pathminer: error: ") and err.count("\n") == 1 and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"patient": 5, "sed": 3, "place": {"p1": {"HF": 100}}}',
+         "unknown config keys ['patient', 'place', 'sed']"),
+        ('{"places": {"p1": {"HF": "5", "None": 95}}}',
+         "place p1: weight of 'HF' is not a finite number: '5'"),
+        ('{"places": {"p1": {"HF": true, "None": 95}}}',
+         "place p1: weight of 'HF' is not a finite number: True"),
+        ('{"places": {"p4": {"Death_HF": NaN, "None": 95}}}',
+         "place p4: weight of 'Death_HF' is not a finite number: nan"),
+        ('{"places": {"p4": {"Death_HF": Infinity, "None": 95}}}',
+         "place p4: weight of 'Death_HF' is not a finite number: inf"),
+        ('{"places": {"p2": {"None": 1%s}}}' % ("0" * 400),
+         "place p2: weight of 'None' is not a finite number: 1%s" % ("0" * 400)),
+        ('{"attributes": {"urea": {"kind": "uniform", "high": 1%s}}}' % ("0" * 400),
+         "attribute 'urea': high must be a finite number, got 1%s" % ("0" * 400)),
+        ('{"patients": 1%s}' % ("0" * 5000),
+         "malformed config JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+         "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit"),
+    ], ids=["unknown-keys", "string-weight", "boolean-weight", "nan-weight", "infinite-weight",
+            "401-digit-weight", "401-digit-high", "5001-digit-patients"])
+    def test_simulate_with_a_config_that_is_not_one_exits_1(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "patients.csv"
+        assert main(["simulate", "--config", str(path), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"pathminer: error: {message}\n"
+        assert sorted(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("alpha", ["nan", "2", "0"])
     def test_cohorts_alpha_outside_the_open_unit_interval_exits_1(self, tmp_path, capsys, alpha):
         log, _ = prepare_inputs(tmp_path)
@@ -380,6 +408,31 @@ class TestAllOrNothing:
         assert code == 1
         assert "[Errno 20] Not a directory" in capsys.readouterr().err
         assert not net.exists()
+
+    @pytest.mark.parametrize("outdir, message", [
+        ("file", "[Errno 17] File exists: 'file'"),
+        ("file/co", "[Errno 20] Not a directory: 'file/co'"),
+    ], ids=["a-file", "under-a-file"])
+    def test_cohorts_outdir_that_cannot_be_a_directory_creates_nothing(
+            self, tmp_path, capsys, monkeypatch, outdir, message):
+        log, _ = prepare_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_bytes(b"")
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["cohorts", "--log", str(log), "--axis", "diabetes", "--outdir", outdir]) == 1
+        assert capsys.readouterr().err == f"pathminer: error: {message}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "file").read_bytes() == b""
+
+    def test_cohorts_table_that_is_a_directory_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        log, _ = prepare_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "co" / "kruskal_diabetes.csv").mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["cohorts", "--log", str(log), "--axis", "diabetes", "--outdir", "co"]) == 1
+        assert capsys.readouterr().err == (
+            "pathminer: error: [Errno 21] Is a directory: 'co/kruskal_diabetes.csv'\n")
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_a_failing_dot_rendering_writes_no_net(self, tmp_path, capsys, monkeypatch):
         def failing(net):

@@ -112,6 +112,12 @@ def test_non_utf8_byte_is_a_format_error(dejure):
         read_net_json(data)
 
 
+def test_an_integer_past_the_digit_limit_is_a_format_error():
+    # json.loads refuses it with a ValueError that is not a JSONDecodeError
+    with pytest.raises(FormatError, match=r"^malformed net JSON: Exceeds the limit \(4300 digits\)"):
+        read_net_json('{"places": [{"id": "p", "tokens": 1%s}]}' % ("0" * 5000))
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: [doc], "net JSON root must be an object, got an array"),
     (lambda doc: {**doc, "places": ["p0"]}, "net JSON places[0] must be an object, got a string"),

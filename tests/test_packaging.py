@@ -153,11 +153,22 @@ def test_simulate_stays_the_function_after_its_module_is_imported():
     assert result.stdout == "True\n"
 
 
-def test_only_the_cli_writer_and_the_cohorts_directory_write_files():
-    # every artifact goes through one writer, which checks every target first;
-    # a second write path could leave a partial output behind
-    assert sorted(set(_call_sites(_writes))) == [("cli.py", "_cohorts", "mkdir"),
+def test_only_the_cli_writer_writes_files():
+    # every artifact, and cohorts' --outdir, goes through one writer, which
+    # checks every target first; a second write path could leave a partial
+    # output behind
+    assert sorted(set(_call_sites(_writes))) == [("cli.py", "_write", "mkdir"),
                                                  ("cli.py", "_write", "write_bytes")]
+
+
+def test_only_the_cli_runner_and_the_simulator_config_read_files():
+    # run reads every analysis input, so each command is a function of parsed
+    # inputs; simulate reads --config itself, since --patients/--seed must
+    # reach load_config before it checks the config
+    reads = _call_sites(lambda call: _called_name(call) in ("read_bytes", "read_text")
+                        or _called_name(call) == "open" and not _opens_for_writing(call))
+    assert sorted(set(reads)) == [("cli.py", "_simulate", "read_bytes"),
+                                  ("cli.py", "run", "read_bytes")]
 
 
 def test_only_the_process_entry_ends_the_process():

@@ -61,6 +61,30 @@ class TestConfig:
         assert config.gap_days == (5, 9)
         assert config.place_probs["p0"] == {"Visit before CO": 1.0}
 
+    # The deviant-paths weights of the benchmark: JSON integers.
+    DEVIANT_PLACES = {
+        "p0": {"Visit before CO": 100},
+        "p1": {"Visit before CO": 30, "None": 40, "HF": 12, "CV": 9, "Stroke": 5, "MI": 4},
+        "p2": {"Visit after CO": 60, "None": 40},
+        "p3": {"Visit after CO": 40, "None": 60},
+        "p4": {"None": 70, "Death_AnyCause": 20, "Death_HF": 10},
+    }
+
+    def test_integer_weights_give_the_probabilities_of_their_floats(self):
+        # each weight is divided as a float by the float sum, in the config's order
+        config = load_config(json.dumps({"places": self.DEVIANT_PLACES}))
+        for place, weights in self.DEVIANT_PLACES.items():
+            total = sum(float(w) for w in weights.values())
+            assert config.place_probs[place] == {label: float(weights[label]) / total
+                                                 for label in sorted(weights)}
+        floats = {place: {label: float(w) for label, w in weights.items()}
+                  for place, weights in self.DEVIANT_PLACES.items()}
+        assert load_config(json.dumps({"places": floats})) == config
+        assert (write_patient_csv(simulate(load_config(json.dumps(
+            {"patients": 40, "seed": 5, "places": self.DEVIANT_PLACES}))))
+            == write_patient_csv(simulate(load_config(json.dumps(
+                {"patients": 40, "seed": 5, "places": floats})))))
+
     def test_bad_json_rejected(self):
         with pytest.raises(ConfigError):
             load_config(b"{nope")
