@@ -206,16 +206,21 @@ class LogisticClassifier:
         import numpy as np
 
         idx = np.asarray(rows, dtype=np.intp)
-        parts = []
-        for column, scaling in zip(columns, self.scaling_):
+        widths = [len(c.categories) if s is None else 2 for c, s in zip(columns, self.scaling_)]
+        matrix = np.empty((len(idx), sum(widths) + 1))  # filled in place, with no other copy
+        at = 0
+        for column, scaling, width in zip(columns, self.scaling_, widths):
             values = np.asarray(column.values)[idx]
             if scaling is None:
-                parts.extend(values == j for j in range(len(column.categories)))
+                for j in range(width):
+                    matrix[:, at + j] = values == j
             else:
                 missing = np.asarray(column.missing, dtype=bool)[idx]
-                parts += [np.where(missing, 0.0, (values - scaling[0]) / scaling[1]), missing]
-        parts.append(np.ones(len(idx)))
-        return np.array(parts, dtype=np.float64).T.copy()
+                matrix[:, at] = np.where(missing, 0.0, (values - scaling[0]) / scaling[1])
+                matrix[:, at + 1] = missing
+            at += width
+        matrix[:, -1] = 1.0
+        return matrix
 
     def fit(self, columns, rows, labels):
         import numpy as np
@@ -427,20 +432,25 @@ class DecisionTreeClassifier:
         counts = np.bincount(y, minlength=len(self.classes_))
         order, _ = _first_seen(y)
         parent = self._gini([int(counts[c]) for c in order], n)
-        screened = []  # (column, gains, rescore)
+        top, window = -math.inf, self._RESCORE_WINDOW
+        screened = []  # (column, gains, rescore, peak) whose peak gain is within the window of the top
         for column in columns:
             if column.categories is None:
                 splits = self._numeric_splits(column, idx, y, parent)
             else:
                 splits = self._categorical_splits(column, idx, y, counts, parent)
-            screened.extend((column, gains, rescore) for gains, rescore in splits)
-        top = max((float(gains.max()) for _, gains, _ in screened if len(gains)), default=-math.inf)
+            for gains, rescore in splits:
+                peak = float(gains.max()) if len(gains) else -math.inf
+                if peak > top:
+                    top, screened = peak, [entry for entry in screened if entry[3] >= peak - window]
+                if peak >= top - window:
+                    screened.append((column, gains, rescore, peak))
         if top == -math.inf:
             return None
 
         best = None
-        for column, gains, rescore in screened:
-            for j in np.flatnonzero(gains >= top - self._RESCORE_WINDOW).tolist():
+        for column, gains, rescore, _ in screened:
+            for j in np.flatnonzero(gains >= top - window).tolist():
                 gain, pivot, missing_left = rescore(j)
                 key = (-gain, column.name, pivot, not missing_left)
                 if best is None or key < best[0]:

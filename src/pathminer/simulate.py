@@ -160,6 +160,8 @@ def _check_sampler(name: str, sampler: AttributeSampler) -> None:
             bad(f"{key} must lie in [0, 1], got {value!r}")
     if sampler.low > sampler.high:
         bad(f"low {sampler.low} exceeds high {sampler.high}")
+    if not sampler.high - sampler.low <= sys.float_info.max:  # a uniform draw scales high - low
+        bad("high - low must be a finite float")
     if not _is_integer(sampler.decimals):
         bad(f"decimals must be an integer, got {sampler.decimals!r}")
     kind = _FIELD_TYPES[name]

@@ -3,8 +3,9 @@
 The activity and the case id live under ``concept:name``, the timestamp under
 ``time:timestamp`` (dates are midnight UTC). Attributes are typed
 string/int/float/boolean/date elements; absent values are omitted. The writer
-emits its fixed layout as text and refuses a string outside the XML 1.0
-``Char`` production. The reader is one strict expat pass with no element tree.
+encodes each trace of its fixed layout into one buffer and refuses a string
+outside the XML 1.0 ``Char`` production. The reader is one strict expat pass
+with no element tree, and holds each distinct key and string value once.
 """
 
 import re
@@ -42,9 +43,9 @@ def _escaped(text: str, texts: dict[str, str], where: str) -> str:
     return escaped
 
 
-def write_xes(log: EventLog) -> bytes:
-    """Serialize a log to XES with a stable element order; a string XML 1.0
-    cannot represent is a :class:`FormatError` naming its trace and key."""
+def write_xes(log: EventLog) -> bytearray:
+    """Serialize a log to XES in a stable element order, each trace encoded into one
+    buffer; a string XML 1.0 cannot represent is a FormatError naming its trace and key."""
     texts: dict[str, str] = {}
     days: dict[date, str] = {}
 
@@ -64,11 +65,10 @@ def write_xes(log: EventLog) -> bytes:
         name = texts.get(key) or _escaped(key, texts, f"{where}: key {key!r}")
         return f'<{tag} key="{name}" value="{text}" />'
 
-    lines = [_HEAD]
-    push = lines.append
+    buffer = bytearray(_HEAD.encode("utf-8"))
     for t_index, (case_id, events) in enumerate(log.traces().items()):
-        push("  <trace>")
-        push("    " + element("concept:name", case_id, f"trace {t_index}"))
+        lines = ["", "  <trace>", "    " + element("concept:name", case_id, f"trace {t_index}")]
+        push = lines.append
         for e_index, event in enumerate(events):
             where = f"trace {t_index} event {e_index}"
             push("    <event>")
@@ -79,11 +79,12 @@ def write_xes(log: EventLog) -> bytes:
                     push("      " + element(key, value, where))
             push("    </event>")
         push("  </trace>")
-    push("</log>\n")
-    return "\n".join(lines).encode("utf-8")
+        buffer += "\n".join(lines).encode("utf-8")
+    buffer += b"\n</log>\n"
+    return buffer
 
 
-def _parse(data: bytes | str, start=None, end=None) -> None:
+def _parse(data: bytes | bytearray | str, start=None, end=None) -> None:
     parser = ParserCreate(None, "}")  # the namespace handling ElementTree used
     parser.StartElementHandler, parser.EndElementHandler = start, end
     try:
@@ -96,7 +97,7 @@ def _parse(data: bytes | str, start=None, end=None) -> None:
         raise FormatError(f"unsupported XML encoding: {exc}") from None
 
 
-def read_xes(data: bytes | str) -> EventLog:
+def read_xes(data: bytes | bytearray | str) -> EventLog:
     """Parse an XES document produced by :func:`write_xes` or compatible.
 
     The case id is the last trace-level ``concept:name``; an event's first
@@ -114,6 +115,7 @@ def read_xes(data: bytes | str) -> EventLog:
     attributes: dict[str, AttrValue] = {}
     pending: list[tuple] = []  # (activity, timestamp, attributes) per event of the open trace
     error = None  # the open trace's first event error, raised once its case id is checked
+    seen: dict[str, str] = {}  # each distinct key and string value, held once
 
     def fail(message: str) -> None:
         nonlocal error
@@ -125,7 +127,7 @@ def read_xes(data: bytes | str) -> EventLog:
         depth += 1
         if depth == attr_depth:
             try:
-                key = attrs["key"]
+                key = seen.setdefault(attrs["key"], attrs["key"])
                 text = attrs["value"]
                 if tag == "float":
                     value = float(text)
@@ -142,7 +144,7 @@ def read_xes(data: bytes | str) -> EventLog:
                 elif tag == "event" or tag == "trace":
                     raise FormatError(f"trace {len(trace_of_case)}: misplaced <{tag}>")
                 else:
-                    value = text
+                    value = seen.setdefault(text, text)
             except (KeyError, ValueError):
                 fail("attribute without key" if "key" not in attrs
                      else "attribute element without value" if "value" not in attrs

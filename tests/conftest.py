@@ -6,6 +6,7 @@ import pytest
 from pathminer.model import Event, EventLog
 from pathminer.patient_csv import parse_patient_csv
 from pathminer.petri import build_dejure
+from pathminer.simulate import SimulationConfig, simulate
 from pathminer.transform import transform_log
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -41,3 +42,9 @@ def example_log(table_rows):
 @pytest.fixture(scope="session")
 def dejure():
     return build_dejure()
+
+
+@pytest.fixture(scope="session")
+def cohort_2k() -> EventLog:
+    """The log of the benchmark's registry-size cohort: 2000 simulated patients."""
+    return transform_log(simulate(SimulationConfig(patients=2000, seed=101)))

@@ -26,7 +26,10 @@ every class's score. ``reference_coverage`` and ``reference_check_walk_ends``
 are the two hand-written graph walks that ``petri.reachable`` replaced: a
 forward and a backward stack search over the retained edges of a
 directly-follows graph, and a stack search plus a fixpoint over the
-simulator's positive-weight place steps.
+simulator's positive-weight place steps. ``reference_matrix`` is the
+logistic design matrix built from a list of parts and transposed, and
+``UnprunedDecisionTree`` screens every split before it rescores any: the
+code that the in-place matrix and the pruned split screen replaced.
 """
 
 import heapq
@@ -37,7 +40,9 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 from datetime import date, datetime, timedelta, timezone
 
-from pathminer.classifiers import _TreeNode, _categorical, _feature_space, make_classifier
+from pathminer.classifiers import (
+    DecisionTreeClassifier, _TreeNode, _categorical, _feature_space, _first_seen, make_classifier,
+)
 from pathminer.conformance import (
     DEFAULT_CAP, LOG, MODEL, SILENT, SYNC, Alignment, ConformanceReport, Move, _as_labels,
     _silent_closure_enabled, align_log, f1, model_path_cost, simplicity,
@@ -1095,3 +1100,57 @@ def reference_train_classifier(
         degenerate=False,
         detail=detail,
     )
+
+
+def reference_matrix(model, columns, rows) -> "np.ndarray":
+    """``LogisticClassifier._matrix`` as it was before it filled one array in
+    place: a list of per-feature parts, stacked, transposed and copied."""
+    import numpy as np
+
+    idx = np.asarray(rows, dtype=np.intp)
+    parts = []
+    for column, scaling in zip(columns, model.scaling_):
+        values = np.asarray(column.values)[idx]
+        if scaling is None:
+            parts.extend(values == j for j in range(len(column.categories)))
+        else:
+            missing = np.asarray(column.missing, dtype=bool)[idx]
+            parts += [np.where(missing, 0.0, (values - scaling[0]) / scaling[1]), missing]
+    parts.append(np.ones(len(idx)))
+    return np.array(parts, dtype=np.float64).T.copy()
+
+
+class UnprunedDecisionTree(DecisionTreeClassifier):
+    """The tree whose ``_best_split`` keeps every screened split until the
+    top gain over all columns is known, as it did before it dropped the
+    splits that fall out of the rescore window as the top rises."""
+
+    def _best_split(self, columns, idx, y):
+        import numpy as np
+
+        n = len(idx)
+        counts = np.bincount(y, minlength=len(self.classes_))
+        order, _ = _first_seen(y)
+        parent = self._gini([int(counts[c]) for c in order], n)
+        screened = []  # (column, gains, rescore)
+        for column in columns:
+            if column.categories is None:
+                splits = self._numeric_splits(column, idx, y, parent)
+            else:
+                splits = self._categorical_splits(column, idx, y, counts, parent)
+            screened.extend((column, gains, rescore) for gains, rescore in splits)
+        top = max((float(gains.max()) for _, gains, _ in screened if len(gains)), default=-math.inf)
+        if top == -math.inf:
+            return None
+
+        best = None
+        for column, gains, rescore in screened:
+            for j in np.flatnonzero(gains >= top - self._RESCORE_WINDOW).tolist():
+                gain, pivot, missing_left = rescore(j)
+                key = (-gain, column.name, pivot, not missing_left)
+                if best is None or key < best[0]:
+                    best = (key, column, pivot, missing_left)
+        key, column, pivot, missing_left = best
+        if -key[0] <= 1e-12:  # the gain
+            return None
+        return column, pivot, missing_left

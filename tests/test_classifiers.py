@@ -1,10 +1,16 @@
 import random
+import tracemalloc
+from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ReferenceDecisionTree, ReferenceLogistic, ReferenceNaiveBayes, tree_fields
+from oracles import (
+    ReferenceDecisionTree, ReferenceLogistic, ReferenceNaiveBayes, UnprunedDecisionTree,
+    reference_matrix, tree_fields,
+)
 from pathminer.classifiers import (
     DecisionTreeClassifier,
     LogisticClassifier,
@@ -253,6 +259,108 @@ class TestDecisionTreeAgainstReference:
             assert tree_fields(model.root_) == tree_fields(expected.root_)
 
 
+class _Recording:
+    """A tree that records each split it rescores as (feature, index, result)."""
+
+    def fit(self, *args):
+        self.rescored = []
+        return super().fit(*args)
+
+    def _numeric_splits(self, column, *args):
+        return self._recorded(column, super()._numeric_splits(column, *args))
+
+    def _categorical_splits(self, column, *args):
+        return self._recorded(column, super()._categorical_splits(column, *args))
+
+    def _recorded(self, column, splits):
+        def record(rescore, j):
+            result = rescore(j)
+            self.rescored.append((column.name, j, result))
+            return result
+
+        return [(gains, partial(record, rescore)) for gains, rescore in splits]
+
+
+class _PrunedRecording(_Recording, DecisionTreeClassifier):
+    pass
+
+
+class _UnprunedRecording(_Recording, UnprunedDecisionTree):
+    pass
+
+
+@st.composite
+def near_tie_sets(draw):
+    """Rows of two to four numeric columns over a few repeated values,
+    labelled with 3-6 classes: splits of different partitions can gain the
+    same but for their last bits, so the running top of the screen can rise
+    by less than the rescore window."""
+    k = draw(st.integers(3, 6))
+    width = draw(st.integers(2, 4))
+    drawn = draw(st.lists(
+        st.tuples(st.lists(_NUMBERS, min_size=width, max_size=width), st.integers(0, k - 1)),
+        min_size=6,
+        max_size=40,
+    ))
+    return [{f"f{i}": v for i, v in enumerate(values)} for values, _ in drawn], \
+        [f"class{label}" for _, label in drawn]
+
+
+# Screened gains at the root that differ in their last bits. Labels are
+# class numbers.
+_WINDOW_CASES = [
+    pytest.param(  # the top rises while an earlier split stays inside the window
+        {"f0": [2, -1, 2, 2.0, -2, 0, 1, -1.5], "f1": [None, 3, 0.25, 2.0, -1.5, -1.5, -1, 2.0],
+         "f2": [-1, 2.0, 3, -3, 1, -1, -1.5, 2]},
+        [0, 1, 0, 4, 4, 4, 4, 3],
+        dict(max_depth=1, min_leaf=1, min_split=2),
+        id="top-rises-inside-the-window",
+    ),
+    pytest.param(  # a later split falls just below the top
+        {"f0": [0, 0.25, -2, 2.75, None, 3, 0.25, 0.5, None],
+         "f1": [-1, -3, 2.75, 1, -1.5, 1, 0, 0, 0.25]},
+        [3, 0, 4, 0, 1, 0, 3, 3, 0],
+        dict(max_depth=1, min_leaf=1, min_split=2),
+        id="later-split-just-below-the-top",
+    ),
+]
+
+
+class TestPrunedSplitScreen:
+    """``_best_split`` drops a screened split once it falls out of the rescore
+    window of the running top; it must rescore exactly the splits that the
+    screen over all columns rescores, in the same order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(tree_training_sets(), near_tie_sets()),
+           st.integers(1, 6), st.integers(1, 6), st.integers(1, 12))
+    def test_rescores_what_the_unpruned_screen_rescores(self, data, max_depth, min_leaf, min_split):
+        rows, labels = data
+        params = dict(max_depth=max_depth, min_leaf=min_leaf, min_split=min_split)
+        pruned = Encoded(_PrunedRecording(**params), rows, labels).model
+        unpruned = Encoded(_UnprunedRecording(**params), rows, labels).model
+        assert pruned.rescored == unpruned.rescored
+        assert tree_fields(pruned.root_) == tree_fields(unpruned.root_)
+
+    @pytest.mark.parametrize("columns, classes, params", _ORDER_CASES + _WINDOW_CASES)
+    def test_near_ties_keep_every_candidate(self, columns, classes, params):
+        rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+        labels = [f"class{c}" for c in classes]
+        pruned = Encoded(_PrunedRecording(**params), rows, labels).model
+        unpruned = Encoded(_UnprunedRecording(**params), rows, labels).model
+        assert len(unpruned.rescored) > 1
+        assert pruned.rescored == unpruned.rescored
+
+    def test_equal_partitions_are_both_rescored(self):
+        # "hfref" and "lvef <= 42.5" split the rows identically, so both lie
+        # inside the window and the name decides
+        rows = [{"lvef": v, "hfref": v <= 40} for v in (20, 25, 30, 35, 40, 45, 50, 55, 60, 65)]
+        labels = ["HF"] * 5 + ["None"] * 5
+        model = Encoded(_PrunedRecording(min_leaf=1, min_split=2), rows, labels).model
+        assert [(name, pivot) for name, _, (_, pivot, _) in model.rescored] == [
+            ("hfref", "false"), ("hfref", "true"), ("lvef", 42.5)]
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(InputError):
         make_classifier("svm")
@@ -368,3 +476,32 @@ class TestAgainstParentClassifiers:
             bayes, expected = Encoded(NaiveBayesClassifier(), rows, labels), ReferenceNaiveBayes().fit(rows, labels)
             columns, _ = bayes.encode()
             assert [bayes.model._scores(columns, i) for i in bayes.train] == [expected.scores(r) for r in rows]
+
+
+class TestDesignMatrix:
+    @settings(max_examples=100, deadline=None)
+    @given(classifier_rows())
+    def test_equals_the_stacked_parts_bit_for_bit(self, train):
+        rows, labels = train
+        fitted = Encoded(LogisticClassifier(), rows, labels)
+        columns, _ = fitted.encode()
+        for positions in (fitted.train, fitted.train[::-2], []):
+            matrix = fitted.model._matrix(columns, positions)
+            expected = reference_matrix(fitted.model, columns, positions)
+            assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
+            assert matrix.shape == expected.shape
+            assert matrix.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("place", ["p1", "p4"])
+    def test_holds_no_copy_of_itself(self, cohort_2k, place):
+        instances = extract_instances(build_dejure(), cohort_2k, place).instances
+        fitted = Encoded(LogisticClassifier(), [i.features for i in instances],
+                         [i.chosen for i in instances])
+        columns, _ = fitted.encode()
+        tracemalloc.start()
+        try:
+            matrix = fitted.model._matrix(columns, fitted.train)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * matrix.nbytes

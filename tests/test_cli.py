@@ -256,8 +256,15 @@ class TestErrorHandling:
         ('{"patients": 1%s}' % ("0" * 5000),
          "malformed config JSON: Exceeds the limit (4300 digits) for integer string conversion: "
          "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit"),
+        ('{"gap_days": [5, 2]}', "gap_days must satisfy 1 <= min <= max"),
+        # uniform draws low + (high - low) * u, which overflows although both ends fit a float
+        ('{"patients": 3, "attributes": {"urea": {"kind": "uniform", "low": -1.7e308, '
+         '"high": 1.7e308}}}', "attribute 'urea': high - low must be a finite float"),
+        ('{"patients": 3, "attributes": {"urea": {"kind": "uniform", "low": -1%s, "high": 1%s}}}'
+         % ("0" * 308, "0" * 308), "attribute 'urea': high - low must be a finite float"),
     ], ids=["unknown-keys", "string-weight", "boolean-weight", "nan-weight", "infinite-weight",
-            "401-digit-weight", "401-digit-high", "5001-digit-patients"])
+            "401-digit-weight", "401-digit-high", "5001-digit-patients", "gap-days-reversed",
+            "float-range-overflow", "integer-range-overflow"])
     def test_simulate_with_a_config_that_is_not_one_exits_1(self, tmp_path, capsys, text, message):
         path = tmp_path / "config.json"
         path.write_text(text)
@@ -353,6 +360,19 @@ class TestErrorHandling:
         assert code == 1
         assert ("the net has no run from its initial marking to its final marking"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("row, message", [
+        ("0001,50,0,0,1,80,2017,750.5,1,,Heart,,24.9,10.5,38,100,50,10,12.5,2023-02-20",
+         "row 1: unknown outcome label 'Heart'"),
+        ("0001,50,0,0,1", "row 1: Timestamp must not be empty"),  # shorter than the header
+    ], ids=["unknown-outcome", "short-row"])
+    def test_transform_with_a_row_that_is_not_one_exits_1(self, tmp_path, capsys, row, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{TABLE.read_text().splitlines()[0]}\n{row}\n")
+        out = tmp_path / "out.xes"
+        assert main(["transform", "--input", str(bad), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"pathminer: error: {message}\n"
+        assert sorted(tmp_path.iterdir()) == [bad]
 
     def test_a_csv_cell_over_the_field_size_limit_exits_1(self, tmp_path, capsys):
         header = TABLE.read_text().splitlines()[0]

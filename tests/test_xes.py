@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from datetime import date
 
 import pytest
@@ -115,6 +116,29 @@ def test_attributes_under_the_reserved_keys_survive():
 
 def test_write_is_deterministic(example_log):
     assert write_xes(example_log) == write_xes(example_log)
+
+
+def test_a_read_log_holds_each_key_and_string_once(cohort_2k):
+    # every event carries the same keys; an object per event would make the
+    # log grow with its events rather than with its distinct values
+    events = read_xes(write_xes(cohort_2k)).events
+    keys = [key for event in events for key in event.attributes]
+    texts = [event.activity for event in events]
+    texts += [v for event in events for v in event.attributes.values() if isinstance(v, str)]
+    for objects in (keys, texts):
+        assert len({id(o) for o in objects}) == len(set(objects))
+
+
+def test_the_writer_holds_one_copy_of_the_document(cohort_2k):
+    # each trace is encoded into the buffer returned, with no list of lines,
+    # joined text or encoded copy of the whole document
+    tracemalloc.start()
+    try:
+        data = write_xes(cohort_2k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * len(data)
 
 
 def test_malformed_xml_rejected():
