@@ -4,34 +4,31 @@ The activity and the case id live under ``concept:name``, the timestamp under
 ``time:timestamp`` (dates are midnight UTC). Attributes are typed
 string/int/float/boolean/date elements; absent values are omitted. The writer
 encodes each trace of its fixed layout into one buffer and refuses a string
-outside the XML 1.0 ``Char`` production. The reader is one strict expat pass
-with no element tree, and holds each distinct key and string value once.
+outside the XML 1.0 ``Char`` production. The reader scans that layout; any other
+document, and any error, goes to one strict expat pass with no element tree.
 """
 
 import re
-from datetime import date, datetime, timezone
+from datetime import date
 from math import isfinite
 from xml.parsers.expat import ExpatError, ParserCreate
 
 from .errors import FormatError, PathminerError
 from .model import AttrValue, Event, EventLog
 
-_HEAD = """<?xml version='1.0' encoding='UTF-8'?>
+_HEAD = b"""<?xml version='1.0' encoding='UTF-8'?>
 <log xes.version="1.0">
   <extension name="Concept" prefix="concept" uri="http://www.xes-standard.org/concept.xesext" />
   <extension name="Time" prefix="time" uri="http://www.xes-standard.org/time.xesext" />"""
 
 _BOOLEANS = {"true": True, "false": False, "1": True, "0": False}
+_DATE = re.compile(r"(\d{4}-\d\d-\d\d)(?:T00:00:00(?:\+00:00|Z))?", re.ASCII)
 
 # ElementTree's attribute escapes, and a character outside the XML 1.0 Char production.
 _ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
                           "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"})
 # Spelled as the excluded ranges: the negated Char class compiles ten times slower.
 _NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
-
-
-def _date_value(day: date) -> str:
-    return datetime(day.year, day.month, day.day, tzinfo=timezone.utc).isoformat()
 
 
 def _escaped(text: str, texts: dict[str, str], where: str) -> str:
@@ -47,7 +44,6 @@ def write_xes(log: EventLog) -> bytearray:
     """Serialize a log to XES in a stable element order, each trace encoded into one
     buffer; a string XML 1.0 cannot represent is a FormatError naming its trace and key."""
     texts: dict[str, str] = {}
-    days: dict[date, str] = {}
 
     def element(key: str, value: AttrValue, where: str) -> str:
         if value.__class__ is str:
@@ -59,13 +55,13 @@ def write_xes(log: EventLog) -> bytearray:
         elif isinstance(value, float):
             tag, text = "float", repr(value)
         elif isinstance(value, date):
-            tag, text = "date", days.get(value) or days.setdefault(value, _date_value(value))
+            tag, text = "date", f"{date.isoformat(value)}T00:00:00+00:00"  # midnight UTC
         else:
             tag, text = "string", _escaped(str(value), texts, f"{where}: {key!r}")
         name = texts.get(key) or _escaped(key, texts, f"{where}: key {key!r}")
         return f'<{tag} key="{name}" value="{text}" />'
 
-    buffer = bytearray(_HEAD.encode("utf-8"))
+    buffer = bytearray(_HEAD)
     for t_index, (case_id, events) in enumerate(log.traces().items()):
         lines = ["", "  <trace>", "    " + element("concept:name", case_id, f"trace {t_index}")]
         push = lines.append
@@ -82,6 +78,71 @@ def write_xes(log: EventLog) -> bytearray:
         buffer += "\n".join(lines).encode("utf-8")
     buffer += b"\n</log>\n"
     return buffer
+
+
+def _value(tag: str, text: str) -> AttrValue:
+    """The value of an attribute element: ValueError or KeyError if ``text`` is not one."""
+    if tag == "int" or tag == "float":
+        value = float(text) if tag == "float" else int(text)
+        if "_" in text or not text.isascii() or tag == "float" and not isfinite(value):
+            raise ValueError  # int() and float() take "1_000", non-ASCII digits and "inf"
+        return value
+    if tag == "date":  # midnight UTC as write_xes writes it, with a Z, or as a bare date
+        midnight = _DATE.fullmatch(text)
+        if midnight is None:
+            raise ValueError  # a time of day or an offset would move the date
+        return date.fromisoformat(midnight[1])
+    return _BOOLEANS[text] if tag == "boolean" else text
+
+
+# One trace of write_xes's layout, (case id, events), whose values expat reads as they stand.
+# Value runs end at quotes and repeats open with distinct prefixes, so failing is linear.
+_TEXT = rb'[^"<&\x00-\x1f]*'  # no markup, reference or control character
+_TRACE = re.compile((
+    rb'\n  <trace>\n    <string key="concept:name" value="(%s)" />((?:\n    <event>'
+    rb'\n      <string key="concept:name" value="%s" />\n      <date key="time:timestamp" value="%s" />'
+    rb'(?:\n      <(?:string|int|float|boolean|date) key="%s" value="%s" />)*\n    </event>)+)'
+    rb'\n  </trace>') % ((_TEXT,) * 5))
+
+
+def _text(raw: bytes) -> str:
+    if _NOT_XML_CHAR.search(text := raw.decode()):  # strict UTF-8: else a UnicodeDecodeError
+        raise ValueError  # U+FFFE or U+FFFF, which expat refuses
+    return text
+
+
+class _Memo(dict):
+    """The scan's memo: attribute line -> (key, value), and tag, space, text ->
+    value, so that each distinct key, string, number and date is one object."""
+
+    def __missing__(self, key: bytes):
+        if key[0] == 60:  # "<": an attribute line, <tag key="name" value="text" />
+            start, name, _, text, _ = key.split(b'"')
+            self[key] = value = self[b"string " + name], self[start[1:-5] + b" " + text]
+        else:  # a tag, a space and a value's text
+            tag, _, text = key.partition(b" ")
+            self[key] = value = _value(tag.decode(), _text(text))
+        return value
+
+
+def _scan_written(data: bytes | bytearray) -> EventLog | None:
+    """The log of a document in exactly write_xes's layout, else None. Outside its values
+    such a document is fixed ASCII, and its values hold no quote, markup, reference or
+    control character, so expat would take it as well-formed, each value as it stands."""
+    if not (data.startswith(_HEAD) and data.endswith(b"\n</log>\n")):
+        return None
+    memo, events, cases, pos = _Memo(), [], [], len(_HEAD)
+    try:
+        while match := _TRACE.match(data, pos):
+            cases.append(case_id := _text(match[1]))
+            for event in match[2].split(b"\n    </event>")[:-1]:
+                _, name, stamp, *rest = event.split(b"\n      ")
+                events.append(Event(case_id, memo[name][1], memo[stamp][1],
+                                    dict(map(memo.__getitem__, rest))))
+            pos = match.end()
+    except (KeyError, ValueError, PathminerError):
+        return None
+    return EventLog(tuple(events)) if pos == len(data) - 8 and len(set(cases)) == len(cases) else None
 
 
 def _parse(data: bytes | bytearray | str, start=None, end=None) -> None:
@@ -106,7 +167,9 @@ def read_xes(data: bytes | bytearray | str) -> EventLog:
     numbers ASCII with no ``_``, floats finite, case ids unique, traces
     not empty; a ``<trace>`` or ``<event>`` inside an event, attribute or
     trace is misplaced. Errors come in the order a tree reader meets them:
-    malformed XML, root, then per trace case id, events, emptiness."""
+    malformed XML, root, then per trace case id, events, emptiness. Dates are midnight UTC."""
+    if data.__class__ is not str and (log := _scan_written(data)) is not None:
+        return log
     events: list[Event] = []
     trace_of_case: dict[str, int] = {}
     # depths of: this element, the open trace, its open event's children, the next close
@@ -129,22 +192,9 @@ def read_xes(data: bytes | bytearray | str) -> EventLog:
             try:
                 key = seen.setdefault(attrs["key"], attrs["key"])
                 text = attrs["value"]
-                if tag == "float":
-                    value = float(text)
-                    if not isfinite(value) or "_" in text or not text.isascii():
-                        raise ValueError  # float() takes "8_0.5" and non-ASCII digits
-                elif tag == "boolean":
-                    value = _BOOLEANS[text]
-                elif tag == "int":
-                    value = int(text)
-                    if "_" in text or not text.isascii():
-                        raise ValueError  # int() takes "1_000" and non-ASCII digits
-                elif tag == "date":
-                    value = datetime.fromisoformat(text.replace("Z", "+00:00")).date()
-                elif tag == "event" or tag == "trace":
+                if tag == "event" or tag == "trace":
                     raise FormatError(f"trace {len(trace_of_case)}: misplaced <{tag}>")
-                else:
-                    value = seen.setdefault(text, text)
+                value = seen.setdefault(text, text) if tag == "string" else _value(tag, text)
             except (KeyError, ValueError):
                 fail("attribute without key" if "key" not in attrs
                      else "attribute element without value" if "value" not in attrs

@@ -628,8 +628,12 @@ class ReferenceXes:
                 if text not in ReferenceXes._BOOLEANS:
                     raise ValueError
                 return ReferenceXes._BOOLEANS[text]
-            if tag == "date":
-                return datetime.fromisoformat(text.replace("Z", "+00:00")).date()
+            if tag == "date":  # midnight UTC: as written, with a Z, or a bare date
+                day = date.fromisoformat(text[:10])
+                if day.isoformat() != text[:10] or text[10:] not in ("", "T00:00:00+00:00",
+                                                                      "T00:00:00Z"):
+                    raise ValueError
+                return day
         except ValueError:
             raise FormatError(f"{where}: bad {tag} value {text!r}") from None
         return text

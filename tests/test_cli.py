@@ -195,6 +195,24 @@ class TestErrorHandling:
         assert err == "pathminer: error: unsupported XML encoding: unknown encoding: TF-8\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("stamps", [
+        ["2019-12-31T23:30:00-02:00"],  # 2020-01-01 in UTC
+        ["2023-02-20T18:00:00+00:00", "2023-02-20T08:00:00+00:00"],  # later first in file order
+    ], ids=["offset", "times-of-day"])
+    def test_an_xes_timestamp_that_is_not_midnight_utc_exits_1(self, tmp_path, capsys, stamps):
+        # cut to its date, such a timestamp would move an event to another
+        # day or put the events of one day out of time order
+        log, _ = prepare_inputs(tmp_path)
+        data = log.read_bytes()
+        for old, new in zip((b"2023-02-20T00:00:00+00:00", b"2023-03-14T00:00:00+00:00"), stamps):
+            data = data.replace(old, new.encode(), 1)
+        log.write_bytes(data)
+        out = tmp_path / "net.json"
+        assert main(["discover", "--input", str(log), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"pathminer: error: trace 0 event 0: bad date value '{stamps[0]}'\n")
+        assert not out.exists()
+
     def test_bad_place_exits_1(self, tmp_path, capsys):
         log, net = prepare_inputs(tmp_path)
         code = main(["decide", "--log", str(log), "--net", str(net),

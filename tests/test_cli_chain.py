@@ -11,6 +11,10 @@ what eleven ``main()`` calls write, byte for byte, and a command that exits
 """
 
 import io
+import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr
 from pathlib import Path
@@ -133,3 +137,25 @@ def test_a_cohort_too_small_to_decide_fails_in_memory_as_main_does(patients):
     _, outcomes = assert_chain_matches(csv)
     error = "pathminer: error: at least two decision instances are required\n"
     assert outcomes == [(0, "")] * 9 + [(1, error)] * 2
+
+
+def test_the_files_of_eleven_commands_do_not_depend_on_the_hash_seed(tmp_path):
+    # str and bytes hash by the seed, and so does the order of a set of them;
+    # no such order may reach an artifact
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    (inputs / "patients.csv").write_bytes(
+        write_patient_csv(simulate(SimulationConfig(patients=30, seed=7))))
+    assert cli.main(["dejure", "--output", str(inputs / "dejure.json")]) == 0
+    child = "import json, sys\nfrom pathminer.cli import main\n" \
+            "sys.exit(max([main(argv) for argv in json.loads(sys.argv[1])]))\n"
+    files = []
+    for seed in ("0", "12345"):
+        out = tmp_path / seed
+        out.mkdir()
+        argvs = [argv for _, argv in chain(inputs, out)]
+        result = subprocess.run([sys.executable, "-c", child, json.dumps(argvs)], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONHASHSEED": seed})
+        assert (result.returncode, result.stderr) == (0, "")
+        files.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert len(files[0]) > 11 and files[0] == files[1]

@@ -86,7 +86,12 @@ def snapshot(d: Path) -> dict[str, bytes | None]:
 def mutants(draw):
     """(input kind, its bytes after one to three replaces, deletes or splices)."""
     kind = draw(st.sampled_from(sorted(inputs())))
-    data = inputs()[kind]
+    return kind, draw(mutated(inputs()[kind]))
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """``data`` after one to three replaces, deletes or splices."""
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(data)))
         op = draw(st.sampled_from(("replace", "delete", "splice")))
@@ -98,7 +103,7 @@ def mutants(draw):
         else:  # a run copied from elsewhere in the same input
             start = draw(st.integers(0, len(data)))
             data = data[:at] + data[start:start + draw(st.integers(1, 64))] + data[at:]
-    return kind, data
+    return data
 
 
 def check_mutant(kind: str, data: bytes, existing: bool) -> None:

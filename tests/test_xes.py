@@ -1,15 +1,19 @@
 import random
+import re
 import tracemalloc
 from datetime import date
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ReferenceXes
+from pathminer import xes
 from pathminer.errors import FormatError, PathminerError
 from pathminer.model import Event, EventLog
-from pathminer.xes import _NOT_XML_CHAR, read_xes, write_xes
+from pathminer.xes import _NOT_XML_CHAR, _scan_written, read_xes, write_xes
+from test_cli_fuzz import inputs, mutated
 
 names = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=126),
@@ -119,13 +123,22 @@ def test_write_is_deterministic(example_log):
 
 
 def test_a_read_log_holds_each_key_and_string_once(cohort_2k):
-    # every event carries the same keys; an object per event would make the
-    # log grow with its events rather than with its distinct values
+    # every event carries the same keys, and a patient's values repeat on
+    # each of its events; an object per event would make the log grow with
+    # its events rather than with its distinct values
     events = read_xes(write_xes(cohort_2k)).events
     keys = [key for event in events for key in event.attributes]
-    texts = [event.activity for event in events]
-    texts += [v for event in events for v in event.attributes.values() if isinstance(v, str)]
-    for objects in (keys, texts):
+    values = [v for event in events for v in event.attributes.values()]
+    values += [event.activity for event in events] + [event.timestamp for event in events]
+    by_type = {kind: [v for v in values if v.__class__ is kind] for kind in (str, float, int, date)}
+    assert len(by_type[date]) > 2 * len(set(by_type[date]))  # 2,329 dates, 510 distinct
+    for objects in (keys, *by_type.values()):
+        assert len({id(o) for o in objects}) == len(set(objects))
+    # a str goes to expat, which holds each key and string once and parses each number anew
+    events = read_xes(write_xes(cohort_2k).decode()).events
+    keys = [key for event in events for key in event.attributes]
+    texts = [v for event in events for v in event.attributes.values() if v.__class__ is str]
+    for objects in (keys, texts + [event.activity for event in events]):
         assert len({id(o) for o in objects}) == len(set(objects))
 
 
@@ -139,6 +152,101 @@ def test_the_writer_holds_one_copy_of_the_document(cohort_2k):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * len(data)
+
+
+# --- the scan of the writer's own layout ---------------------------------
+
+def _expat_only(data):
+    with mock.patch.object(xes, "_scan_written", return_value=None):
+        return _outcome(read_xes, data)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(logs, xml_logs), st.booleans())
+def test_the_writers_layout_is_read_by_the_scan_without_expat(log, as_bytes):
+    data = write_xes(log)  # a bytearray, as the writer returns it
+    data = bytes(data) if as_bytes else data
+    if b"&" in data:  # an escaped value is left to expat
+        assert _scan_written(data) is None
+        assert read_xes(data).traces() == log.traces()
+        return
+    with mock.patch.object(xes, "_parse", side_effect=AssertionError("expat ran")):
+        assert read_xes(data).traces() == log.traces()
+
+
+def test_the_scan_pattern_has_no_possessive_quantifier():
+    # Python 3.10, which pyproject.toml still declares, cannot compile one
+    assert not re.search(rb"[*+?}]\+", xes._TRACE.pattern)
+
+
+# Bytes that a value of the writer's layout holds, may hold, or must not hold.
+VALUE_BYTES = (b'"', b"<", b">", b"&", b"&amp;", b"\t", b"\x01", b"\x7f", b" ", b"_", b"1", b".5",
+               b"e3", b"\xc3\xa9", b"\xef\xbf\xbe", b"\xed\xa0\x80", b"\xff", b"T00:00:00Z",
+               b"T08:00:00+00:00", b"true")
+
+
+@st.composite
+def value_edits(draw, data: bytes) -> bytes:
+    """``data`` with one to three of its attribute values cut short and
+    extended by drawn bytes."""
+    starts = [match.end() for match in re.finditer(rb'value="', data)]
+    edits = draw(st.lists(st.sampled_from(starts), min_size=1, max_size=3, unique=True))
+    for at in sorted(edits, reverse=True):
+        end = data.index(b'"', at)
+        keep = draw(st.integers(at, end))
+        new = b"".join(draw(st.lists(st.sampled_from(VALUE_BYTES), max_size=3)))
+        data = data[:keep] + new + data[end:]
+    return data
+
+
+def _scan_agrees_or_declines(data: bytes) -> None:
+    scanned, expat = _scan_written(data), _expat_only(data)
+    if scanned is not None:
+        assert expat == ("events", scanned.events)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutated(inputs()["xes"]))
+def test_the_scan_of_a_fuzzed_log_agrees_with_expat_or_declines(data):
+    _scan_agrees_or_declines(data)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(value_edits(inputs()["xes"]))
+def test_the_scan_of_a_log_with_edited_values_agrees_with_expat_or_declines(data):
+    _scan_agrees_or_declines(data)
+
+
+@pytest.mark.parametrize("edit", [
+    (b'value="007"', b'value="008"'),  # a repeated case id
+    (b'value="Visit before CO"', b'value=""'),  # an event the model refuses
+    (b'value="2023-', b'value="2023-13-'),  # a bad date
+    (b'value="Visit', b'value="\xef\xbf\xbe'),  # U+FFFE, which expat refuses
+    (b'value="Visit', b'value="\xed\xa0\x80'),  # a surrogate, which is not UTF-8
+    (b'\n</log>\n', b'\n</log>\n\n'),  # a byte past the layout
+])
+def test_the_scan_declines_and_expat_reports(edit, example_log):
+    data = bytes(write_xes(example_log)).replace(*edit, 1)
+    assert data != write_xes(example_log)
+    assert _scan_written(data) is None
+    assert _outcome(read_xes, data) == _expat_only(data)
+
+
+@pytest.mark.parametrize("text", [
+    "2019-12-31T23:30:00-02:00", "2020-01-01T18:00:00+00:00", "2020-01-01T00:00:00+01:00",
+    "2020-01-01T00:00:00.000+00:00", "20200101", "2020-W01-1",
+])
+def test_a_date_outside_the_three_forms_of_midnight_utc_is_rejected(text):
+    # cut to its date, a time of day or an offset could move the event to another day
+    data = "<log>" + _one_event_trace("A", f'<date key="d" value="{text}"/>') + "</log>"
+    with pytest.raises(FormatError, match=re.escape(f"trace 0 event 0: bad date value '{text}'")):
+        read_xes(data)
+
+
+@pytest.mark.parametrize("text", ["2020-01-01T00:00:00+00:00", "2020-01-01T00:00:00Z", "2020-01-01"])
+def test_midnight_utc_is_read_in_each_of_its_three_forms(text):
+    data = "<log>" + _one_event_trace("A", f'<date key="d" value="{text}"/>') + "</log>"
+    assert read_xes(data).events[0].attributes["d"] == date(2020, 1, 1)
 
 
 def test_malformed_xml_rejected():
@@ -405,6 +513,7 @@ def _variant_document(rng: random.Random, log: EventLog) -> str:
 def test_reader_agrees_with_the_reference_on_variant_documents(log, seed, as_bytes):
     document = _variant_document(random.Random(seed), log)
     data = document.encode("utf-8") if as_bytes else document
+    assert _scan_written(document.encode("utf-8")) is None
     assert _outcome(read_xes, data) == _outcome(ReferenceXes.read_xes, data)
 
 
@@ -412,7 +521,8 @@ TAGS = ("trace", "event", "string", "int", "float", "boolean", "date", "foo")
 ATTRIBUTE_TAGS = ("string", "string", "int", "float", "boolean", "date", "foo")
 KEYS = (None, "concept:name", "time:timestamp", "k", "k2")
 VALUES = (None, "A", "B", "", "1", "0", "yes", "2.5", "inf", "13",
-          "2020-01-01T00:00:00+00:00", "2020-01-01", "2020-13-01")
+          "2020-01-01T00:00:00+00:00", "2020-01-01", "2020-13-01",
+          "2020-01-01T08:00:00+00:00", "2019-12-31T23:30:00-02:00", "2020-01-01T00:00:00Z")
 VALID = {"string": ("A", "", "x y"), "foo": ("B",), "int": ("13", "-1"), "float": ("2.5", "1e3"),
          "boolean": ("true", "0"), "date": ("2020-01-01T00:00:00+00:00", "2020-01-02")}
 
@@ -474,6 +584,7 @@ def test_reader_agrees_with_the_reference_on_random_trees(seed):
     document = _render(_random_tree(rng))
     if rng.random() < 0.05:
         document = document[: len(document) * 2 // 3]
+    assert _scan_written(document.encode("utf-8")) is None
     new = _outcome(read_xes, document)
     if "misplaced" in str(new[1]):
         return  # the one allowed divergence, pinned below
