@@ -8,8 +8,8 @@ synchronous product of the trace and a :class:`~pathminer.petri.CompiledNet`
 
 :func:`conformance_report` is the one metric path. It compiles the net once,
 aligns each variant of the log once, and walks each variant's model run once
-with its number of cases as weight. :func:`fitness`, :func:`precision` and
-:func:`generalization` each read one field of that report.
+with its number of cases as weight; fitness, precision and generalization are
+fields of the report it returns.
 
 Metric conventions, fixed here so results are deterministic:
 
@@ -318,14 +318,3 @@ def conformance_report(
     gen = 1.0 - penalty / len(visible) if visible else 1.0
     return ConformanceReport(fit, prec, gen, simplicity(net), f1(fit, prec))
 
-
-def fitness(net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP) -> float:
-    return conformance_report(net, log, cap=cap).fitness
-
-
-def precision(net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP) -> float:
-    return conformance_report(net, log, cap=cap).precision
-
-
-def generalization(net: PetriNet, log: EventLog, *, cap: int = DEFAULT_CAP) -> float:
-    return conformance_report(net, log, cap=cap).generalization

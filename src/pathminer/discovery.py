@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import InputError
 from .model import EventLog
-from .petri import Marking, PetriNet, Transition, reachable
+from .petri import PetriNet, Transition, reachable
 
 CAUSAL = "->"
 REVERSE = "<-"
@@ -102,7 +102,7 @@ def _repair_connectivity(dfg: DirectlyFollowsGraph, retained: set, dropped: list
 def _workflow_net(places: set[str], transitions, arcs: set, name: str) -> PetriNet:
     """The net that runs from one token on ``source`` to one on ``sink``."""
     return PetriNet(frozenset(places), tuple(transitions), frozenset(arcs),
-                    Marking(["source"]), Marking(["sink"]), name)
+                    {"source": 1}, {"sink": 1}, name)
 
 
 def dfg_to_net(dfg: DirectlyFollowsGraph, retained: set, name: str = "dfm") -> PetriNet:

@@ -92,8 +92,7 @@ class PatientDatum(_PatientFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.lvef is not None and not 0 <= self.lvef <= 100:
             raise InputError(f"LVEF must lie in [0, 100], got {self.lvef}")
-        flags = (self.hfref, self.hfmref, self.hfpef)
-        if all(f is not None for f in flags) and sum(bool(f) for f in flags) > 1:
+        if sum(bool(f) for f in (self.hfref, self.hfmref, self.hfpef)) > 1:
             raise InputError(f"patient {self.pat_id}: more than one phenotype flag set")
         return self
 

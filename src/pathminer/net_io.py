@@ -2,13 +2,14 @@
 
 The JSON layout mirrors the in-memory model: places, transitions (with a
 label or a silent flag), arcs, and the two markings as place-id -> count
-maps. Serialization sorts everything, so equal nets produce equal bytes.
+maps. A net keeps its transitions and markings in order and serialization
+sorts the rest, so equal nets produce equal bytes.
 """
 
 import json
 
 from .errors import FormatError
-from .petri import Marking, PetriNet, Transition
+from .petri import PetriNet, Transition
 
 
 def write_net_json(net: PetriNet) -> bytes:
@@ -17,13 +18,13 @@ def write_net_json(net: PetriNet) -> bytes:
         "places": [{"id": p} for p in sorted(net.places)],
         "transitions": [
             {"id": t.id, "silent": True} if t.silent else {"id": t.id, "label": t.label}
-            for t in sorted(net.transitions, key=lambda t: t.id)
+            for t in net.transitions
         ],
         "arcs": [
             {"source": s, "target": t} for s, t in sorted(net.arcs)
         ],
-        "initial_marking": dict(net.initial_marking.items()),
-        "final_marking": dict(net.final_marking.items()),
+        "initial_marking": dict(net.initial_marking),
+        "final_marking": dict(net.final_marking),
     }
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
@@ -63,18 +64,21 @@ def read_net_json(data: bytes | str) -> PetriNet:
         return [(f"{key}[{i}]", _typed(item, dict, f"{key}[{i}]"))
                 for i, item in enumerate(_field(doc, key, list))]
 
-    def marking(key: str) -> Marking:
+    def marking(key: str) -> dict[str, int]:
+        """The marking ``doc[key]`` as counts; a list names one token per entry."""
         value = _field(doc, key, (dict, list))
         if isinstance(value, dict):
             entries = [(f"{key}.{p}", p, _typed(n, int, f"{key}.{p}")) for p, n in value.items()]
         else:
             entries = [(f"{key}[{i}]", _typed(p, str, f"{key}[{i}]"), 1) for i, p in enumerate(value)]
+        counts: dict[str, int] = {}
         for path, place, count in entries:
             if count < 0:
                 raise FormatError(f"net JSON {path}: negative token count for place {place}")
             if place not in places:
                 raise FormatError(f"net JSON {path}: marking references unknown place {place}")
-        return Marking(value)
+            counts[place] = counts.get(place, 0) + count
+        return counts
 
     def distinct(key: str, what: str, read, ident=lambda value: value) -> list:
         """(path, ``read(object, path)``) of each entry of ``doc[key]``; an
@@ -123,13 +127,14 @@ def write_dot(net: PetriNet) -> bytes:
     filled black.
     """
     lines = [f"digraph {_quoted(net.name)} {{", "  rankdir=LR;"]
+    initial = dict(net.initial_marking)
     for place in sorted(net.places):
-        tokens = net.initial_marking[place]
+        tokens = initial.get(place, 0)
         label = "&bull;" * tokens if tokens else ""
         lines.append(
             f'  {_quoted(place)} [shape=circle, label="{label}", xlabel={_quoted(place)}];'
         )
-    for t in sorted(net.transitions, key=lambda t: t.id):
+    for t in net.transitions:
         if t.silent:
             lines.append(
                 f'  {_quoted(t.id)} [shape=box, style=filled, fillcolor=black, label=""];'

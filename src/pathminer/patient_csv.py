@@ -151,6 +151,9 @@ def parse_patient_csv(data: bytes | str) -> list[PatientDatum]:
     for row_index, cells in records:
         if not any(cell.strip(_SPACE) for cell in cells):
             continue
+        past = next((cell for cell in cells[len(header):] if cell.strip(_SPACE)), None)
+        if past is not None:
+            raise RowError(row_index, f"cell {past!r} lies past the header's {len(header)} columns")
         values = {}
         for field, pos in positions.items():
             cell = cells[pos].strip(_SPACE) if pos < len(cells) else ""

@@ -18,103 +18,62 @@ class Transition(NamedTuple):
         return self.label is None
 
 
-class Marking:
-    """An immutable multiset of place ids."""
-
-    __slots__ = ("_counts", "_key")
-
-    def __init__(self, places=()):
-        counts: dict[str, int] = {}
-        if isinstance(places, dict):
-            items = places.items()
-        else:
-            items = ((p, 1) for p in places)
-        for place, n in items:
-            if n < 0:
-                raise InputError(f"negative token count for place {place}")
-            if n:
-                counts[place] = counts.get(place, 0) + n
-        self._counts = counts
-        self._key = tuple(sorted(counts.items()))
-
-    def __getitem__(self, place: str) -> int:
-        return self._counts.get(place, 0)
-
-    def __iter__(self):
-        return iter(self._counts)
-
-    def __len__(self) -> int:
-        return sum(self._counts.values())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Marking) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{p}:{n}" for p, n in self._key)
-        return f"Marking({{{inner}}})"
-
-    def items(self):
-        return self._key
+def _marking(marking, places: frozenset[str]) -> tuple[tuple[str, int], ...]:
+    """``marking``, a ``{place: count}`` map or ``(place, count)`` pairs, as
+    pairs sorted by place without zero counts."""
+    counts = dict(marking)
+    if len(counts) != len(marking):
+        raise InputError("marking repeats a place")
+    for place, n in counts.items():
+        if n < 0:
+            raise InputError(f"negative token count for place {place}")
+        if place not in places:
+            raise InputError(f"marking references unknown place {place}")
+    return tuple(sorted((p, n) for p, n in counts.items() if n))
 
 
 class _NetFields(NamedTuple):
     places: frozenset[str]
     transitions: tuple[Transition, ...]
     arcs: frozenset[tuple[str, str]]
-    initial_marking: Marking
-    final_marking: Marking
+    initial_marking: tuple[tuple[str, int], ...]
+    final_marking: tuple[tuple[str, int], ...]
     name: str = "net"
 
 
 class PetriNet(_NetFields):
+    """A checked net in one canonical form: transitions sorted by id, and each
+    marking as ``(place, count)`` pairs sorted by place, without zero counts.
+    The given transition order and marking form are cosmetic, so nothing
+    computed from a net depends on them."""
+
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        trans_ids = {t.id for t in self.transitions}
-        if len(trans_ids) != len(self.transitions):
+    def __new__(cls, places, transitions, arcs, initial_marking, final_marking, name="net"):
+        trans_ids = {t.id for t in transitions}
+        if len(trans_ids) != len(transitions):
             raise InputError("duplicate transition ids")
-        if trans_ids & self.places:
+        if trans_ids & places:
             raise InputError("place and transition ids overlap")
-        ids = self.places | trans_ids
-        for source, target in self.arcs:
+        ids = places | trans_ids
+        for source, target in arcs:
             if source not in ids or target not in ids:
                 raise InputError(f"arc {source}->{target} references unknown id")
-            if (source in self.places) == (target in self.places):
+            if (source in places) == (target in places):
                 raise InputError(f"arc {source}->{target} is not bipartite")
-        for marking in (self.initial_marking, self.final_marking):
-            for place in marking:
-                if place not in self.places:
-                    raise InputError(f"marking references unknown place {place}")
-        return self
+        return super().__new__(cls, places, tuple(sorted(transitions, key=lambda t: t.id)), arcs,
+                               _marking(initial_marking, places), _marking(final_marking, places),
+                               name)
 
     def __eq__(self, other) -> bool:
-        """Structural equality; transition order and net name are cosmetic."""
-        return (
-            isinstance(other, PetriNet)
-            and self.places == other.places
-            and frozenset(self.transitions) == frozenset(other.transitions)
-            and self.arcs == other.arcs
-            and self.initial_marking == other.initial_marking
-            and self.final_marking == other.final_marking
-        )
+        """Structural equality; the net name is cosmetic."""
+        return isinstance(other, PetriNet) and self[:5] == other[:5]
 
     def __ne__(self, other) -> bool:  # not tuple's field-by-field test
         return not self == other
 
     def __hash__(self) -> int:
-        return hash(
-            (
-                self.places,
-                frozenset(self.transitions),
-                self.arcs,
-                self.initial_marking,
-                self.final_marking,
-            )
-        )
+        return hash(self[:5])
 
 
 class DecisionPoint(NamedTuple):
@@ -129,7 +88,7 @@ class CompiledNet:
 
     Places are numbered in sorted order and a marking is a tuple with one
     token count per place. ``pre[t]`` and ``post[t]`` hold the place indices
-    of transition ``t`` (its position in ``net.transitions``); every input
+    of transition ``t`` (its position in ``net.transitions``, so in id order); every input
     arc needs one token, so ``delta[t]`` (post minus pre, one entry per
     place) is the whole effect of firing. ``enabled`` looks only at the
     transitions fed by marked places, plus those with an empty preset.
@@ -177,10 +136,10 @@ class CompiledNet:
     def of(cls, net: "PetriNet | CompiledNet") -> "CompiledNet":
         return net if isinstance(net, CompiledNet) else cls(net)
 
-    def counts(self, marking: Marking) -> tuple[int, ...]:
-        """The count tuple of a :class:`Marking`."""
+    def counts(self, marking) -> tuple[int, ...]:
+        """The count tuple of a marking given as ``(place, count)`` pairs."""
         counts = [0] * len(self.places)
-        for place, n in marking.items():
+        for place, n in marking:
             index = self.place_index.get(place)
             if index is None:
                 raise InputError(f"marking references unknown place {place}")
@@ -188,10 +147,12 @@ class CompiledNet:
         return tuple(counts)
 
     def enabled(self, counts: tuple[int, ...]) -> list[int]:
-        """Indices of the enabled transitions, in ``net.transitions`` order.
+        """Indices of the enabled transitions, ascending, which is id order.
 
         The alignment search pushes successors in this order, and the order
         breaks its ties, so it decides which optimal alignment is returned.
+        A net keeps its transitions in id order, so the order they were given
+        in decides nothing.
         """
         candidates = set(self.unconditional)
         for p, n in enumerate(counts):
@@ -210,14 +171,10 @@ SILENT_CHOICE = "None"
 
 
 def decision_points(net: PetriNet | CompiledNet) -> list[DecisionPoint]:
-    """All places with at least two outgoing arcs, with their transitions by id."""
+    """All places with at least two outgoing arcs, with their transitions in id order."""
     compiled = CompiledNet.of(net)
-    points = []
-    for place, consumers in zip(compiled.places, compiled.consumers):
-        if len(consumers) >= 2:
-            outs = sorted((compiled.transitions[t] for t in consumers), key=lambda t: t.id)
-            points.append(DecisionPoint(place, tuple(outs)))
-    return points
+    return [DecisionPoint(place, tuple(compiled.transitions[t] for t in consumers))
+            for place, consumers in zip(compiled.places, compiled.consumers) if len(consumers) >= 2]
 
 
 def reachable(seeds, successors) -> set:
@@ -287,7 +244,7 @@ def build_dejure() -> PetriNet:
         places=frozenset({P_START, P1, P2, P3, P4, P_END}),
         transitions=transitions,
         arcs=frozenset(arcs),
-        initial_marking=Marking([P_START]),
-        final_marking=Marking([P_END]),
+        initial_marking={P_START: 1},
+        final_marking={P_END: 1},
         name="dejure",
     )

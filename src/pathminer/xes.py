@@ -4,12 +4,13 @@ The activity and the case id live under ``concept:name``, the timestamp under
 ``time:timestamp`` (dates are midnight UTC). Attributes are typed
 string/int/float/boolean/date elements; absent values are omitted. The writer
 encodes each trace of its fixed layout into one buffer and refuses a string
-outside the XML 1.0 ``Char`` production. The reader scans that layout; any other
+outside the XML 1.0 ``Char`` production, and a ``datetime``, whose time a date
+would drop. The reader scans that layout; any other
 document, and any error, goes to one strict expat pass with no element tree.
 """
 
 import re
-from datetime import date
+from datetime import date, datetime
 from math import isfinite
 from xml.parsers.expat import ExpatError, ParserCreate
 
@@ -41,8 +42,8 @@ def _escaped(text: str, texts: dict[str, str], where: str) -> str:
 
 
 def write_xes(log: EventLog) -> bytearray:
-    """Serialize a log to XES in a stable element order, each trace encoded into one
-    buffer; a string XML 1.0 cannot represent is a FormatError naming its trace and key."""
+    """Serialize a log to XES in a stable element order, each trace encoded into one buffer;
+    a string XML 1.0 cannot represent, or a datetime, is a FormatError naming trace and key."""
     texts: dict[str, str] = {}
 
     def element(key: str, value: AttrValue, where: str) -> str:
@@ -55,6 +56,8 @@ def write_xes(log: EventLog) -> bytearray:
         elif isinstance(value, float):
             tag, text = "float", repr(value)
         elif isinstance(value, date):
+            if isinstance(value, datetime):  # midnight UTC of its date would drop the time
+                raise FormatError(f"{where}: {key!r} holds the datetime {value}, not a date")
             tag, text = "date", f"{date.isoformat(value)}T00:00:00+00:00"  # midnight UTC
         else:
             tag, text = "string", _escaped(str(value), texts, f"{where}: {key!r}")

@@ -53,7 +53,7 @@ from pathminer.model import AttrValue, Event, EventLog
 from pathminer.errors import (
     ConfigError, FormatError, InputError, ModelError, ResourceError,
 )
-from pathminer.petri import P_END, P_START, CompiledNet, Marking, PetriNet, Transition
+from pathminer.petri import P_END, P_START, CompiledNet, PetriNet, Transition
 from pathminer.simulate import _PLACE_CHOICES
 
 PHENOTYPE_FLAGS = {
@@ -258,8 +258,9 @@ class SemanticsError(Exception):
 
 
 class ReferenceSemantics:
-    """Token firing on :class:`Marking` objects, with presets and postsets
-    as dicts of place ids: the semantics the compiled net must agree with."""
+    """Token firing on plain ``{place: count}`` dicts without zero counts,
+    with presets and postsets as dicts of place ids: the semantics the
+    compiled net must agree with."""
 
     def __init__(self, net: PetriNet):
         self.net = net
@@ -267,22 +268,22 @@ class ReferenceSemantics:
         self.pre = {tid: tuple(sorted(s for s, d in net.arcs if d == tid)) for tid in ids}
         self.post = {tid: tuple(sorted(d for s, d in net.arcs if s == tid)) for tid in ids}
 
-    def enabled(self, marking: Marking) -> list[Transition]:
+    def enabled(self, marking: dict[str, int]) -> list[Transition]:
         """Enabled transitions in ``net.transitions`` order."""
         return [
             t for t in self.net.transitions
-            if all(marking[p] >= 1 for p in self.pre[t.id])
+            if all(marking.get(p, 0) >= 1 for p in self.pre[t.id])
         ]
 
-    def fire(self, marking: Marking, tid: str) -> Marking:
-        counts = dict(marking.items())
+    def fire(self, marking: dict[str, int], tid: str) -> dict[str, int]:
+        counts = dict(marking)
         for place in self.pre[tid]:
             if counts.get(place, 0) <= 0:
                 raise SemanticsError(f"transition {tid} is not enabled")
             counts[place] -= 1
         for place in self.post[tid]:
             counts[place] = counts.get(place, 0) + 1
-        return Marking(counts)
+        return {place: n for place, n in counts.items() if n}
 
 
 def reference_align(net: PetriNet | CompiledNet, trace, *, cap: int = DEFAULT_CAP) -> Alignment:
@@ -362,13 +363,13 @@ def brute_force_cost(net: PetriNet, labels) -> float:
     labels = tuple(labels)
     sem = ReferenceSemantics(net)
     n = len(labels)
-    goal = (net.final_marking.items(), n)
+    goal = (net.final_marking, n)
     best: dict = {}
     best_goal = math.inf
-    stack = [(net.initial_marking, 0, 0)]
+    stack = [(dict(net.initial_marking), 0, 0)]
     while stack:
         marking, pos, g = stack.pop()
-        state = (marking.items(), pos)
+        state = (tuple(sorted(marking.items())), pos)
         if g >= best.get(state, math.inf) or g >= best_goal:
             continue
         best[state] = g
@@ -457,8 +458,8 @@ def random_workflow_net(rng: random.Random, max_transitions: int = 8) -> PetriNe
         places=frozenset(places),
         transitions=tuple(transitions),
         arcs=frozenset(arcs),
-        initial_marking=Marking([source]),
-        final_marking=Marking([sink]),
+        initial_marking={source: 1},
+        final_marking={sink: 1},
         name="random",
     )
 
@@ -472,10 +473,10 @@ def random_trace(rng: random.Random, net: PetriNet, max_length: int = 6) -> tupl
         return tuple(rng.choice(_LABELS + ("z",)) for _ in range(length))
 
     sem = ReferenceSemantics(net)
-    marking = net.initial_marking
+    marking = dict(net.initial_marking)
     walked: list[str] = []
     for _ in range(40):
-        if marking == net.final_marking and rng.random() < 0.5:
+        if marking == dict(net.final_marking) and rng.random() < 0.5:
             break
         options = sem.enabled(marking)
         if not options:

@@ -16,7 +16,7 @@ import scipy.stats as sps
 from conftest import DATA_DIR, make_log
 from oracles import brute_force_cost, cohort_log, random_trace, random_workflow_net
 from pathminer.cli import main as cli_main
-from pathminer.conformance import align, f1, fitness
+from pathminer.conformance import align, conformance_report, f1
 from pathminer.decision_mining import Holdout, distribution, extract_instances, train_classifier
 from pathminer.discovery import mine_dfm
 from pathminer.patient_csv import parse_patient_csv
@@ -113,7 +113,7 @@ def test_c03_dejure_fitness_on_synthetic_cohorts(dejure):
     started = time.time()
     for seed in range(50):
         log = transform_log(simulate(SimulationConfig(patients=240, seed=seed)))
-        value = fitness(dejure, log)
+        value = conformance_report(dejure, log).fitness
         assert f"{value:.4f}" == "1.0000"
     elapsed = time.time() - started
     assert elapsed < 60.0
@@ -131,7 +131,7 @@ def test_c04_dfm_self_fitness():
         ]
         log = make_log(*traces)
         net = mine_dfm(log, 1.0)
-        value = fitness(net, log)
+        value = conformance_report(net, log).fitness
         assert f"{value:.4f}" == "1.0000"
     elapsed = time.time() - started
     assert elapsed < 60.0

@@ -383,7 +383,11 @@ class TestErrorHandling:
         ("0001,50,0,0,1,80,2017,750.5,1,,Heart,,24.9,10.5,38,100,50,10,12.5,2023-02-20",
          "row 1: unknown outcome label 'Heart'"),
         ("0001,50,0,0,1", "row 1: Timestamp must not be empty"),  # shorter than the header
-    ], ids=["unknown-outcome", "short-row"])
+        ("0001,50,0,0,1,80,2017,750.5,1,,,,24.9,10.5,38,100,50,10,12.5,2023-02-20,,EXTRA",
+         "row 1: cell 'EXTRA' lies past the header's 20 columns"),
+        ("0001,50,1,1,,80,2017,750.5,1,,,,24.9,10.5,38,100,50,10,12.5,2023-02-20",
+         "row 1: patient 0001: more than one phenotype flag set"),
+    ], ids=["unknown-outcome", "short-row", "cell-past-the-header", "two-phenotype-flags"])
     def test_transform_with_a_row_that_is_not_one_exits_1(self, tmp_path, capsys, row, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(f"{TABLE.read_text().splitlines()[0]}\n{row}\n")

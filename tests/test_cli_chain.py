@@ -3,11 +3,11 @@
 The benchmark's eleven commands (transform, three discovers, three
 conforms, two cohorts, two decides) are parsed with the CLI's own parser,
 and their command functions are fed the parsed CSV, the log that transform
-builds in memory, and the nets read back from the JSON bytes that discover
-and dejure return. Nets go through their bytes because the order of a
-net's transitions breaks alignment ties. What the functions return must be
-what eleven ``main()`` calls write, byte for byte, and a command that exits
-1 must raise the message it prints.
+builds in memory, and the nets that discover and dejure build, where
+``main()`` reads them back from their JSON. A net keeps its transitions in
+id order, so the two give the same results. What the functions return must
+be what eleven ``main()`` calls write, byte for byte, and a command that
+exits 1 must raise the message it prints.
 """
 
 import io
@@ -25,8 +25,7 @@ from hypothesis import strategies as st
 
 import pathminer.cli as cli
 from conftest import GOLDEN_DIR
-from pathminer import (SimulationConfig, parse_patient_csv, read_net_json, simulate,
-                       transform_log, write_patient_csv)
+from pathminer import SimulationConfig, parse_patient_csv, simulate, transform_log, write_patient_csv
 from pathminer.errors import PathminerError
 
 CLASSIFIERS = "majority,naive-bayes,logistic,decision-tree"
@@ -74,12 +73,27 @@ def by_main(inputs: Path, out: Path) -> tuple[dict, list]:
     return {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}, outcomes
 
 
+class Building:
+    """The CLI's stages, keeping the last net that a stage built."""
+
+    def __getattr__(self, name):
+        stage = getattr(cli, name)
+        if name not in ("build_dejure", "mine_dfm", "mine_alpha"):
+            return stage
+
+        def build(*args):
+            self.net = stage(*args)
+            return self.net
+        return build
+
+
 def in_memory(inputs: Path, out: Path) -> tuple[dict, list]:
     """What the command functions return on parsed inputs, and for each
     command the exit code and stderr that ``main`` would give."""
     parse = cli.build_parser().parse_args
-    args = parse(["dejure", "--output", str(inputs / "dejure.json")])
-    nets = {"dejure": read_net_json(cli._dejure(args, cli)[args.output])}
+    building = Building()
+    cli._dejure(parse(["dejure", "--output", str(inputs / "dejure.json")]), building)
+    nets = {"dejure": building.net}
     rows = parse_patient_csv((inputs / "patients.csv").read_bytes())
     log = transform_log(rows)
     files, outcomes = {}, []
@@ -90,12 +104,12 @@ def in_memory(inputs: Path, out: Path) -> tuple[dict, list]:
         try:
             if None in parsed:  # the net of a discover that failed: main finds no file
                 raise OSError(2, "No such file or directory", str(args.net))
-            produced = args.artifacts(args, cli, *parsed)
+            produced = args.artifacts(args, building, *parsed)
         except (PathminerError, OSError) as exc:
             outcomes.append((1, f"pathminer: error: {exc}\n"))
             continue
         if args.command == "discover":
-            nets[net] = read_net_json(produced[args.output])
+            nets[net] = building.net
         files.update(produced)
         outcomes.append((0, ""))
     return dict(sorted(files.items())), outcomes

@@ -16,15 +16,12 @@ from pathminer.conformance import (
     align_log,
     conformance_report,
     f1,
-    fitness,
-    generalization,
     model_path_cost,
-    precision,
     simplicity,
 )
 from pathminer.errors import InputError, ModelError, ResourceError
 from pathminer.model import EventLog
-from pathminer.petri import CompiledNet, Marking, PetriNet, Transition
+from pathminer.petri import CompiledNet, PetriNet, Transition
 
 
 def linear_net(*activities):
@@ -36,7 +33,7 @@ def linear_net(*activities):
         arcs.add((f"t_{a}", places[i + 1]))
     return PetriNet(
         frozenset(places), transitions, frozenset(arcs),
-        Marking([places[0]]), Marking([places[-1]]),
+        {places[0]: 1}, {places[-1]: 1},
     )
 
 
@@ -48,7 +45,7 @@ def xor_net(*activities):
         arcs.add((f"t_{a}", "p1"))
     return PetriNet(
         frozenset({"p0", "p1"}), transitions, frozenset(arcs),
-        Marking(["p0"]), Marking(["p1"]),
+        {"p0": 1}, {"p1": 1},
     )
 
 
@@ -63,7 +60,7 @@ def two_branch_net():
     }
     return PetriNet(
         frozenset({"p0", "p1", "p2", "pf"}), transitions, frozenset(arcs),
-        Marking(["p0"]), Marking(["pf"]),
+        {"p0": 1}, {"pf": 1},
     )
 
 
@@ -77,7 +74,7 @@ def flower_net(*activities):
         arcs.add((f"t_{a}", "p"))
     return PetriNet(
         frozenset({"i", "p", "o"}), transitions, frozenset(arcs),
-        Marking(["i"]), Marking(["o"]),
+        {"i": 1}, {"o": 1},
     )
 
 
@@ -115,8 +112,8 @@ class TestAlign:
             frozenset({"p0", "p1"}),
             (Transition("t", "a"),),
             frozenset({("p0", "t"), ("t", "p0")}),
-            Marking(["p0"]),
-            Marking(["p1"]),
+            {"p0": 1},
+            {"p1": 1},
         )
         with pytest.raises(ModelError):
             align(net, ("a",))
@@ -159,10 +156,10 @@ class TestAlignOptimalityOracle:
             alignment = align(net, trace)
             assert alignment.log_projection() == tuple(trace)
             sem = ReferenceSemantics(net)
-            marking = net.initial_marking
+            marking = dict(net.initial_marking)
             for tid in alignment.model_projection():
                 marking = sem.fire(marking, tid)
-            assert marking == net.final_marking
+            assert marking == dict(net.final_marking)
             assert alignment.total_cost == sum(m.cost for m in alignment.moves)
 
     def test_compiled_net_gives_the_same_alignment(self):
@@ -181,8 +178,8 @@ def with_sink_place(rng: random.Random, net: PetriNet) -> PetriNet:
         net.places | {"extra"},
         net.transitions,
         net.arcs | {(feeder.id, "extra")},
-        Marking({**dict(net.initial_marking.items()), "extra": rng.randint(0, 1)}),
-        Marking({**dict(net.final_marking.items()), "extra": rng.randint(0, 1)}),
+        {**dict(net.initial_marking), "extra": rng.randint(0, 1)},
+        {**dict(net.final_marking), "extra": rng.randint(0, 1)},
     )
 
 
@@ -213,8 +210,8 @@ class TestDeadMarkingPrune:
             frozenset({"p0", "p1", "sink"}),
             (Transition("t", "a"), Transition("pump")),
             frozenset({("p0", "t"), ("t", "p0"), ("pump", "sink")}),
-            Marking(["p0"]),
-            Marking(["p1"]),
+            {"p0": 1},
+            {"p1": 1},
         )
         with pytest.raises(ResourceError):
             reference_align(net, ("a",), cap=5000)
@@ -225,7 +222,7 @@ class TestDeadMarkingPrune:
         net = linear_net("a")
         dead = PetriNet(
             net.places | {"sink"}, net.transitions, net.arcs,
-            Marking(["p0", "sink"]), net.final_marking,
+            {"p0": 1, "sink": 1}, net.final_marking,
         )
         with pytest.raises(ModelError):
             align(dead, ("a",), cap=0)
@@ -237,46 +234,46 @@ class TestFitness:
         from pathminer.transform import transform_log
 
         log = transform_log(simulate(SimulationConfig(patients=80, seed=21)))
-        assert fitness(dejure, log) == 1.0
+        assert conformance_report(dejure, log).fitness == 1.0
 
     def test_hand_computed_value(self):
         net = linear_net("a", "b")
         log = make_log(("a", "b"), ("a", "c", "b"))
         # costs 0 and 1; worst case (2 + 2) + (3 + 2) = 9
-        assert fitness(net, log) == pytest.approx(1 - 1 / 9)
+        assert conformance_report(net, log).fitness == pytest.approx(1 - 1 / 9)
 
     def test_empty_log_is_perfectly_fit(self):
-        assert fitness(linear_net("a"), EventLog()) == 1.0
+        assert conformance_report(linear_net("a"), EventLog()).fitness == 1.0
 
     def test_fitness_one_iff_all_costs_zero(self):
         net = linear_net("a", "b")
         fitting = make_log(("a", "b"))
         broken = make_log(("b", "a"))
-        assert fitness(net, fitting) == 1.0
-        assert fitness(net, broken) < 1.0
+        assert conformance_report(net, fitting).fitness == 1.0
+        assert conformance_report(net, broken).fitness < 1.0
 
 
 class TestPrecision:
     def test_linear_net_on_its_only_trace(self):
         net = linear_net("a", "b")
-        assert precision(net, make_log(("a", "b"))) == 1.0
+        assert conformance_report(net, make_log(("a", "b"))).precision == 1.0
 
     def test_flower_model_is_imprecise(self):
         net = flower_net("a", "b", "c")
         log = make_log(("a", "b"), ("b", "c"))
-        assert precision(net, log) < 1.0
+        assert conformance_report(net, log).precision < 1.0
 
     def test_two_branch_with_unused_branch(self):
         # prefix (): enabled {a, b}, observed {a} -> 1 escaping of 2
         # prefix (a): enabled {c}, observed {c}; terminal state: nothing
         net = two_branch_net()
         log = make_log(("a", "c"), ("a", "c"), ("a", "c"))
-        assert precision(net, log) == pytest.approx(2 / 3)
+        assert conformance_report(net, log).precision == pytest.approx(2 / 3)
 
     def test_both_branches_used_is_precise(self):
         net = two_branch_net()
         log = make_log(("a", "c"), ("b", "d"))
-        value = precision(net, log)
+        value = conformance_report(net, log).precision
         # end states allow nothing; both choices observed at the root
         assert value == 1.0
 
@@ -285,22 +282,22 @@ class TestGeneralization:
     def test_every_transition_fired_often(self):
         net = xor_net("a", "b")
         log = make_log(*((("a",),) * 100 + (("b",),) * 100))
-        assert generalization(net, log) == pytest.approx(0.9)
+        assert conformance_report(net, log).generalization == pytest.approx(0.9)
 
     def test_each_fired_exactly_once(self):
         net = xor_net("a", "b")
-        assert generalization(net, make_log(("a",), ("b",))) == pytest.approx(0.0)
+        assert conformance_report(net, make_log(("a",), ("b",))).generalization == pytest.approx(0.0)
 
     def test_mixed_counts(self):
         net = xor_net("a", "b")
         log = make_log(*((("a",),) * 4 + (("b",),)))
-        assert generalization(net, log) == pytest.approx(0.25)
+        assert conformance_report(net, log).generalization == pytest.approx(0.25)
 
     def test_never_fired_counts_like_once(self):
         net = xor_net("a", "b")
         log = make_log(*((("a",),) * 4))
         # b never fires: contributes 1; a contributes 1/2
-        assert generalization(net, log) == pytest.approx(0.25)
+        assert conformance_report(net, log).generalization == pytest.approx(0.25)
 
 
 class TestSimplicityAndF1:
@@ -338,9 +335,6 @@ class TestReport:
         monkeypatch.setattr(conformance, "align", counting)
         report = conformance_report(dejure, log)
         assert len(calls) == variants + 1
-        assert report.fitness == fitness(dejure, log)
-        assert report.precision == precision(dejure, log)
-        assert report.generalization == generalization(dejure, log)
 
     def test_all_metrics_within_unit_interval(self):
         rng = random.Random(5)
@@ -364,9 +358,9 @@ def assert_same_as_reference(net, log):
     the three-walk code the one-walk report replaced."""
     report = conformance_report(net, log)
     assert repr(report) == repr(reference_report(net, log))
-    assert repr(fitness(net, log)) == repr(reference_fitness(net, log))
-    assert repr(precision(net, log)) == repr(reference_precision(net, log))
-    assert repr(generalization(net, log)) == repr(reference_generalization(net, log))
+    assert repr(report.fitness) == repr(reference_fitness(net, log))
+    assert repr(report.precision) == repr(reference_precision(net, log))
+    assert repr(report.generalization) == repr(reference_generalization(net, log))
     return report
 
 
@@ -404,7 +398,7 @@ class TestReportAgainstReference:
     def test_net_without_visible_transitions(self):
         net = PetriNet(
             frozenset({"i", "o"}), (Transition("tau"),), frozenset({("i", "tau"), ("tau", "o")}),
-            Marking(["i"]), Marking(["o"]),
+            {"i": 1}, {"o": 1},
         )
         report = assert_same_as_reference(net, make_log(("a",), ("a", "b")))
         assert report.generalization == 1.0
@@ -414,12 +408,12 @@ class TestReportAgainstReference:
         # The parent's generalization returned 1.0 here without aligning.
         net = PetriNet(
             frozenset({"i", "o"}), (Transition("tau"),), frozenset({("o", "tau"), ("tau", "i")}),
-            Marking(["i"]), Marking(["o"]),
+            {"i": 1}, {"o": 1},
         )
         assert reference_generalization(net, make_log(("a",))) == 1.0
         with pytest.raises(ModelError):
-            generalization(net, make_log(("a",)))
-        assert generalization(net, EventLog()) == 1.0
+            conformance_report(net, make_log(("a",)))
+        assert conformance_report(net, EventLog()).generalization == 1.0
 
     def test_precision_now_aligns_the_empty_trace_too(self):
         # Five two-step branches: the empty trace expands the root and all
@@ -430,14 +424,14 @@ class TestReportAgainstReference:
             transitions += [Transition(f"a{k}", f"a{k}"), Transition(f"b{k}", f"b{k}")]
             arcs |= {("i", f"a{k}"), (f"a{k}", f"m{k}"), (f"m{k}", f"b{k}"), (f"b{k}", "o")}
         net = PetriNet(frozenset(places), tuple(transitions), frozenset(arcs),
-                       Marking(["i"]), Marking(["o"]))
+                       {"i": 1}, {"o": 1})
         log = make_log(("a1", "b1"))
         expected = reference_precision(net, log, cap=3)
         with pytest.raises(ResourceError) as err:
-            precision(net, log, cap=3)
+            conformance_report(net, log, cap=3)
         assert str(err.value) == ("state-space cap of 3 markings exceeded aligning the empty "
                                   "trace (the model-only run)")
-        assert precision(net, log, cap=6) == expected == 1 - 4 / 6
+        assert conformance_report(net, log, cap=6).precision == expected == 1 - 4 / 6
 
     def test_one_variant(self):
         report = assert_same_as_reference(linear_net("a", "b"), make_log(*[("a", "b")] * 3))

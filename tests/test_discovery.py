@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_log
 from oracles import reference_coverage
-from pathminer.conformance import align, fitness
+from pathminer.conformance import align, conformance_report
 from pathminer.discovery import (
     DirectlyFollowsGraph,
     _coverage,
@@ -47,7 +47,7 @@ class TestBuildDfg:
 class TestMineDfm:
     def test_full_paths_keeps_training_log_fitting(self, example_log):
         net = mine_dfm(example_log, 1.0)
-        assert fitness(net, example_log) == 1.0
+        assert conformance_report(net, example_log).fitness == 1.0
 
     def test_trivial_two_step_log(self):
         log = make_log(("a", "b"))
@@ -68,7 +68,7 @@ class TestMineDfm:
         log = make_log(("a", "b", "c"), ("a", "c"))
         net = mine_dfm(log, 0.0)
         assert {t.label for t in net.transitions if not t.silent} == {"a", "b", "c"}
-        assert fitness(net, log) > 0.0
+        assert conformance_report(net, log).fitness > 0.0
 
     def test_paths_out_of_range_rejected(self):
         with pytest.raises(InputError):

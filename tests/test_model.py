@@ -91,7 +91,10 @@ class TestDatumInvariants:
     def test_at_most_one_phenotype_flag(self):
         with pytest.raises(InputError):
             row("p", 1, 1, hfref=True, hfmref=True, hfpef=False)
+        with pytest.raises(InputError, match="more than one phenotype flag set"):
+            row("p", 1, 1, hfref=True, hfmref=True)  # the third flag missing
         row("p", 1, 1, hfref=True, hfmref=False, hfpef=False)
+        row("p", 1, 1, hfmref=True)
 
     def test_missing_is_not_zero_or_false(self):
         datum = row("p", 1, 1)

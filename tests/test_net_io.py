@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pathminer.errors import FormatError
 from pathminer.net_io import read_net_json, write_dot, write_net_json
-from pathminer.petri import Marking, PetriNet, Transition
+from pathminer.petri import PetriNet, Transition
 
 
 def test_dejure_json_round_trip(dejure):
@@ -62,8 +62,8 @@ def test_dot_escapes_quotes_and_backslashes_in_every_quoted_string():
         transitions=(Transition('t"a', 'A"B'), Transition("t\\b", "C\\"), Transition("s")),
         arcs=frozenset({('p"0', 't"a'), ('t"a', "p\\1"), ("p\\1", "t\\b"), ("t\\b", 'p"0'),
                         ("p\\1", "s"), ("s", 'p"0')}),
-        initial_marking=Marking(['p"0']),
-        final_marking=Marking(["p\\1"]),
+        initial_marking={'p"0': 1},
+        final_marking={"p\\1": 1},
         name='net "x" \\',
     )
     strings = []
@@ -94,8 +94,8 @@ def nets(draw):
         places=frozenset(places),
         transitions=tuple(transitions),
         arcs=frozenset(arcs),
-        initial_marking=Marking([initial]),
-        final_marking=Marking([final]),
+        initial_marking={initial: 1},
+        final_marking={final: 1},
         name=draw(st.sampled_from(["n1", "n2"])),
     )
 

@@ -1,6 +1,8 @@
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathminer.errors import RowError, SchemaError
 from pathminer.model import Outcome
@@ -105,6 +107,26 @@ def test_an_extra_column_named_like_a_clinical_attribute_is_a_schema_error():
 def test_blank_extra_header_cells_may_repeat():
     data = (HEADER + ", ,\n007,,,,,,,,,,,,,,,,,,,2023-02-20,,x\n").encode()
     assert parse_patient_csv(data)[0].extra == {"": "x"}
+
+
+def test_empty_cells_past_the_header_are_accepted():
+    rows = parse_patient_csv(csv_of("007,,,,,,,,,,,,,,,,,,,2023-02-20,, ,"))
+    assert rows[0].extra == {}
+
+
+SPACE = " \t\x0b\x0c"  # what the parser strips from a cell, line ends aside
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.sampled_from(["", " "]), max_size=2),
+       st.text(st.characters(exclude_characters=',"\r\n\x00', exclude_categories=("Cs",)),
+               min_size=1).filter(lambda cell: cell.strip(SPACE)),
+       st.lists(st.sampled_from(["", " ", "x"]), max_size=2))
+def test_a_non_empty_cell_past_the_header_is_a_row_error_naming_its_row(empty, cell, after):
+    valid = "007,,,,,,,,,,,,,,,,,,,2023-02-20"
+    data = csv_of(valid, ",".join([valid, *empty, cell, *after]))
+    with pytest.raises(RowError, match="^row 2: cell .* lies past the header's 20 columns$"):
+        parse_patient_csv(data)
 
 
 def test_round_trip_is_fixpoint(table_rows):

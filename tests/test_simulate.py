@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_check_walk_ends
-from pathminer.conformance import fitness
+from pathminer.conformance import conformance_report
 from pathminer.errors import ConfigError, PathminerError
 from pathminer.model import Outcome
 from pathminer.patient_csv import parse_patient_csv, write_patient_csv
@@ -289,7 +289,7 @@ class TestWalks:
 
     def test_every_generated_trace_fits_the_model(self, dejure):
         log = transform_log(simulate(SimulationConfig(patients=120, seed=10)))
-        assert fitness(dejure, log) == 1.0
+        assert conformance_report(dejure, log).fitness == 1.0
 
     def test_decision_frequencies_match_config(self):
         config = SimulationConfig(patients=5000, seed=17)

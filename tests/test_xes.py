@@ -1,7 +1,7 @@
 import random
 import re
 import tracemalloc
-from datetime import date
+from datetime import date, datetime
 from unittest import mock
 
 import pytest
@@ -403,6 +403,16 @@ def test_write_error_names_the_trace_and_key(second, where):
     with pytest.raises(FormatError) as caught:
         write_xes(_two_cases(**second))
     assert str(caught.value).startswith(f"{where} holds '\\x01'")
+
+
+@pytest.mark.parametrize(("second", "where"), [
+    ({"timestamp": datetime(2023, 1, 2, 5, 30)}, "trace 1 event 0: 'time:timestamp'"),
+    ({"attributes": {"seen": datetime(2023, 1, 2, 5, 30)}}, "trace 1 event 0: 'seen'"),
+], ids=["timestamp", "attribute"])
+def test_write_refuses_a_datetime_whose_time_a_date_would_drop(second, where):
+    with pytest.raises(FormatError) as caught:
+        write_xes(_two_cases(**second))
+    assert str(caught.value) == f"{where} holds the datetime 2023-01-02 05:30:00, not a date"
 
 
 # --- differential tests against the element-tree reader and writer ------
