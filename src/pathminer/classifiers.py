@@ -3,8 +3,10 @@
 ``encode`` turns rows, ``{attribute: value}`` dicts in which any value may
 be None, into one column per feature: floats with a missing mask, or codes
 into the training rows' sorted categories, where a missing value is the
-``⊥`` category and a text that no training row holds is -1. Each model fits
-on the columns at the training row positions and predicts at others.
+``⊥`` category and a text that no training row holds is -1. A column holds
+its values and mask in stdlib ``array`` buffers, one machine word or byte
+per row. Each model fits on the columns at the training row positions and
+predicts at others.
 Missing data is part of the contract, never imputed behind the caller's
 back:
 
@@ -18,11 +20,13 @@ back:
   test for missingness itself.
 
 Nothing here draws randomness: training is deterministic given the rows.
-``encode`` is pure Python, so only logistic regression and the tree load
-numpy.
+``encode`` needs only the standard library, so only logistic regression
+and the tree load numpy, and they read the buffers in place through
+zero-copy views.
 """
 
 import math
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from functools import partial, reduce
@@ -80,15 +84,25 @@ def _categorical(value) -> str:
 class Column(NamedTuple):
     """One feature of a place's rows, indexed by row position.
 
-    A numeric column (``categories`` None) holds floats, 0.0 where missing;
-    a categorical one holds codes into ``categories``. ``missing`` marks the
-    rows whose value is None.
+    A numeric column (``categories`` None) holds floats, 0.0 where missing,
+    in an ``array('d')``; a categorical one holds codes into ``categories``
+    in an ``array('q')``. ``missing`` is an ``array('b')`` of 1 where the
+    row's value is None and 0 elsewhere.
     """
 
     name: str
-    values: list
-    missing: list[bool]
+    values: array
+    missing: array
     categories: tuple[str, ...] | None = None
+
+
+def _views(column: Column) -> Column:
+    """The column with its buffers seen as numpy arrays that share their
+    memory: float64 or int64 values, and a bool mask."""
+    import numpy as np
+
+    return column._replace(values=np.asarray(column.values),
+                           missing=np.frombuffer(column.missing, dtype=bool))
 
 
 def encode(rows, space: dict[str, str], train) -> list[Column]:
@@ -97,14 +111,15 @@ def encode(rows, space: dict[str, str], train) -> list[Column]:
     columns = []
     for name, kind in space.items():
         raw = [row.get(name) for row in rows]
-        missing = [value is None for value in raw]
+        missing = array("b", [value is None for value in raw])
         if kind == "numeric":
-            columns.append(Column(name, [0.0 if v is None else float(v) for v in raw], missing))
+            values = array("d", [0.0 if v is None else float(v) for v in raw])
+            columns.append(Column(name, values, missing))
             continue
         text = [_categorical(v) for v in raw]
         categories = tuple(sorted({text[i] for i in train}))
         code = {category: j for j, category in enumerate(categories)}
-        columns.append(Column(name, [code.get(t, -1) for t in text], missing, categories))
+        columns.append(Column(name, array("q", [code.get(t, -1) for t in text]), missing, categories))
     return columns
 
 
@@ -209,13 +224,13 @@ class LogisticClassifier:
         widths = [len(c.categories) if s is None else 2 for c, s in zip(columns, self.scaling_)]
         matrix = np.empty((len(idx), sum(widths) + 1))  # filled in place, with no other copy
         at = 0
-        for column, scaling, width in zip(columns, self.scaling_, widths):
-            values = np.asarray(column.values)[idx]
+        for column, scaling, width in zip(map(_views, columns), self.scaling_, widths):
+            values = column.values[idx]
             if scaling is None:
                 for j in range(width):
                     matrix[:, at + j] = values == j
             else:
-                missing = np.asarray(column.missing, dtype=bool)[idx]
+                missing = column.missing[idx]
                 matrix[:, at] = np.where(missing, 0.0, (values - scaling[0]) / scaling[1])
                 matrix[:, at + 1] = missing
             at += width
@@ -295,12 +310,12 @@ def _first_seen(codes) -> tuple[list[int], list[int]]:
 class DecisionTreeClassifier:
     """CART-style tree on gini impurity with explicit missing handling.
 
-    ``fit`` reads the columns as arrays, where a categorical column's
-    missing mask plays no part (a missing value is the ``⊥`` category), and
-    the labels as codes over the sorted labels. Each node then screens every
-    split in vector form, from cumulative class counts over one stable sort
-    of each numeric column and one category-by-class count table per
-    categorical column.
+    ``fit`` reads the columns through numpy views of their buffers, where a
+    categorical column's missing mask plays no part (a missing value is the
+    ``⊥`` category), and the labels as codes over the sorted labels. Each
+    node then screens every split in vector form, from cumulative class
+    counts over one stable sort of each numeric column and one
+    category-by-class count table per categorical column.
 
     A split's gain is defined by the float expression in ``_gini``, with
     each side's class shares summed in order of first appearance: rows in
@@ -332,7 +347,9 @@ class DecisionTreeClassifier:
         import numpy as np
 
         def gini(counts, size):
-            return 1.0 - ((counts / np.maximum(size, 1)[:, None]) ** 2).sum(axis=1)
+            shares = counts / np.maximum(size, 1)[:, None]
+            shares *= shares
+            return 1.0 - shares.sum(axis=1)
 
         gains = parent - (n_left / n * gini(left, n_left) + n_right / n * gini(right, n_right))
         allowed = (n_left >= self.min_leaf) & (n_right >= self.min_leaf)
@@ -340,7 +357,10 @@ class DecisionTreeClassifier:
 
     def _numeric_splits(self, column: Column, idx, y, parent: float):
         """Screened gains and a re-scorer for every threshold of a numeric
-        column, per missing side."""
+        column, per missing side.
+
+        The class counts are the one-hot class array summed in place down
+        the sorted rows, of which only the rows at the thresholds are kept."""
         import numpy as np
 
         n = len(idx)
@@ -351,17 +371,18 @@ class DecisionTreeClassifier:
         order = np.argsort(values, kind="stable")
         values, ranked = values[order], y[~missing][order]
         k = len(self.classes_)
-        cumulative = np.cumsum(np.eye(k, dtype=np.int64)[ranked], axis=0)
+        cumulative = np.eye(k, dtype=np.int64)[ranked]
+        np.cumsum(cumulative, axis=0, out=cumulative)
         cuts = np.flatnonzero(values[:-1] != values[1:])  # last row left of a boundary
         left = cumulative[cuts]
         right = cumulative[-1] - left
+        total = cumulative[-1].tolist()
+        del cumulative
         n_left = cuts + 1
         n_right = len(values) - n_left
         missing_labels = y[missing]
         n_missing = len(missing_labels)
         missing_counts = np.bincount(missing_labels, minlength=k)
-
-        total = cumulative[-1].tolist()
         extra = missing_counts.tolist()
 
         def rescore(j: int, missing_left: bool):
@@ -369,7 +390,7 @@ class DecisionTreeClassifier:
             missing_order, _ = _first_seen(missing_labels)
             i = int(cuts[j])
             threshold = (float(values[i]) + float(values[i + 1])) / 2.0
-            lc = cumulative[i].tolist()
+            lc = left[j].tolist()
             rc = [t - c for t, c in zip(total, lc)]
             left_keys = present_order[: bisect_right(present_first, i)]
             right_keys = present_order
@@ -387,14 +408,15 @@ class DecisionTreeClassifier:
             )
             return parent - score, threshold, missing_left
 
-        # with nothing missing both sides score alike and missing-left wins the key
-        sides = [(True, left + missing_counts, n_left + n_missing, right, n_right)]
+        def side(missing_left: bool, lc, ln, rc, rn):
+            return self._screen_gains(parent, n, lc, ln, rc, rn), partial(rescore, missing_left=missing_left)
+
+        # with nothing missing both sides score alike and missing-left wins the key;
+        # one side's temporaries are freed before the other side's are made
+        splits = [side(True, left + missing_counts, n_left + n_missing, right, n_right)]
         if n_missing:
-            sides.append((False, left, n_left, right + missing_counts, n_right + n_missing))
-        return [
-            (self._screen_gains(parent, n, lc, ln, rc, rn), partial(rescore, missing_left=missing_left))
-            for missing_left, lc, ln, rc, rn in sides
-        ]
+            splits.append(side(False, left, n_left, right + missing_counts, n_right + n_missing))
+        return splits
 
     def _categorical_splits(self, column: Column, idx, y, counts, parent: float):
         """Screened gains and a re-scorer for every category of a
@@ -495,9 +517,8 @@ class DecisionTreeClassifier:
         code = {label: i for i, label in enumerate(self.classes_)}
         codes = np.zeros(max(rows) + 1, dtype=np.intp)
         codes[rows] = [code[label] for label in labels]
-        arrays = [column._replace(values=np.asarray(column.values),
-                                  missing=np.asarray(column.missing, dtype=bool)) for column in columns]
-        self.root_ = self._build(arrays, codes, np.asarray(rows, dtype=np.intp), 0)
+        views = [_views(column) for column in columns]
+        self.root_ = self._build(views, codes, np.asarray(rows, dtype=np.intp), 0)
         return self
 
     def predict(self, columns, rows) -> list[str]:

@@ -65,6 +65,12 @@ class PetriNet(_NetFields):
                                _marking(initial_marking, places), _marking(final_marking, places),
                                name)
 
+    @classmethod
+    def _make(cls, iterable) -> "PetriNet":
+        """A net from its six fields, through ``__new__``: ``_replace`` calls
+        this, so a replaced field is checked and put in order too."""
+        return cls(*iterable)
+
     def __eq__(self, other) -> bool:
         """Structural equality; the net name is cosmetic."""
         return isinstance(other, PetriNet) and self[:5] == other[:5]
@@ -137,13 +143,11 @@ class CompiledNet:
         return net if isinstance(net, CompiledNet) else cls(net)
 
     def counts(self, marking) -> tuple[int, ...]:
-        """The count tuple of a marking given as ``(place, count)`` pairs."""
+        """The count tuple of a marking given as ``(place, count)`` pairs of
+        known places."""
         counts = [0] * len(self.places)
         for place, n in marking:
-            index = self.place_index.get(place)
-            if index is None:
-                raise InputError(f"marking references unknown place {place}")
-            counts[index] = n
+            counts[self.place_index[place]] = n
         return tuple(counts)
 
     def enabled(self, counts: tuple[int, ...]) -> list[int]:

@@ -140,8 +140,10 @@ def _scan_written(data: bytes | bytearray) -> EventLog | None:
             cases.append(case_id := _text(match[1]))
             for event in match[2].split(b"\n    </event>")[:-1]:
                 _, name, stamp, *rest = event.split(b"\n      ")
-                events.append(Event(case_id, memo[name][1], memo[stamp][1],
-                                    dict(map(memo.__getitem__, rest))))
+                attributes = dict(map(memo.__getitem__, rest))
+                if len(attributes) < len(rest):
+                    return None  # a repeated key, which expat reports
+                events.append(Event(case_id, memo[name][1], memo[stamp][1], attributes))
             pos = match.end()
     except (KeyError, ValueError, PathminerError):
         return None
@@ -166,11 +168,12 @@ def read_xes(data: bytes | bytearray | str) -> EventLog:
 
     The case id is the last trace-level ``concept:name``; an event's first
     ``concept:name`` and ``time:timestamp`` are its activity and timestamp,
-    its other direct children its attributes. Booleans must be xs:boolean,
-    numbers ASCII with no ``_``, floats finite, case ids unique, traces
-    not empty; a ``<trace>`` or ``<event>`` inside an event, attribute or
-    trace is misplaced. Errors come in the order a tree reader meets them:
-    malformed XML, root, then per trace case id, events, emptiness. Dates are midnight UTC."""
+    its other direct children its attributes, each key at most once.
+    Booleans must be xs:boolean, numbers ASCII with no ``_``, floats
+    finite, case ids unique, traces not empty; a ``<trace>`` or ``<event>``
+    inside an event, attribute or trace is misplaced. Errors come in the
+    order a tree reader meets them: malformed XML, root, then per trace case
+    id, events, emptiness. Dates are midnight UTC."""
     if data.__class__ is not str and (log := _scan_written(data)) is not None:
         return log
     events: list[Event] = []
@@ -209,6 +212,8 @@ def read_xes(data: bytes | bytearray | str) -> EventLog:
                 timestamp = value
                 if not isinstance(value, date):
                     fail("time:timestamp is not a date")
+            elif key in attributes:
+                fail(f"attribute {key!r} repeats")
             else:
                 attributes[key] = value
         elif trace_depth:

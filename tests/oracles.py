@@ -680,6 +680,8 @@ class ReferenceXes:
                         if not isinstance(value, date):
                             raise FormatError(f"{where}: time:timestamp is not a date")
                         timestamp = value
+                    elif key in attributes:
+                        raise FormatError(f"{where}: attribute {key!r} repeats")
                     else:
                         attributes[key] = value
                 if activity is None:

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from array import array
 from functools import partial
 
 import numpy as np
@@ -11,6 +12,7 @@ from oracles import (
     ReferenceDecisionTree, ReferenceLogistic, ReferenceNaiveBayes, UnprunedDecisionTree,
     reference_matrix, tree_fields,
 )
+from pathminer import classifiers
 from pathminer.classifiers import (
     DecisionTreeClassifier,
     LogisticClassifier,
@@ -20,7 +22,7 @@ from pathminer.classifiers import (
     encode,
     make_classifier,
 )
-from pathminer.decision_mining import extract_instances
+from pathminer.decision_mining import Holdout, extract_instances
 from pathminer.errors import InputError
 from pathminer.petri import build_dejure
 from pathminer.simulate import SimulationConfig, simulate
@@ -505,3 +507,67 @@ class TestDesignMatrix:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * matrix.nbytes
+
+
+@pytest.fixture(scope="module")
+def instances_2k(cohort_2k):
+    return extract_instances(build_dejure(), cohort_2k, "p1").instances
+
+
+class TestColumnBuffers:
+    """The columns of the registry-size cohort at p1 are held once, in
+    typed buffers that logistic regression and the tree read in place."""
+
+    def test_are_typed_buffers(self, instances_2k):
+        for column in Holdout(instances_2k).columns:
+            assert isinstance(column.values, array) and isinstance(column.missing, array)
+            assert column.values.typecode == ("d" if column.categories is None else "q")
+            assert column.missing.typecode == "b"
+            assert len(column.values) == len(column.missing) == len(instances_2k)
+
+    def test_the_tree_and_the_design_matrix_read_them_in_place(self, instances_2k, monkeypatch):
+        holdout = Holdout(instances_2k)
+        columns, labels = holdout.columns, [holdout.labels[i] for i in holdout.train]
+        matrix_reads, tree_reads = [], []
+        views, build = classifiers._views, DecisionTreeClassifier._build
+
+        def matrix_view(column):
+            matrix_reads.append(views(column))
+            return matrix_reads[-1]
+
+        def tree_build(self, columns, labels, idx, depth):
+            if depth == 0:
+                tree_reads.extend(columns)
+            return build(self, columns, labels, idx, depth)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(classifiers, "_views", matrix_view)
+            LogisticClassifier().fit(columns, holdout.train, labels)
+        monkeypatch.setattr(DecisionTreeClassifier, "_build", tree_build)
+        DecisionTreeClassifier().fit(columns, holdout.train, labels)
+        assert len(matrix_reads) == len(tree_reads) == len(columns)
+        for column, matrix_read, tree_read in zip(columns, matrix_reads, tree_reads):
+            for view in (matrix_read, tree_read):
+                assert np.shares_memory(view.values, column.values)
+                assert np.shares_memory(view.missing, column.missing) and view.missing.dtype == bool
+
+    def test_hold_a_word_and_a_byte_per_row(self, instances_2k):
+        holdout = Holdout(instances_2k)
+        tracemalloc.start()
+        try:
+            columns = holdout.columns
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.1 * (8 + 1) * len(instances_2k) * len(columns)  # lists of boxed values: 0.75 MB
+
+    def test_the_tree_fit_stays_small(self, instances_2k):
+        holdout = Holdout(instances_2k)
+        columns, labels = holdout.columns, [holdout.labels[i] for i in holdout.train]
+        tracemalloc.start()
+        try:
+            DecisionTreeClassifier().fit(columns, holdout.train, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.85e6  # with a copy of every column and an unsummed one-hot array: 1.21 MB

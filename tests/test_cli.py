@@ -213,6 +213,17 @@ class TestErrorHandling:
             f"pathminer: error: trace 0 event 0: bad date value '{stamps[0]}'\n")
         assert not out.exists()
 
+    def test_an_xes_event_that_repeats_an_attribute_key_exits_1(self, tmp_path, capsys):
+        # read, the event would keep the last of the two values without a word
+        log, _ = prepare_inputs(tmp_path)
+        line = b'\n      <int key="lvef" value="50" />'
+        log.write_bytes(log.read_bytes().replace(line, line + line.replace(b"50", b"51"), 1))
+        before = sorted(tmp_path.rglob("*"))
+        outdir = tmp_path / "co"
+        assert main(["cohorts", "--log", str(log), "--axis", "diabetes", "--outdir", str(outdir)]) == 1
+        assert capsys.readouterr().err == "pathminer: error: trace 0 event 0: attribute 'lvef' repeats\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_bad_place_exits_1(self, tmp_path, capsys):
         log, net = prepare_inputs(tmp_path)
         code = main(["decide", "--log", str(log), "--net", str(net),

@@ -84,6 +84,16 @@ class TestStructure:
         with pytest.raises(InputError, match=message):
             PetriNet(frozenset({"p0"}), (), frozenset(), initial, final)
 
+    def test_replace_checks_and_orders_like_the_constructor(self):
+        net = PetriNet(frozenset({"p0", "p1"}), (Transition("a"),), frozenset(), {"p0": 1}, {"p1": 1})
+        replaced = net._replace(transitions=(Transition("c"), Transition("b")), final_marking={"p1": 0})
+        assert [t.id for t in replaced.transitions] == ["b", "c"] and replaced.final_marking == ()
+        assert replaced == PetriNet._make(replaced) and type(replaced) is PetriNet
+        with pytest.raises(InputError, match="marking references unknown place nowhere"):
+            build_dejure()._replace(initial_marking={"nowhere": 1})
+        with pytest.raises(InputError, match="place and transition ids overlap"):
+            net._replace(transitions=(Transition("p0"),))
+
     def test_canonical_form(self):
         net = PetriNet(frozenset({"p0", "p1"}), (Transition("b"), Transition("a")), frozenset(),
                        {"p1": 0, "p0": 2}, (("p1", 1),))
@@ -205,10 +215,6 @@ class TestCompiledNet:
             assert "gen" in ids
         fired = compiled.fire(compiled.counts(()), compiled.index["gen"])
         assert fired == compiled.counts((("p1", 1),))
-
-    def test_marking_with_unknown_place_is_rejected(self):
-        with pytest.raises(InputError, match="unknown place"):
-            CompiledNet(linear_net()).counts((("nowhere", 1),))
 
 
 def test_nets_differing_only_in_transition_order_or_name_are_equal():

@@ -118,6 +118,20 @@ def test_attributes_under_the_reserved_keys_survive():
     assert back.attributes == event.attributes
 
 
+@pytest.mark.parametrize("read", [read_xes, ReferenceXes.read_xes], ids=["reader", "reference"])
+def test_an_event_that_repeats_an_attribute_key_is_rejected(read):
+    # the first concept:name and time:timestamp are the activity and the
+    # timestamp; a key that repeats among the rest would lose a value
+    event = ('<event><string key="concept:name" value="X"/><string key="concept:name" value="Y"/>'
+             '<date key="time:timestamp" value="2020-01-01"/>{}</event>')
+    data = '<log><trace><string key="concept:name" value="A"/>{}</trace></log>'
+    ages = '<int key="age" value="5"/><int key="age" value="6"/>'
+    with pytest.raises(FormatError, match="^trace 0 event 1: attribute 'age' repeats$"):
+        read(data.format(event.format("") + event.format(ages)))
+    with pytest.raises(FormatError, match="^trace 0 event 0: attribute 'concept:name' repeats$"):
+        read(data.format(event.format('<string key="concept:name" value="Z"/>')))
+
+
 def test_write_is_deterministic(example_log):
     assert write_xes(example_log) == write_xes(example_log)
 
@@ -224,6 +238,8 @@ def test_the_scan_of_a_log_with_edited_values_agrees_with_expat_or_declines(data
     (b'value="Visit', b'value="\xef\xbf\xbe'),  # U+FFFE, which expat refuses
     (b'value="Visit', b'value="\xed\xa0\x80'),  # a surrogate, which is not UTF-8
     (b'\n</log>\n', b'\n</log>\n\n'),  # a byte past the layout
+    (b'<int key="lvef" value="50" />', b'<int key="lvef" value="50" />\n      '
+                                       b'<int key="lvef" value="51" />'),  # a repeated key
 ])
 def test_the_scan_declines_and_expat_reports(edit, example_log):
     data = bytes(write_xes(example_log)).replace(*edit, 1)
