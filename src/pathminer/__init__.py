@@ -20,7 +20,7 @@ _EXPORTS = {
     "conformance": ("Alignment", "ConformanceReport", "align", "conformance_report", "f1",
                     "simplicity"),
     "decision_mining": ("DecisionInstance", "Holdout", "distribution", "extract_instances",
-                        "mine_place", "train_classifier"),
+                        "mine_place", "prepare_place", "train_classifier", "train_place"),
     "discovery": ("build_dfg", "build_footprint", "mine_alpha", "mine_dfm"),
     "model": ("Event", "EventLog", "Outcome", "PatientDatum", "PatientSequence", "Phenotype",
               "build_sequences", "classify_phenotype"),

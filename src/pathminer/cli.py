@@ -58,31 +58,32 @@ def _net_files(args, stage, net) -> dict[Path, bytes]:
     return files
 
 
-def _transform(args, stage, rows) -> dict[Path, bytes]:
-    return {args.output: stage.write_xes(stage.transform_log(rows))}
+def _transform(args, stage, inputs) -> dict[Path, bytes]:
+    # the parsed rows are freed when transform_log returns, before the log is written
+    return {args.output: stage.write_xes(stage.transform_log(inputs.pop("input")))}
 
 
-def _discover(args, stage, log) -> dict[Path, bytes]:
+def _discover(args, stage, inputs) -> dict[Path, bytes]:
     if args.algorithm == "dfg":
-        net = stage.mine_dfm(log, args.paths)
+        net = stage.mine_dfm(inputs.pop("input"), args.paths)
     else:
-        net = stage.mine_alpha(log)
+        net = stage.mine_alpha(inputs.pop("input"))
     return _net_files(args, stage, net)
 
 
-def _conform(args, stage, log, net) -> dict[Path, bytes]:
-    report = stage.conformance_report(net, log, cap=args.cap)
+def _conform(args, stage, inputs) -> dict[Path, bytes]:
+    report = stage.conformance_report(inputs.pop("net"), inputs.pop("log"), cap=args.cap)
     metrics = ("fitness", "precision", "generalization", "simplicity", "f1")
     body = ",\n".join(f'  "{name}": {getattr(report, name):.4f}' for name in metrics)
     return {args.output: _text(("{", body, "}"))}
 
 
-def _dejure(args, stage) -> dict[Path, bytes]:
+def _dejure(args, stage, inputs) -> dict[Path, bytes]:
     return _net_files(args, stage, stage.build_dejure())
 
 
-def _cohorts(args, stage, log) -> dict[Path, bytes]:
-    report = stage.compare_cohorts(log, args.axis, args.alpha)
+def _cohorts(args, stage, inputs) -> dict[Path, bytes]:
+    report = stage.compare_cohorts(inputs.pop("log"), args.axis, args.alpha)
     kruskal = ["activity,p_value,testable"]
     activities = {}
     dunn_files = {}
@@ -118,22 +119,16 @@ def _cohorts(args, stage, log) -> dict[Path, bytes]:
     }
 
 
-def _decide(args, stage, log, net) -> dict[Path, bytes]:
+def _decide(args, stage, inputs) -> dict[Path, bytes]:
     kinds = tuple(k.strip() for k in args.classifiers.split(",") if k.strip())
     if not kinds:
         raise InputError("--classifiers must name at least one classifier")
     phenotype = None
     if args.filter:
         phenotype = {ph.value.lower(): ph.value for ph in Phenotype}[args.filter]
-    report = stage.mine_place(
-        net,
-        log,
-        args.place,
-        kinds,
-        phenotype_filter=phenotype,
-        split=args.split,
-        seed=args.seed,
-    )
+    prepared = stage.prepare_place(inputs.pop("net"), inputs.pop("log"), args.place, kinds,
+                                   phenotype_filter=phenotype, split=args.split, seed=args.seed)
+    report = stage.train_place(prepared)  # the log was freed when prepare_place returned
     doc = {
         "place": report.place,
         "filter": report.phenotype_filter,
@@ -156,7 +151,7 @@ def _decide(args, stage, log, net) -> dict[Path, bytes]:
     return {args.output: _json(doc)}
 
 
-def _simulate(args, stage) -> dict[Path, bytes]:
+def _simulate(args, stage, inputs) -> dict[Path, bytes]:
     overrides = {}
     if args.patients is not None:
         overrides["patients"] = args.patients
@@ -249,11 +244,14 @@ def _write(files: dict[Path, bytes], outdir: Path | None) -> None:
 
 
 def run(argv) -> int:
+    """Read every input in option order and hand them to the command, which pops each into the
+    call that last reads it: once that call returns, the input is freed. (A call's arguments
+    live until it returns, so as arguments of the command they would outlive their use.)"""
     args = build_parser().parse_args(argv)
     stage = sys.modules[__name__]  # readers and stages are looked up here at call time
-    inputs = [getattr(stage, read)(getattr(args, option).read_bytes())
-              for option, read in args.inputs.items()]
-    _write(args.artifacts(args, stage, *inputs), getattr(args, "outdir", None))
+    inputs = {option: getattr(stage, read)(getattr(args, option).read_bytes())
+              for option, read in args.inputs.items()}
+    _write(args.artifacts(args, stage, inputs), getattr(args, "outdir", None))
     return 0
 
 

@@ -11,7 +11,6 @@ unambiguous decision path; they are skipped and counted.
 
 import random
 from collections import Counter, deque
-from functools import cached_property
 from typing import NamedTuple
 
 from .classifiers import Column, DecisionTreeClassifier, _feature_space, encode, make_classifier
@@ -124,34 +123,52 @@ def _stratified_split(labels: list[str], split: float, seed: int):
     return sorted(train), sorted(test)
 
 
+def _encoded(instances, train, test) -> list[Column] | str:
+    """The rows encoded over the training rows' feature space or, for the first test row
+    with a non-number where it is numeric, else the first row with a number past 1e100 in
+    size, the message that names its case."""
+    rows = [inst.features for inst in instances]
+    space = _feature_space([rows[i] for i in train])
+    numeric = [name for name, kind in space.items() if kind == "numeric"]
+    for i in test:
+        for name in numeric:
+            value = rows[i].get(name)
+            if value is not None and not isinstance(value, (int, float)):
+                return (f"case {instances[i].case_id!r}: attribute {name!r} holds "
+                        f"{value!r} where the training rows hold numbers")
+    for i, row in enumerate(rows):  # the classifiers sum squared differences, which must stay finite
+        for name in numeric:
+            if not -1e100 <= (row.get(name) or 0) <= 1e100:
+                return (f"case {instances[i].case_id!r}: attribute {name!r} holds {row[name]!r}, "
+                        "beyond the classifiers' range of ±1e100")
+    return encode(rows, space, train)
+
+
 class Holdout:
     """The stratified holdout of one instance set, drawn once for every
-    classifier trained on it, and its rows encoded once on first use."""
+    classifier trained on it: the labels, the train and test positions and,
+    when ``encoded`` and more than one label occurs, the rows encoded once,
+    here. It keeps no instance and no feature dict, and so no event alive;
+    of a refused row it keeps only the message, which names the row's case."""
 
-    def __init__(self, instances, split: float = 0.2, seed: int = 0):
+    def __init__(self, instances, split: float = 0.2, seed: int = 0, encoded: bool = True):
         if len(instances) < 2:
             raise InputError("at least two decision instances are required")
         if not 0.0 < split < 1.0:
             raise InputError(f"split must lie in (0, 1), got {split}")
-        self.instances = instances
         self.labels = [inst.chosen for inst in instances]
-        self.rows = [inst.features for inst in instances]
         self.classes = sorted(set(self.labels))
         if len(self.classes) > 1:
             self.train, self.test = _stratified_split(self.labels, split, seed)
+            if encoded:
+                self._columns = _encoded(instances, self.train, self.test)
 
-    @cached_property
+    @property
     def columns(self) -> list[Column]:
-        """The rows encoded over the training rows' feature space, after a
-        check that no test row holds a non-number where it is numeric."""
-        space = _feature_space([self.rows[i] for i in self.train])
-        for i in self.test:
-            for name, kind in space.items():
-                value = self.rows[i].get(name)
-                if kind == "numeric" and value is not None and not isinstance(value, (int, float)):
-                    raise InputError(f"case {self.instances[i].case_id!r}: attribute {name!r} holds "
-                                     f"{value!r} where the training rows hold numbers")
-        return encode(self.rows, space, self.train)
+        """The encoded rows; a refused row is an InputError when a classifier first reads them."""
+        if self._columns.__class__ is str:
+            raise InputError(self._columns)
+        return self._columns
 
 
 def train_classifier(holdout: Holdout, kind: str) -> ClassifierReport:
@@ -192,36 +209,39 @@ class DecisionMiningReport(NamedTuple):
     classifiers: tuple[ClassifierReport, ...]
 
 
-def mine_place(
-    net: PetriNet,
-    log: EventLog,
-    place: str,
-    kinds,
-    *,
-    phenotype_filter: str | None = None,
-    split: float = 0.2,
-    seed: int = 0,
-) -> DecisionMiningReport:
-    """Distribution plus classifier reports for one decision place,
-    optionally restricted to cases of one phenotype."""
+class PreparedPlace(NamedTuple):
+    """A decision place's report before training, and the kinds to train on its one holdout."""
+
+    report: DecisionMiningReport  # with no classifiers
+    kinds: tuple[str, ...]
+    holdout: Holdout | None  # None when no kind is asked for
+
+
+def prepare_place(net: PetriNet, log: EventLog, place: str, kinds, *, phenotype_filter: str | None = None,
+                  split: float = 0.2, seed: int = 0) -> PreparedPlace:
+    """The instances at one decision place, optionally restricted to cases of one phenotype,
+    as their count, skipped cases, distribution and holdout, which encodes the features
+    only for a kind other than the majority baseline. The result holds no event and no
+    feature dict: once this returns, the caller's reference is the last one to ``log``."""
     if phenotype_filter is not None:
-        keep = {
-            case
-            for case, trace in log.traces().items()
-            if case_phenotype(trace) == phenotype_filter
-        }
+        keep = {case for case, trace in log.traces().items() if case_phenotype(trace) == phenotype_filter}
         log = EventLog(tuple(e for e in log if e.case_id in keep))
     extraction = extract_instances(net, log, place)
-    kinds = tuple(kinds)
-    # one holdout and one encoding for all kinds; bench/tracing.py wraps
-    # train_classifier to time each kind
-    holdout = Holdout(extraction.instances, split, seed) if kinds else None
-    reports = tuple(train_classifier(holdout, kind) for kind in kinds)
-    return DecisionMiningReport(
-        place=place,
-        phenotype_filter=phenotype_filter,
-        n_instances=len(extraction.instances),
-        skipped_cases=extraction.skipped_cases,
-        distribution=distribution(extraction.instances),
-        classifiers=reports,
-    )
+    instances, kinds = extraction.instances, tuple(kinds)
+    holdout = Holdout(instances, split, seed, any(k != "majority" for k in kinds)) if kinds else None
+    report = DecisionMiningReport(place, phenotype_filter, len(instances), extraction.skipped_cases,
+                                  distribution(instances), ())
+    return PreparedPlace(report, kinds, holdout)
+
+
+def train_place(prepared: PreparedPlace) -> DecisionMiningReport:
+    """The place's report, with each kind trained on its one holdout."""
+    # bench/tracing.py wraps train_classifier to time each kind
+    reports = tuple(train_classifier(prepared.holdout, kind) for kind in prepared.kinds)
+    return prepared.report._replace(classifiers=reports)
+
+
+def mine_place(net: PetriNet, log: EventLog, place: str, kinds, **options) -> DecisionMiningReport:
+    """:func:`prepare_place`, then :func:`train_place`. The caller holds ``log`` until this returns,
+    so through training; ``decide`` makes the two calls itself and lets go of it in between."""
+    return train_place(prepare_place(net, log, place, kinds, **options))

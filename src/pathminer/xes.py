@@ -185,6 +185,7 @@ def read_xes(data: bytes | bytearray | str) -> EventLog:
     pending: list[tuple] = []  # (activity, timestamp, attributes) per event of the open trace
     error = None  # the open trace's first event error, raised once its case id is checked
     seen: dict[str, str] = {}  # each distinct key and string value, held once
+    values: dict[tuple, AttrValue] = {}  # (tag, text) -> each value that converts, held once
 
     def fail(message: str) -> None:
         nonlocal error
@@ -200,7 +201,10 @@ def read_xes(data: bytes | bytearray | str) -> EventLog:
                 text = attrs["value"]
                 if tag == "event" or tag == "trace":
                     raise FormatError(f"trace {len(trace_of_case)}: misplaced <{tag}>")
-                value = seen.setdefault(text, text) if tag == "string" else _value(tag, text)
+                if tag == "string":
+                    value = seen.setdefault(text, text)
+                elif (value := values.get((tag, text))) is None:
+                    value = values[tag, text] = _value(tag, text)
             except (KeyError, ValueError):
                 fail("attribute without key" if "key" not in attrs
                      else "attribute element without value" if "value" not in attrs

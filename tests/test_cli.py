@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 import pathminer
 import pathminer.cli as cli
+import pathminer.decision_mining as decision_mining
 from conftest import DATA_DIR, GOLDEN_DIR
 from pathminer.cli import main
 from pathminer.errors import FormatError
@@ -750,3 +752,69 @@ def test_run_calls_a_stage_replaced_on_the_cli_module(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "read_xes", counting)
     run_ok(["cohorts", "--log", log, "--axis", "diabetes", "--outdir", tmp_path / "co"])
     assert calls == [log.stat().st_size]
+
+
+ALL_FOUR = "majority,naive-bayes,logistic,decision-tree"
+
+
+@pytest.fixture(scope="module")
+def cohort_240(tmp_path_factory):
+    """The XES of the seed-7 240-patient cohort and the reference net."""
+    d = tmp_path_factory.mktemp("cohort_240")
+    run_ok(["simulate", "--patients", 240, "--seed", 7, "--output", d / "patients.csv"])
+    run_ok(["transform", "--input", d / "patients.csv", "--output", d / "log.xes"])
+    run_ok(["dejure", "--output", d / "dejure.json"])
+    return d / "log.xes", d / "dejure.json"
+
+
+@pytest.mark.parametrize("classifiers", ["majority,naive-bayes", ALL_FOUR])
+@pytest.mark.parametrize("place", ["p1", "p4"])
+def test_decide_frees_the_log_before_the_first_classifier_trains(
+        cohort_240, tmp_path, monkeypatch, place, classifiers):
+    # only the encoded columns are read in training, so the events and their
+    # attribute dicts need not be held while numpy loads and the models fit
+    read_xes, train_classifier = cli.read_xes, decision_mining.train_classifier
+    logs, alive = [], []
+
+    def reading(data):
+        log = read_xes(data)
+        logs.append(weakref.ref(log))
+        return log
+
+    def training(holdout, kind):
+        alive.append(logs[0]() is not None)
+        return train_classifier(holdout, kind)
+
+    monkeypatch.setattr(cli, "read_xes", reading)
+    monkeypatch.setattr(decision_mining, "train_classifier", training)
+    log, net = cohort_240
+    out = tmp_path / "d.json"
+    run_ok(["decide", "--log", log, "--net", net, "--place", place,
+            "--classifiers", classifiers, "--output", out])
+    assert alive == [False] * len(classifiers.split(","))
+    golden = json.loads((GOLDEN_DIR / f"decide_sim240_{place}.json").read_bytes())
+    golden["classifiers"] = golden["classifiers"][:len(alive)]
+    assert json.loads(out.read_bytes()) == golden
+
+
+def test_transform_frees_the_parsed_rows_before_the_log_is_written(tmp_path, monkeypatch):
+    class Rows(list):  # a list that a weak reference can name
+        pass
+
+    parse_patient_csv, write_xes = cli.parse_patient_csv, cli.write_xes
+    rows, alive = [], []
+
+    def parsing(data):
+        parsed = Rows(parse_patient_csv(data))
+        rows.append(weakref.ref(parsed))
+        return parsed
+
+    def writing(log):
+        alive.append(rows[0]() is not None)
+        return write_xes(log)
+
+    monkeypatch.setattr(cli, "parse_patient_csv", parsing)
+    monkeypatch.setattr(cli, "write_xes", writing)
+    run_ok(["transform", "--input", TABLE, "--output", tmp_path / "t.xes"])
+    assert alive == [False]
+    assert (tmp_path / "t.xes").read_bytes() == (GOLDEN_DIR / "transform_table.xes").read_bytes()

@@ -92,19 +92,20 @@ def in_memory(inputs: Path, out: Path) -> tuple[dict, list]:
     command the exit code and stderr that ``main`` would give."""
     parse = cli.build_parser().parse_args
     building = Building()
-    cli._dejure(parse(["dejure", "--output", str(inputs / "dejure.json")]), building)
+    cli._dejure(parse(["dejure", "--output", str(inputs / "dejure.json")]), building, {})
     nets = {"dejure": building.net}
     rows = parse_patient_csv((inputs / "patients.csv").read_bytes())
     log = transform_log(rows)
     files, outcomes = {}, []
     for net, argv in chain(inputs, out):
         args = parse(argv)
-        parsed = {"transform": (rows,), "discover": (log,), "cohorts": (log,),
-                  "conform": (log, nets.get(net)), "decide": (log, nets.get(net))}[args.command]
+        parsed = {"transform": {"input": rows}, "discover": {"input": log}, "cohorts": {"log": log},
+                  "conform": {"log": log, "net": nets.get(net)},
+                  "decide": {"log": log, "net": nets.get(net)}}[args.command]
         try:
-            if None in parsed:  # the net of a discover that failed: main finds no file
+            if None in parsed.values():  # the net of a discover that failed: main finds no file
                 raise OSError(2, "No such file or directory", str(args.net))
-            produced = args.artifacts(args, building, *parsed)
+            produced = args.artifacts(args, building, parsed)
         except (PathminerError, OSError) as exc:
             outcomes.append((1, f"pathminer: error: {exc}\n"))
             continue

@@ -169,6 +169,25 @@ class TestTrainClassifier:
         # the majority classifier reads no feature
         assert train_classifier(Holdout(instances), "majority").test_size == len(test)
 
+    @pytest.mark.parametrize("big", [1.01e100, -1.7e308, 10**400], ids=["1.01e100", "-1.7e308", "10**400"])
+    @pytest.mark.parametrize("where", ["train", "test"])
+    def test_a_number_too_large_to_square_and_sum_names_its_case(self, big, where):
+        # naive Bayes raised OverflowError on 1.7e308 and logistic regression
+        # scaled it to NaN; an int past the float range failed to encode
+        instances = self._instances(50, seed=4)
+        train, test = decision_mining._stratified_split([i.chosen for i in instances], 0.2, 0)
+        at = (train if where == "train" else test)[0]
+        case = instances[at].case_id
+        instances[at] = instances[at]._replace(features={"nt_pro_bnp": big})
+        for kind in ("naive-bayes", "logistic", "decision-tree"):
+            with pytest.raises(InputError, match=re.escape(
+                    f"case '{case}': attribute 'nt_pro_bnp' holds {big!r}, beyond the classifiers' "
+                    "range of ±1e100")):
+                train_classifier(Holdout(instances), kind)
+        assert train_classifier(Holdout(instances), "majority").test_size == len(test)
+        instances[at] = instances[at]._replace(features={"nt_pro_bnp": 1e100})
+        assert train_classifier(Holdout(instances), "naive-bayes").test_size == len(test)
+
     def test_learners_clear_majority_floor_on_planted_rule(self):
         instances = self._instances(500, seed=10)
         holdout = Holdout(instances, split=0.2, seed=2)

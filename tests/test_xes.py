@@ -148,11 +148,14 @@ def test_a_read_log_holds_each_key_and_string_once(cohort_2k):
     assert len(by_type[date]) > 2 * len(set(by_type[date]))  # 2,329 dates, 510 distinct
     for objects in (keys, *by_type.values()):
         assert len({id(o) for o in objects}) == len(set(objects))
-    # a str goes to expat, which holds each key and string once and parses each number anew
+    # a str goes to expat, which holds each key, string, number and date once too
     events = read_xes(write_xes(cohort_2k).decode()).events
     keys = [key for event in events for key in event.attributes]
-    texts = [v for event in events for v in event.attributes.values() if v.__class__ is str]
-    for objects in (keys, texts + [event.activity for event in events]):
+    values = [v for event in events for v in event.attributes.values()]
+    values += [event.activity for event in events] + [event.timestamp for event in events]
+    by_type = {kind: [v for v in values if v.__class__ is kind] for kind in (str, float, int, date)}
+    assert len(by_type[float]) > 2 * len(set(by_type[float]))
+    for objects in (keys, *by_type.values()):
         assert len({id(o) for o in objects}) == len(set(objects))
 
 
