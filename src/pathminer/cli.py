@@ -123,6 +123,8 @@ def _decide(args, stage, inputs) -> dict[Path, bytes]:
     kinds = tuple(k.strip() for k in args.classifiers.split(",") if k.strip())
     if not kinds:
         raise InputError("--classifiers must name at least one classifier")
+    if repeated := next((k for i, k in enumerate(kinds) if k in kinds[:i]), None):
+        raise InputError(f"--classifiers names {repeated!r} twice")
     phenotype = None
     if args.filter:
         phenotype = {ph.value.lower(): ph.value for ph in Phenotype}[args.filter]

@@ -8,6 +8,7 @@ empty string; no stage of the pipeline may impute over it silently.
 import enum
 from datetime import date
 from functools import cached_property
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import InputError
@@ -87,18 +88,20 @@ class PatientDatum(_PatientFields):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        if len(args) < len(cls._fields) and kwargs.get("extra") is None:
-            kwargs["extra"] = {}
-        self = super().__new__(cls, *args, **kwargs)
+        if kwargs or len(args) != len(cls._fields):  # bind keywords and defaults
+            if len(args) < len(cls._fields) and kwargs.get("extra") is None:
+                kwargs["extra"] = {}
+            args = _PatientFields(*args, **kwargs)
+        self = tuple.__new__(cls, args)
         if self.lvef is not None and not 0 <= self.lvef <= 100:
             raise InputError(f"LVEF must lie in [0, 100], got {self.lvef}")
-        if sum(bool(f) for f in (self.hfref, self.hfmref, self.hfpef)) > 1:
+        if sum(map(bool, (self.hfref, self.hfmref, self.hfpef))) > 1:
             raise InputError(f"patient {self.pat_id}: more than one phenotype flag set")
         return self
 
 
-# Clinical fields copied onto events by the transform stage, in the order of
-# the source table: every PatientDatum field but the row's identity and extras.
+# Clinical fields copied onto events by the transform stage, in the order of the source
+# table: every PatientDatum field but the row's identity (the first three) and extras (the last).
 CLINICAL_FIELDS: tuple[str, ...] = tuple(
     name for name in PatientDatum._fields
     if name not in ("pat_id", "timestamp", "row_index", "extra")
@@ -121,8 +124,7 @@ class Event(_EventFields):
                 attributes: dict[str, AttrValue] | None = None):
         if not activity:
             raise InputError("event activity must be non-empty")
-        attributes = {} if attributes is None else attributes
-        return super().__new__(cls, case_id, activity, timestamp, attributes)
+        return tuple.__new__(cls, (case_id, activity, timestamp, {} if attributes is None else attributes))
 
 
 def case_phenotype(trace: tuple[Event, ...]) -> str | None:
@@ -181,7 +183,7 @@ class EventLog:
         for event in self.events:
             grouped.setdefault(event.case_id, []).append(event)
         return tuple(
-            (case, tuple(sorted(grouped[case], key=lambda e: e.timestamp)))
+            (case, tuple(sorted(grouped[case], key=attrgetter("timestamp"))))
             for case in sorted(grouped)
         )
 
@@ -196,21 +198,11 @@ class EventLog:
         }
 
 
-class _SequenceFields(NamedTuple):
-    pat_id: str
-    data: tuple[PatientDatum, ...]
-
-
-class PatientSequence(_SequenceFields):
+class PatientSequence(NamedTuple):
     """All rows of one patient, sorted by (timestamp, source row)."""
 
-    __slots__ = ()
-
-    def __new__(cls, pat_id: str, data: tuple[PatientDatum, ...]):
-        for earlier, later in zip(data, data[1:]):
-            if later.timestamp < earlier.timestamp:
-                raise InputError(f"patient {pat_id}: sequence timestamps decrease")
-        return super().__new__(cls, pat_id, data)
+    pat_id: str
+    data: tuple[PatientDatum, ...]
 
     def __len__(self) -> int:
         return len(self.data)
@@ -225,10 +217,6 @@ def build_sequences(data) -> dict[str, PatientSequence]:
     grouped: dict[str, list[PatientDatum]] = {}
     for datum in data:
         grouped.setdefault(datum.pat_id, []).append(datum)
-    return {
-        pat_id: PatientSequence(
-            pat_id,
-            tuple(sorted(rows, key=lambda d: (d.timestamp, d.row_index))),
-        )
-        for pat_id, rows in sorted(grouped.items())
-    }
+    by_day = attrgetter("timestamp", "row_index")
+    return {pat_id: PatientSequence(pat_id, tuple(sorted(rows, key=by_day)))
+            for pat_id, rows in sorted(grouped.items())}

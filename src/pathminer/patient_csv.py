@@ -6,13 +6,17 @@ NT pro-BNP, Diabetes, CKD, Outcome, WBC, hsTNT, IL-6, Urea, Beta-Blocker,
 ACE-I/ARNI, SGLT-2, MRA, Timestamp. Extra columns are carried along as text
 attributes. An empty cell means the value is absent; numbers are ASCII
 with no ``_`` digit separator, and must be finite (``nan`` and ``inf`` are
-rejected).
+rejected). Records are converted in chunks, column by column: each distinct
+cell text of a column is parsed once and its value shared by every row that
+holds it. A fault is still reported for the first faulty row in file order.
 """
 
 import csv
 import io
 import math
 from datetime import date
+from itertools import islice
+from operator import itemgetter
 
 from .errors import PathminerError, RowError, SchemaError
 from .model import CLINICAL_FIELDS, Outcome, PatientDatum
@@ -50,14 +54,16 @@ _BOOL_FIELDS = {"hfref", "hfmref", "hfpef", "diabetes", "ckd"}
 # would also drop U+00A0 or U+3000 from a PatID or around a number.
 _SPACE = " \t\r\n\x0b\x0c"
 
-_TRUE = {"1", "true"}
-_FALSE = {"0", "false"}
+_BOOLEANS = {"1": True, "true": True, "0": False, "false": False}
+
+_CHUNK = 512  # records converted together, column by column
 
 
-def _parse_cell(field: str, text: str, row: int):
+def _parse_cell(field: str, text: str):
+    """The value of a stripped cell; a ValueError carrying its row error's message if none."""
     if field == "pat_id":
         if not text:
-            raise RowError(row, "PatID must not be empty")
+            raise ValueError("PatID must not be empty")
         return text
     if not text:
         return None
@@ -65,29 +71,41 @@ def _parse_cell(field: str, text: str, row: int):
         try:
             return date.fromisoformat(text)
         except ValueError:
-            raise RowError(row, f"bad date {text!r}, expected YYYY-MM-DD") from None
+            raise ValueError(f"bad date {text!r}, expected YYYY-MM-DD") from None
     if field == "outcome":
         try:
             return Outcome(text)
         except ValueError:
-            raise RowError(row, f"unknown outcome label {text!r}") from None
+            raise ValueError(f"unknown outcome label {text!r}") from None
     if field in _BOOL_FIELDS:
-        lowered = text.lower()
-        if lowered in _TRUE:
-            return True
-        if lowered in _FALSE:
-            return False
-        raise RowError(row, f"bad boolean {text!r} in column for {field}")
+        if (flag := _BOOLEANS.get(text.lower())) is None:
+            raise ValueError(f"bad boolean {text!r} in column for {field}")
+        return flag
     kind = "integer" if field in _INT_FIELDS else "number"
     try:
         if not text.isascii() or "_" in text:
             raise ValueError  # int() and float() take "8_0" and non-ASCII digits
         value = int(text) if field in _INT_FIELDS else float(text)
     except ValueError:
-        raise RowError(row, f"bad {kind} {text!r} in column for {field}") from None
+        raise ValueError(f"bad {kind} {text!r} in column for {field}") from None
     if kind == "number" and not math.isfinite(value):
-        raise RowError(row, f"non-finite number {text!r} in column for {field}")
+        raise ValueError(f"non-finite number {text!r} in column for {field}")
     return value
+
+
+class _Column(dict):
+    """A column's cell text -> value, or the ValueError of a text with none: parsed once each."""
+
+    def __init__(self, field: str):
+        self.field, self.faulty = field, False
+
+    def __missing__(self, text: str):
+        try:
+            value = _parse_cell(self.field, text.strip(_SPACE))
+        except ValueError as exc:
+            value, self.faulty = exc, True
+        self[text] = value
+        return value
 
 
 def _record_error(record: int, message: str) -> PathminerError:
@@ -139,36 +157,58 @@ def parse_patient_csv(data: bytes | str) -> list[PatientDatum]:
             raise _record_error(0, f"column {name!r} appears twice")
         if name:
             named[name] = i
-    positions: dict[str, int] = {}
+    columns: list[tuple[_Column, int]] = []  # each field's converted cells and position
     for column, field in COLUMNS:
         if column not in named:
             raise SchemaError(f"missing required column {column!r}")
-        positions[field] = named[column]
-    known = set(positions.values())
+        columns.append((_Column(field), named[column]))
+    known = {pos for _, pos in columns}
     extras = [(name.strip(_SPACE), i) for i, name in enumerate(header) if i not in known]
 
     rows: list[PatientDatum] = []
-    for row_index, cells in records:
-        if not any(cell.strip(_SPACE) for cell in cells):
-            continue
-        past = next((cell for cell in cells[len(header):] if cell.strip(_SPACE)), None)
-        if past is not None:
-            raise RowError(row_index, f"cell {past!r} lies past the header's {len(header)} columns")
-        values = {}
-        for field, pos in positions.items():
-            cell = cells[pos].strip(_SPACE) if pos < len(cells) else ""
-            values[field] = _parse_cell(field, cell, row_index)
-        if values["timestamp"] is None:
-            raise RowError(row_index, "Timestamp must not be empty")
-        extra = {}
-        for name, pos in extras:
-            cell = cells[pos].strip(_SPACE) if pos < len(cells) else ""
-            if cell:
-                extra[name] = cell
+    while True:
+        chunk, refused = [], None
         try:
-            rows.append(PatientDatum(row_index=row_index, extra=extra, **values))
-        except Exception as exc:
-            raise RowError(row_index, str(exc)) from None
+            chunk.extend(islice(records, _CHUNK))
+        except PathminerError as exc:  # the csv module refused a record, after the chunk's rows
+            refused = exc
+        rows += _chunk_rows(chunk, len(header), columns, extras)
+        if refused:
+            raise refused
+        if len(chunk) < _CHUNK:
+            return rows
+
+
+def _chunk_rows(chunk, width: int, columns, extras) -> list[PatientDatum]:
+    """The rows of (record number, cells) pairs, converted by column; raises the first fault."""
+    numbers, table, faults = [], [], []  # faults: (position, message), in the order checked
+    for number, cells in chunk:
+        if not "".join(cells).strip(_SPACE):
+            continue  # a blank record
+        if len(cells) < width:
+            cells += [""] * (width - len(cells))  # a missing cell converts as an empty one
+        elif len(cells) > width and not faults and "".join(cells[width:]).strip(_SPACE):
+            past = next(cell for cell in cells[width:] if cell.strip(_SPACE))
+            faults.append((len(table), f"cell {past!r} lies past the header's {width} columns"))
+        numbers.append(number)
+        table.append(cells)
+    texts = tuple(zip(*table)) or ((),) * width
+    values = [list(map(column.__getitem__, texts[pos])) for column, pos in columns]
+    faults += (next((i, str(v)) for i, v in enumerate(col) if v.__class__ is ValueError)
+               for (column, _), col in zip(columns, values) if column.faulty)
+    pat_ids, *clinical, timestamps = values
+    if None in timestamps:
+        faults.append((timestamps.index(None), "Timestamp must not be empty"))
+    bad, message = min(faults, key=itemgetter(0), default=(len(table), ""))
+    extra = [{name: cell for name, pos in extras if (cell := cells[pos].strip(_SPACE))}
+             for cells in table] if extras else [{} for _ in table]
+    rows = []
+    try:
+        rows.extend(map(PatientDatum, pat_ids[:bad], timestamps, numbers, *clinical, extra))
+    except Exception as exc:  # the row's own checks
+        raise RowError(numbers[len(rows)], str(exc)) from None
+    if message:
+        raise RowError(numbers[bad], message)
     return rows
 
 

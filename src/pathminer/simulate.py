@@ -100,9 +100,7 @@ class AttributeSampler(NamedTuple):
             return rng.random() < self.p
         if self.kind == "constant":
             return self.value
-        if self.kind == "absent":
-            return None
-        raise ConfigError(f"unknown sampler kind {self.kind!r}")
+        return None  # "absent": SimulationConfig refuses every other kind
 
 
 DEFAULT_ATTRIBUTE_SAMPLERS: dict[str, AttributeSampler] = {
@@ -266,7 +264,9 @@ class SimulationConfig(_ConfigFields):
                 raise ConfigError(f"unknown attribute {name!r}")
             _check_sampler(name, sampler)
             samplers[name] = sampler
-        return self._replace(place_probs=probs, attributes=samplers)
+        return tuple.__new__(cls, (*self[:5], probs, samplers))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks its fields
 
 
 def load_config(data: bytes | str, **overrides) -> SimulationConfig:

@@ -45,14 +45,10 @@ def split_sequence(seq: PatientSequence) -> SplitSequence:
 
 
 def _event_attributes(datum: PatientDatum) -> dict[str, AttrValue]:
-    attrs: dict[str, AttrValue] = {}
-    for name in CLINICAL_FIELDS:
-        value = getattr(datum, name)
-        if value is None:
-            continue
-        attrs[name] = value.value if name == "outcome" else value
-    for key, value in datum.extra.items():
-        attrs[key] = value
+    attrs = {name: value for name, value in zip(CLINICAL_FIELDS, datum[3:-1]) if value is not None}
+    if datum.outcome is not None:
+        attrs["outcome"] = datum.outcome.value
+    attrs.update(datum.extra)
     return attrs
 
 
@@ -63,23 +59,13 @@ def trans_pre(datum: PatientDatum) -> Event:
             f"patient {datum.pat_id}: pre-outcome row carries outcome "
             f"{datum.outcome.value}"
         )
-    return Event(
-        case_id=datum.pat_id,
-        activity=VISIT_BEFORE,
-        timestamp=datum.timestamp,
-        attributes=_event_attributes(datum),
-    )
+    return Event(datum.pat_id, VISIT_BEFORE, datum.timestamp, _event_attributes(datum))
 
 
 def trans_post(datum: PatientDatum) -> Event:
     """Map a post-outcome row to an outcome event or a "Visit after CO"."""
     activity = datum.outcome.value if datum.outcome is not None else VISIT_AFTER
-    return Event(
-        case_id=datum.pat_id,
-        activity=activity,
-        timestamp=datum.timestamp,
-        attributes=_event_attributes(datum),
-    )
+    return Event(datum.pat_id, activity, datum.timestamp, _event_attributes(datum))
 
 
 def transform_log(data) -> EventLog:

@@ -3,9 +3,10 @@
 The activity and the case id live under ``concept:name``, the timestamp under
 ``time:timestamp`` (dates are midnight UTC). Attributes are typed
 string/int/float/boolean/date elements; absent values are omitted. The writer
-encodes each trace of its fixed layout into one buffer and refuses a string
-outside the XML 1.0 ``Char`` production, and a ``datetime``, whose time a date
-would drop. The reader scans that layout; any other
+encodes each trace of its fixed layout into one buffer, writes an exact float,
+int or bool of an already-escaped key in line, and refuses a string outside
+the XML 1.0 ``Char`` production, and a ``datetime``, whose time a date would
+drop. The reader scans that layout; any other
 document, and any error, goes to one strict expat pass with no element tree.
 """
 
@@ -74,7 +75,14 @@ def write_xes(log: EventLog) -> bytearray:
             push("      " + element("concept:name", event.activity, where))
             push("      " + element("time:timestamp", event.timestamp, where))
             for key, value in sorted(event.attributes.items()):
-                if value is not None:
+                kind = value.__class__  # an exact number or flag of an escaped key goes in line
+                if kind is float and key in texts:
+                    push(f'      <float key="{texts[key]}" value="{value!r}" />')
+                elif kind is int and key in texts:
+                    push(f'      <int key="{texts[key]}" value="{value}" />')
+                elif kind is bool and key in texts:
+                    push(f'      <boolean key="{texts[key]}" value="{"true" if value else "false"}" />')
+                elif value is not None:
                     push("      " + element(key, value, where))
             push("    </event>")
         push("  </trace>")

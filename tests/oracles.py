@@ -30,6 +30,9 @@ simulator's positive-weight place steps. ``reference_matrix`` is the
 logistic design matrix built from a list of parts and transposed, and
 ``UnprunedDecisionTree`` screens every split before it rescores any: the
 code that the in-place matrix and the pruned split screen replaced.
+``reference_parse_patient_csv`` and ``reference_write_xes`` are the row-wise
+CSV parser and the writer with one ``element`` call per attribute line that
+the column-wise parser and the in-line number lines replaced.
 """
 
 import heapq
@@ -49,12 +52,16 @@ from pathminer.conformance import (
 )
 from pathminer.decision_mining import ClassifierReport, _stratified_split
 from pathminer.discovery import DirectlyFollowsGraph
-from pathminer.model import AttrValue, Event, EventLog
+from pathminer.model import CLINICAL_FIELDS, AttrValue, Event, EventLog, Outcome, PatientDatum
 from pathminer.errors import (
-    ConfigError, FormatError, InputError, ModelError, ResourceError,
+    ConfigError, FormatError, InputError, ModelError, ResourceError, RowError, SchemaError,
+)
+from pathminer.patient_csv import (
+    _BOOL_FIELDS, _INT_FIELDS, _REQUIRED, _SPACE, COLUMNS, _record_error, _records,
 )
 from pathminer.petri import P_END, P_START, CompiledNet, PetriNet, Transition
 from pathminer.simulate import _PLACE_CHOICES
+from pathminer.xes import _HEAD, _escaped
 
 PHENOTYPE_FLAGS = {
     "HFrEF": {"hfref": True, "hfmref": False, "hfpef": False},
@@ -692,6 +699,144 @@ class ReferenceXes:
             if next(trace.iter("event"), None) is None:
                 raise FormatError(f"trace {t_index}: {case_id!r} holds no <event>")
         return EventLog(tuple(events))
+
+
+_TRUE = {"1", "true"}
+_FALSE = {"0", "false"}
+
+
+def _reference_cell(field: str, text: str, row: int):
+    if field == "pat_id":
+        if not text:
+            raise RowError(row, "PatID must not be empty")
+        return text
+    if not text:
+        return None
+    if field == "timestamp":
+        try:
+            return date.fromisoformat(text)
+        except ValueError:
+            raise RowError(row, f"bad date {text!r}, expected YYYY-MM-DD") from None
+    if field == "outcome":
+        try:
+            return Outcome(text)
+        except ValueError:
+            raise RowError(row, f"unknown outcome label {text!r}") from None
+    if field in _BOOL_FIELDS:
+        lowered = text.lower()
+        if lowered in _TRUE:
+            return True
+        if lowered in _FALSE:
+            return False
+        raise RowError(row, f"bad boolean {text!r} in column for {field}")
+    kind = "integer" if field in _INT_FIELDS else "number"
+    try:
+        if not text.isascii() or "_" in text:
+            raise ValueError  # int() and float() take "8_0" and non-ASCII digits
+        value = int(text) if field in _INT_FIELDS else float(text)
+    except ValueError:
+        raise RowError(row, f"bad {kind} {text!r} in column for {field}") from None
+    if kind == "number" and not math.isfinite(value):
+        raise RowError(row, f"non-finite number {text!r} in column for {field}")
+    return value
+
+
+def reference_parse_patient_csv(data: bytes | str) -> list[PatientDatum]:
+    """The row-wise parser that the column-wise one replaced: every cell of
+    every row is converted on its own, and each row is checked as it comes."""
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        record = sum(1 for _ in _records(data[: exc.start].decode("utf-8") + "x")) - 1
+        message = f"byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8"
+        raise _record_error(record, message) from None
+    records = _records(text)
+    try:
+        _, header = next(records)
+    except StopIteration:
+        raise SchemaError("empty file: header row required") from None
+    named: dict[str, int] = {}
+    for i, cell in enumerate(header):
+        name = cell.strip(_SPACE)
+        name = _REQUIRED.get(name.lower(), name)
+        if name in CLINICAL_FIELDS:
+            raise _record_error(0, f"column {name!r} names a clinical attribute")
+        if name in named:
+            raise _record_error(0, f"column {name!r} appears twice")
+        if name:
+            named[name] = i
+    positions: dict[str, int] = {}
+    for column, field in COLUMNS:
+        if column not in named:
+            raise SchemaError(f"missing required column {column!r}")
+        positions[field] = named[column]
+    known = set(positions.values())
+    extras = [(name.strip(_SPACE), i) for i, name in enumerate(header) if i not in known]
+    rows: list[PatientDatum] = []
+    for row_index, cells in records:
+        if not any(cell.strip(_SPACE) for cell in cells):
+            continue
+        past = next((cell for cell in cells[len(header):] if cell.strip(_SPACE)), None)
+        if past is not None:
+            raise RowError(row_index, f"cell {past!r} lies past the header's {len(header)} columns")
+        values = {}
+        for field, pos in positions.items():
+            cell = cells[pos].strip(_SPACE) if pos < len(cells) else ""
+            values[field] = _reference_cell(field, cell, row_index)
+        if values["timestamp"] is None:
+            raise RowError(row_index, "Timestamp must not be empty")
+        extra = {}
+        for name, pos in extras:
+            cell = cells[pos].strip(_SPACE) if pos < len(cells) else ""
+            if cell:
+                extra[name] = cell
+        try:
+            rows.append(PatientDatum(row_index=row_index, extra=extra, **values))
+        except Exception as exc:
+            raise RowError(row_index, str(exc)) from None
+    return rows
+
+
+def reference_write_xes(log: EventLog) -> bytearray:
+    """The writer before numbers were written in line: every attribute line,
+    of any type, is built by one ``element`` call."""
+    texts: dict[str, str] = {}
+
+    def element(key: str, value: AttrValue, where: str) -> str:
+        if value.__class__ is str:
+            tag, text = "string", texts.get(value) or _escaped(value, texts, f"{where}: {key!r}")
+        elif isinstance(value, bool):
+            tag, text = "boolean", "true" if value else "false"
+        elif isinstance(value, int):
+            tag, text = "int", str(value)
+        elif isinstance(value, float):
+            tag, text = "float", repr(value)
+        elif isinstance(value, date):
+            if isinstance(value, datetime):  # midnight UTC of its date would drop the time
+                raise FormatError(f"{where}: {key!r} holds the datetime {value}, not a date")
+            tag, text = "date", f"{date.isoformat(value)}T00:00:00+00:00"  # midnight UTC
+        else:
+            tag, text = "string", _escaped(str(value), texts, f"{where}: {key!r}")
+        name = texts.get(key) or _escaped(key, texts, f"{where}: key {key!r}")
+        return f'<{tag} key="{name}" value="{text}" />'
+
+    buffer = bytearray(_HEAD)
+    for t_index, (case_id, events) in enumerate(log.traces().items()):
+        lines = ["", "  <trace>", "    " + element("concept:name", case_id, f"trace {t_index}")]
+        push = lines.append
+        for e_index, event in enumerate(events):
+            where = f"trace {t_index} event {e_index}"
+            push("    <event>")
+            push("      " + element("concept:name", event.activity, where))
+            push("      " + element("time:timestamp", event.timestamp, where))
+            for key, value in sorted(event.attributes.items()):
+                if value is not None:
+                    push("      " + element(key, value, where))
+            push("    </event>")
+        push("  </trace>")
+        buffer += "\n".join(lines).encode("utf-8")
+    buffer += b"\n</log>\n"
+    return buffer
 
 
 def _gamma_series(a: float, x: float, eps: float = 1e-15, itmax: int = 1000) -> float:

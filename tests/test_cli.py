@@ -243,6 +243,17 @@ class TestErrorHandling:
         assert "unknown classifier kind 'bogus'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kinds", ["majority,majority", "naive-bayes, majority,naive-bayes"])
+    def test_a_classifier_named_twice_exits_1_and_writes_nothing(self, tmp_path, capsys, kinds):
+        log, net = prepare_inputs(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        code = main(["decide", "--log", str(log), "--net", str(net), "--place", "p1",
+                     "--classifiers", kinds, "--output", str(tmp_path / "d.json")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"pathminer: error: --classifiers names {kinds.split(',')[0].strip()!r} twice\n"
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_simulate_with_a_bad_sampler_exits_1(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(

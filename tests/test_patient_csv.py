@@ -1,9 +1,12 @@
 from datetime import date
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_parse_patient_csv
+from pathminer import patient_csv
 from pathminer.errors import RowError, SchemaError
 from pathminer.model import Outcome
 from pathminer.patient_csv import parse_patient_csv, write_patient_csv
@@ -235,3 +238,117 @@ def test_a_cell_over_the_limit_before_a_non_utf8_byte_is_a_row_error():
             "0\xff2,50,0,0,1,,,,,,,,,,,,,,,2023-01-02,x\n").encode("latin-1")
     with pytest.raises(RowError, match=r"^row 1: field larger than field limit"):
         parse_patient_csv(data)
+
+
+# --- the column-wise parser against the row-wise one it replaced -----------
+
+# (good, bad) cell texts per column; blank cells, padding, "-0.0" and "0.0" are good.
+_FLAG = (("", "0", "false", " False "), ("yes", "2"))
+_NUMBER = (("", "1.5", "-0.0", "0.0", "80", " 7 ", "1e3"), ("inf", "nan", "1_0", "x"))
+CELLS = {
+    "PatID": (("001", "002", " 003 "), ("", " ")),
+    "LVEF": (("", "35", "45", " 60"), ("4_0", "35.0", "x")),
+    "HFrEF": _FLAG, "HFmrEF": _FLAG, "HFpEF": _FLAG, "Diabetes": _FLAG, "CKD": _FLAG,
+    "HF diagnosis": (("", "2015", " 2016"), ("2015.5", "٢٠")),
+    "Outcome": (("", "", "HF", "Death_HF"), ("Flu",)),
+    "Timestamp": (("2023-01-02", "2023-01-03", " 2023-01-04"), ("2023-02-30", "x")),
+}
+# What the record's own checks refuse: LVEF out of range, two flags set, no Timestamp.
+CHECKS = ({"LVEF": "101"}, {"HFrEF": "1", "HFpEF": "true"}, {"Timestamp": " "})
+EXTRA = (("", "memo", " x "), ())
+
+
+@st.composite
+def tables(draw):
+    """A patient CSV with columns in any order, extra columns, and records that
+    are valid, hold a bad cell, fail a record check, or are blank, short, long
+    (with a blank or a non-blank cell past the header) or over the csv module's
+    field size limit."""
+    required = HEADER.split(",")
+    columns = draw(st.permutations(required))
+    columns += draw(st.lists(st.sampled_from(["Note", " Site ", ""]), max_size=2, unique=True))
+    width = len(columns)
+    records = [",".join(columns)]
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(
+            ["row"] * 9 + ["fault"] * 3 + ["check", "blank", "short", "long", "limit"]))
+        if shape == "blank":
+            records.append(",".join(draw(st.sampled_from(("", " ", "\t")))
+                                    for _ in range(draw(st.integers(0, width + 2)))))
+            continue
+        if shape == "limit":
+            records.append(LONG_CELL)
+            continue
+        cells = [draw(st.sampled_from(CELLS.get(name, _NUMBER if name in required else EXTRA)[0]))
+                 for name in columns]
+        if shape == "fault":
+            i = draw(st.integers(0, 19))
+            cells[i] = draw(st.sampled_from(CELLS.get(columns[i], _NUMBER)[1]))
+        elif shape == "check":
+            for name, text in draw(st.sampled_from(CHECKS)).items():
+                cells[columns.index(name)] = text
+        elif shape == "short":
+            cells = cells[:draw(st.integers(1, width))]
+        elif shape == "long":
+            cells += draw(st.lists(st.sampled_from(("", " ", "late")), min_size=1, max_size=2))
+        records.append(",".join(cells))
+    return ("\n".join(records) + "\n").encode()
+
+
+def _parsed(parse, data):
+    try:
+        return repr(parse(data))
+    except Exception as exc:  # the exact type and message are compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tables(), st.integers(1, 5))
+def test_the_column_wise_parser_agrees_with_the_row_wise_one(data, chunk):
+    # small chunks put faults on both sides of a chunk's end and at its start
+    with mock.patch.object(patient_csv, "_CHUNK", chunk):
+        assert _parsed(parse_patient_csv, data) == _parsed(reference_parse_patient_csv, data)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 512])
+@pytest.mark.parametrize("rows, error", [
+    # an earlier row's bad cell comes before a later row's cell past the header
+    (["001,bad,0,0,1,,,,,,,,,,,,,,,2023-01-01", "002,50,0,0,1,,,,,,,,,,,,,,,2023-01-02,late"],
+     "row 1: bad integer 'bad' in column for lvef"),
+    # an earlier row's bad cell comes before a later row's, whichever column holds it
+    (["001,50,0,0,1,x,,,,,,,,,,,,,,2023-01-01", "002,bad,0,0,1,,,,,,,,,,,,,,,2023-01-02"],
+     "row 1: bad number 'x' in column for weight"),
+    # in one row, a bad cell comes before an empty timestamp
+    (["001,bad,0,0,1,,,,,,,,,,,,,,, "], "row 1: bad integer 'bad' in column for lvef"),
+    # an earlier row's empty timestamp comes before a later row's bad cell
+    (["001,50,0,0,1,,,,,,,,,,,,,,,", "002,bad,0,0,1,,,,,,,,,,,,,,,2023-01-02"],
+     "row 1: Timestamp must not be empty"),
+    # an earlier row's record check comes before a later row's bad cell
+    (["001,50,1,0,1,,,,,,,,,,,,,,,2023-01-01", "002,bad,0,0,1,,,,,,,,,,,,,,,2023-01-02"],
+     "row 1: patient 001: more than one phenotype flag set"),
+    # a bad row comes before a record the csv module refuses
+    (["001,bad,0,0,1,,,,,,,,,,,,,,,2023-01-01", LONG_CELL],
+     "row 1: bad integer 'bad' in column for lvef"),
+    # in one row, a cell past the header comes before a bad cell
+    (["001,bad,0,0,1,,,,,,,,,,,,,,,2023-01-01,late"], "row 1: cell 'late' lies past the header's 20 columns"),
+    # a short row's missing Timestamp reads as an empty one
+    (["", "001,50"], "row 2: Timestamp must not be empty"),
+])
+def test_the_first_faulty_row_in_file_order_is_reported(rows, error, chunk):
+    with mock.patch.object(patient_csv, "_CHUNK", chunk):
+        with pytest.raises(RowError) as caught:
+            parse_patient_csv(csv_of(*rows))
+    assert str(caught.value) == error
+
+
+def test_each_distinct_cell_text_of_a_column_is_held_once():
+    rows = parse_patient_csv(csv_of(*(f"00{i % 3},50,0,0,1,80.5,2015,,1,,HF,,,,,,,,,2023-01-0{1 + i % 2}"
+                                      for i in range(9))))
+    for field in ("pat_id", "lvef", "weight", "hf_diagnosis_year", "outcome", "timestamp"):
+        values = {}
+        for row in rows:
+            values.setdefault(getattr(row, field), getattr(row, field))
+            assert getattr(row, field) is values[getattr(row, field)], field
+    # a float parsed twice would be two objects; texts that differ stay apart
+    assert rows[0].weight is rows[8].weight
+    assert len({id(row.timestamp) for row in rows}) == 2

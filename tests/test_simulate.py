@@ -130,6 +130,21 @@ class TestConfig:
         assert str(err.value) == message
 
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"attributes": {"ckd": AttributeSampler("poisson")}},
+         "attribute 'ckd': unknown sampler kind 'poisson'"),
+        ({"patients": -3}, "patients must be non-negative"),
+    ])
+    def test_replace_checks_like_the_constructor(self, fields, message):
+        # the sampler's draw has no check of its own kind; every way to a config refuses it
+        with pytest.raises(ConfigError) as err:
+            SimulationConfig()._replace(**fields)
+        assert str(err.value) == message
+
+    def test_replace_normalises_like_the_constructor(self):
+        assert SimulationConfig()._replace(seed=3, place_probs={"p1": {"None": 2, "HF": 2}}) == \
+            SimulationConfig(seed=3, place_probs={"p1": {"HF": 1, "None": 1}})
+
     def test_a_place_no_walk_reaches_may_loop_forever(self):
         # every walk ends at p1, so p3's weights never come into play
         config = SimulationConfig(patients=5, place_probs={"p1": {"None": 1},

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from datetime import date
 
@@ -11,8 +12,10 @@ from pathminer.model import (
     PatientDatum,
     build_sequences,
 )
+from pathminer.patient_csv import parse_patient_csv, write_patient_csv
 from pathminer.simulate import SimulationConfig, simulate
 from pathminer.transform import split_sequence, trans_post, trans_pre, transform_log
+from pathminer.xes import write_xes
 
 
 def row(pat_id, day, index, **kwargs):
@@ -151,3 +154,15 @@ class TestTransformLog:
         ]
         log = transform_log(rows)
         assert log.activity_sequences()["x"] == (VISIT_BEFORE, "Death_HF", "HF")
+
+
+def test_the_registry_cohort_keeps_its_bytes():
+    # the benchmark's 2,000-patient cohort through the CSV, the parser, the
+    # transform and the XES writer, against hashes recorded before the parser
+    # converted by column and the writer wrote numbers in line
+    data = write_patient_csv(simulate(SimulationConfig(patients=2000, seed=101)))
+    assert hashlib.sha256(data).hexdigest() == \
+        "c90a6b98e696e8e09b15e4d0ce3989d6de3b568a071e143367fa00baa9ec41f9"
+    document = write_xes(transform_log(parse_patient_csv(data)))
+    assert hashlib.sha256(document).hexdigest() == \
+        "13a433f4878ad338168ef93ccd9c8b6ff9d3ac890d0bc5db861bd1309689cca6"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ReferenceXes
+from oracles import ReferenceXes, reference_write_xes
 from pathminer import xes
 from pathminer.errors import FormatError, PathminerError
 from pathminer.model import Event, EventLog
@@ -440,6 +440,53 @@ def test_write_refuses_a_datetime_whose_time_a_date_would_drop(second, where):
 @given(st.one_of(logs, xml_logs))
 def test_writer_bytes_equal_the_reference_writer(log):
     assert write_xes(log) == ReferenceXes.write_xes(log)
+
+
+class _Text(str):
+    def __str__(self):
+        return "text"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "float"
+
+
+class _Int(int):
+    def __str__(self):
+        return "int"
+
+
+# Values that are equal or hash alike but are written apart, subclasses that the
+# writer must convert as their own methods say, and values it must refuse.
+TRICKY_VALUES = (-0.0, 0.0, 1.0, 1, 0, True, False, 2**70, -7, 1e-300, None, "1", "a&b", "x\x01",
+                 _Text("s"), _Float(1.5), _Int(3), date(2023, 1, 2), datetime(2023, 1, 2, 5, 30))
+TRICKY_KEYS = ("v", "w", "a&b", 'q"t', "<k>", "tab\t", "bad\x02", "")
+tricky_logs = st.builds(
+    lambda evs: EventLog(tuple(evs)),
+    st.lists(st.builds(
+        Event,
+        case_id=st.sampled_from(("c1", "c2", "c&3")),
+        activity=st.sampled_from(("A", "B<")),
+        timestamp=st.dates(min_value=date(2023, 1, 1), max_value=date(2023, 1, 9)),
+        attributes=st.dictionaries(st.sampled_from(TRICKY_KEYS), st.sampled_from(TRICKY_VALUES),
+                                   max_size=5),
+    ), max_size=8),
+)
+
+
+def _written(write, log):
+    try:
+        return bytes(write(log))
+    except PathminerError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tricky_logs)
+def test_writer_agrees_with_the_writer_that_built_every_line_alike(log):
+    # the bytes, or the exact error, of the writer before numbers were written in line
+    assert _written(write_xes, log) == _written(reference_write_xes, log)
 
 
 def _outcome(read, data):
