@@ -6,6 +6,7 @@ empty string; no stage of the pipeline may impute over it silently.
 """
 
 import enum
+import re
 from datetime import date
 from functools import cached_property
 from operator import attrgetter
@@ -17,6 +18,7 @@ from .errors import InputError
 # None when the source recorded nothing.
 AttrValue = int | float | bool | str | date | None
 
+ISO_DATE = r"\d{4}-\d\d-\d\d"  # every reader's one date form; 3.11's fromisoformat takes more
 VISIT_BEFORE = "Visit before CO"
 VISIT_AFTER = "Visit after CO"
 
@@ -38,6 +40,13 @@ class Phenotype(enum.Enum):
     HFREF = "HFrEF"
     HFMREF = "HFmrEF"
     HFPEF = "HFpEF"
+
+
+def parse_date(text: str) -> date:
+    """The date of a ``YYYY-MM-DD`` text; a ValueError for any other form."""
+    if isinstance(text, str) and not re.fullmatch(ISO_DATE, text, re.ASCII):
+        raise ValueError(f"Invalid isoformat string: {text!r}")  # as Python 3.10 words it
+    return date.fromisoformat(text)
 
 
 def classify_phenotype(lvef: int) -> Phenotype:
@@ -86,6 +95,7 @@ class PatientDatum(_PatientFields):
     flags, an optional outcome, and the date of the record."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks its fields
 
     def __new__(cls, *args, **kwargs):
         if kwargs or len(args) != len(cls._fields):  # bind keywords and defaults
@@ -119,6 +129,7 @@ class Event(_EventFields):
     """A case/activity/timestamp triple with an attribute payload."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks its fields
 
     def __new__(cls, case_id: str, activity: str, timestamp: date,
                 attributes: dict[str, AttrValue] | None = None):

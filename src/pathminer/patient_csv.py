@@ -19,7 +19,7 @@ from itertools import islice
 from operator import itemgetter
 
 from .errors import PathminerError, RowError, SchemaError
-from .model import CLINICAL_FIELDS, Outcome, PatientDatum
+from .model import CLINICAL_FIELDS, Outcome, PatientDatum, parse_date
 
 # Column name -> PatientDatum field, in canonical file order.
 COLUMNS: tuple[tuple[str, str], ...] = (
@@ -69,7 +69,7 @@ def _parse_cell(field: str, text: str):
         return None
     if field == "timestamp":
         try:
-            return date.fromisoformat(text)
+            return parse_date(text)
         except ValueError:
             raise ValueError(f"bad date {text!r}, expected YYYY-MM-DD") from None
     if field == "outcome":

@@ -38,7 +38,7 @@ from datetime import date, timedelta
 from typing import NamedTuple, get_type_hints
 
 from .errors import ConfigError
-from .model import Outcome, PatientDatum, classify_phenotype
+from .model import Outcome, PatientDatum, classify_phenotype, parse_date
 from .petri import (P1, P2, P3, P4, P_END, P_START, SILENT_CHOICE, CompiledNet, build_dejure,
                     decision_points, reachable)
 
@@ -287,7 +287,7 @@ def load_config(data: bytes | str, **overrides) -> SimulationConfig:
             if key in doc:
                 kwargs[key] = doc[key]
         if "start_date" in doc:
-            kwargs["start_date"] = date.fromisoformat(doc["start_date"])
+            kwargs["start_date"] = parse_date(doc["start_date"])
         if "gap_days" in doc:
             gap = doc["gap_days"]
             if not (isinstance(gap, list) and len(gap) == 2):

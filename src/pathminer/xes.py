@@ -6,8 +6,8 @@ string/int/float/boolean/date elements; absent values are omitted. The writer
 encodes each trace of its fixed layout into one buffer, writes an exact float,
 int or bool of an already-escaped key in line, and refuses a string outside
 the XML 1.0 ``Char`` production, and a ``datetime``, whose time a date would
-drop. The reader scans that layout; any other
-document, and any error, goes to one strict expat pass with no element tree.
+drop. The reader scans that layout; any other document, and any error, goes
+to one strict expat pass that collects each trace and checks it once it closes.
 """
 
 import re
@@ -16,7 +16,7 @@ from math import isfinite
 from xml.parsers.expat import ExpatError, ParserCreate
 
 from .errors import FormatError, PathminerError
-from .model import AttrValue, Event, EventLog
+from .model import ISO_DATE, AttrValue, Event, EventLog
 
 _HEAD = b"""<?xml version='1.0' encoding='UTF-8'?>
 <log xes.version="1.0">
@@ -24,7 +24,7 @@ _HEAD = b"""<?xml version='1.0' encoding='UTF-8'?>
   <extension name="Time" prefix="time" uri="http://www.xes-standard.org/time.xesext" />"""
 
 _BOOLEANS = {"true": True, "false": False, "1": True, "0": False}
-_DATE = re.compile(r"(\d{4}-\d\d-\d\d)(?:T00:00:00(?:\+00:00|Z))?", re.ASCII)
+_DATE = re.compile(rf"({ISO_DATE})(?:T00:00:00(?:\+00:00|Z))?", re.ASCII)
 
 # ElementTree's attribute escapes, and a character outside the XML 1.0 Char production.
 _ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
@@ -177,99 +177,77 @@ def read_xes(data: bytes | bytearray | str) -> EventLog:
     The case id is the last trace-level ``concept:name``; an event's first
     ``concept:name`` and ``time:timestamp`` are its activity and timestamp,
     its other direct children its attributes, each key at most once.
-    Booleans must be xs:boolean, numbers ASCII with no ``_``, floats
-    finite, case ids unique, traces not empty; a ``<trace>`` or ``<event>``
-    inside an event, attribute or trace is misplaced. Errors come in the
-    order a tree reader meets them: malformed XML, root, then per trace case
-    id, events, emptiness. Dates are midnight UTC."""
+    Booleans must be xs:boolean, numbers ASCII with no ``_``, floats finite,
+    dates midnight UTC, case ids unique, traces not empty. Errors after malformed
+    XML come in document order: the root, a misplaced ``<trace>`` in a trace or
+    ``<event>`` not directly in one, per closed trace its case id, events, emptiness."""
     if data.__class__ is not str and (log := _scan_written(data)) is not None:
         return log
     events: list[Event] = []
     trace_of_case: dict[str, int] = {}
-    # depths of: this element, the open trace, its open event's children, the next close
-    depth = trace_depth = attr_depth = closes = 0
-    case_id = activity = timestamp = None
-    attributes: dict[str, AttrValue] = {}
-    pending: list[tuple] = []  # (activity, timestamp, attributes) per event of the open trace
-    error = None  # the open trace's first event error, raised once its case id is checked
     seen: dict[str, str] = {}  # each distinct key and string value, held once
     values: dict[tuple, AttrValue] = {}  # (tag, text) -> each value that converts, held once
-
-    def fail(message: str) -> None:
-        nonlocal error
-        if error is None:
-            error = f"trace {len(trace_of_case)} event {len(pending)}: {message}"
+    path: list[list | None] = []  # each open element's children, None outside a <trace>
 
     def start(tag, attrs):
-        nonlocal depth, trace_depth, attr_depth, closes, case_id, activity, timestamp, attributes
-        depth += 1
-        if depth == attr_depth:
-            try:
-                key = seen.setdefault(attrs["key"], attrs["key"])
-                text = attrs["value"]
-                if tag == "event" or tag == "trace":
-                    raise FormatError(f"trace {len(trace_of_case)}: misplaced <{tag}>")
-                if tag == "string":
-                    value = seen.setdefault(text, text)
-                elif (value := values.get((tag, text))) is None:
-                    value = values[tag, text] = _value(tag, text)
-            except (KeyError, ValueError):
-                fail("attribute without key" if "key" not in attrs
-                     else "attribute element without value" if "value" not in attrs
-                     else f"bad {tag} value {attrs['value']!r}")
-                return
-            if activity is None and key == "concept:name":
-                activity = value
-            elif timestamp is None and key == "time:timestamp":
-                timestamp = value
-                if not isinstance(value, date):
-                    fail("time:timestamp is not a date")
-            elif key in attributes:
-                fail(f"attribute {key!r} repeats")
-            else:
-                attributes[key] = value
-        elif trace_depth:
-            if tag == "trace" or tag == "event" and (attr_depth or depth > trace_depth + 1):
+        if path and (parent := path[-1]) is not None:
+            if tag == "trace" or tag == "event" and path[-2] is not None:
                 raise FormatError(f"trace {len(trace_of_case)}: misplaced <{tag}>")
-            if depth == trace_depth + 1:
-                if tag == "event":
-                    attr_depth, closes = depth + 1, depth
-                    activity, timestamp, attributes = None, None, {}
-                elif attrs.get("key") == "concept:name":
-                    case_id = attrs.get("value")
-        elif depth == 1 and tag != "log":
+            parent.append((tag, attrs, children := []))
+            path.append(children)
+        elif not path and tag != "log":
             raise FormatError(f"expected <log> root, found <{tag if '}' not in tag else '{' + tag}>")
-        elif tag == "trace":
-            trace_depth = closes = depth
-            case_id = None
-            pending.clear()
+        else:
+            path.append([] if tag == "trace" and path else None)
 
     def end(tag):
-        nonlocal depth, trace_depth, attr_depth, closes
-        if depth == closes:
-            if attr_depth:
-                attr_depth, closes = 0, trace_depth
-                if activity is None:
-                    fail("missing concept:name")
-                elif timestamp is None:
-                    fail("missing time:timestamp")
-                elif error is None:
-                    pending.append((str(activity), timestamp, attributes))
-            else:
-                trace_depth = closes = 0
-                t_index = len(trace_of_case)
-                if case_id is None:
-                    raise FormatError(f"trace {t_index}: missing concept:name")
-                if case_id in trace_of_case:
-                    raise FormatError(f"trace {t_index}: concept:name {case_id!r} already "
-                                      f"names trace {trace_of_case[case_id]}")
-                trace_of_case[case_id] = t_index
-                events.extend(Event(case_id, *fields) for fields in pending)
-                if error is not None:
-                    raise FormatError(error)
-                if not pending:  # an EventLog holds no case without events
-                    raise FormatError(f"trace {t_index}: {case_id!r} holds no <event>")
-        depth -= 1
+        nodes = path.pop()
+        if nodes is not None and path[-1] is None:  # a <trace> closed
+            check(nodes)
+
+    def check(nodes: list) -> None:  # a closed trace's elements, in document order
+        t_index, case_id = len(trace_of_case), None
+        for tag, attrs, _ in nodes:
+            if tag != "event" and attrs.get("key") == "concept:name":
+                case_id = attrs.get("value")
+        if case_id is None:
+            raise FormatError(f"trace {t_index}: missing concept:name")
+        if case_id in trace_of_case:
+            raise FormatError(f"trace {t_index}: concept:name {case_id!r} already "
+                              f"names trace {trace_of_case[case_id]}")
+        trace_of_case[case_id] = t_index
+        trace = [children for tag, _, children in nodes if tag == "event"]
+        for e_index, children in enumerate(trace):
+            where = f"trace {t_index} event {e_index}"
+            activity, timestamp, attributes = None, None, {}
+            for tag, attrs, _ in children:
+                try:
+                    key = seen.setdefault(attrs["key"], attrs["key"])
+                    text = attrs["value"]
+                    if tag == "string":
+                        value = seen.setdefault(text, text)
+                    elif (value := values.get((tag, text))) is None:
+                        value = values[tag, text] = _value(tag, text)
+                except (KeyError, ValueError):
+                    raise FormatError(f"{where}: " + ("attribute without key" if "key" not in attrs
+                                      else "attribute element without value" if "value" not in attrs
+                                      else f"bad {tag} value {attrs['value']!r}")) from None
+                if activity is None and key == "concept:name":
+                    activity = value
+                elif timestamp is None and key == "time:timestamp":
+                    if not isinstance(value, date):
+                        raise FormatError(f"{where}: time:timestamp is not a date")
+                    timestamp = value
+                elif key in attributes:
+                    raise FormatError(f"{where}: attribute {key!r} repeats")
+                else:
+                    attributes[key] = value
+            if activity is None or timestamp is None:
+                missing = "concept:name" if activity is None else "time:timestamp"
+                raise FormatError(f"{where}: missing {missing}")
+            events.append(Event(case_id, str(activity), timestamp, attributes))
+        if not trace:  # an EventLog holds no case without events
+            raise FormatError(f"trace {t_index}: {case_id!r} holds no <event>")
 
     try:
         _parse(data, start, end)

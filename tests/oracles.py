@@ -33,6 +33,9 @@ code that the in-place matrix and the pruned split screen replaced.
 ``reference_parse_patient_csv`` and ``reference_write_xes`` are the row-wise
 CSV parser and the writer with one ``element`` call per attribute line that
 the column-wise parser and the in-line number lines replaced.
+``reference_read_xes_expat`` is the single-pass expat reader whose handlers
+built the events directly, deferring a trace's first event error until its
+case id was checked, that the collect-then-check reader replaced.
 """
 
 import heapq
@@ -54,14 +57,15 @@ from pathminer.decision_mining import ClassifierReport, _stratified_split
 from pathminer.discovery import DirectlyFollowsGraph
 from pathminer.model import CLINICAL_FIELDS, AttrValue, Event, EventLog, Outcome, PatientDatum
 from pathminer.errors import (
-    ConfigError, FormatError, InputError, ModelError, ResourceError, RowError, SchemaError,
+    ConfigError, FormatError, InputError, ModelError, PathminerError, ResourceError, RowError,
+    SchemaError,
 )
 from pathminer.patient_csv import (
     _BOOL_FIELDS, _INT_FIELDS, _REQUIRED, _SPACE, COLUMNS, _record_error, _records,
 )
 from pathminer.petri import P_END, P_START, CompiledNet, PetriNet, Transition
 from pathminer.simulate import _PLACE_CHOICES
-from pathminer.xes import _HEAD, _escaped
+from pathminer.xes import _HEAD, _escaped, _parse, _value
 
 PHENOTYPE_FLAGS = {
     "HFrEF": {"hfref": True, "hfmref": False, "hfpef": False},
@@ -714,7 +718,10 @@ def _reference_cell(field: str, text: str, row: int):
         return None
     if field == "timestamp":
         try:
-            return date.fromisoformat(text)
+            day = date.fromisoformat(text)
+            if day.isoformat() != text:  # Python 3.11 also takes 20230102 and 2023-W01-1
+                raise ValueError
+            return day
         except ValueError:
             raise RowError(row, f"bad date {text!r}, expected YYYY-MM-DD") from None
     if field == "outcome":
@@ -837,6 +844,105 @@ def reference_write_xes(log: EventLog) -> bytearray:
         buffer += "\n".join(lines).encode("utf-8")
     buffer += b"\n</log>\n"
     return buffer
+
+
+def reference_read_xes_expat(data: bytes | bytearray | str) -> EventLog:
+    """The expat pass of ``read_xes`` before it collected each trace: the
+    handlers build the events as they go, and the first event error of a
+    trace waits in a slot until the trace's case id has been checked."""
+    events: list[Event] = []
+    trace_of_case: dict[str, int] = {}
+    # depths of: this element, the open trace, its open event's children, the next close
+    depth = trace_depth = attr_depth = closes = 0
+    case_id = activity = timestamp = None
+    attributes: dict[str, AttrValue] = {}
+    pending: list[tuple] = []  # (activity, timestamp, attributes) per event of the open trace
+    error = None  # the open trace's first event error, raised once its case id is checked
+    seen: dict[str, str] = {}
+    values: dict[tuple, AttrValue] = {}
+
+    def fail(message: str) -> None:
+        nonlocal error
+        if error is None:
+            error = f"trace {len(trace_of_case)} event {len(pending)}: {message}"
+
+    def start(tag, attrs):
+        nonlocal depth, trace_depth, attr_depth, closes, case_id, activity, timestamp, attributes
+        depth += 1
+        if depth == attr_depth:
+            try:
+                key = seen.setdefault(attrs["key"], attrs["key"])
+                text = attrs["value"]
+                if tag == "event" or tag == "trace":
+                    raise FormatError(f"trace {len(trace_of_case)}: misplaced <{tag}>")
+                if tag == "string":
+                    value = seen.setdefault(text, text)
+                elif (value := values.get((tag, text))) is None:
+                    value = values[tag, text] = _value(tag, text)
+            except (KeyError, ValueError):
+                fail("attribute without key" if "key" not in attrs
+                     else "attribute element without value" if "value" not in attrs
+                     else f"bad {tag} value {attrs['value']!r}")
+                return
+            if activity is None and key == "concept:name":
+                activity = value
+            elif timestamp is None and key == "time:timestamp":
+                timestamp = value
+                if not isinstance(value, date):
+                    fail("time:timestamp is not a date")
+            elif key in attributes:
+                fail(f"attribute {key!r} repeats")
+            else:
+                attributes[key] = value
+        elif trace_depth:
+            if tag == "trace" or tag == "event" and (attr_depth or depth > trace_depth + 1):
+                raise FormatError(f"trace {len(trace_of_case)}: misplaced <{tag}>")
+            if depth == trace_depth + 1:
+                if tag == "event":
+                    attr_depth, closes = depth + 1, depth
+                    activity, timestamp, attributes = None, None, {}
+                elif attrs.get("key") == "concept:name":
+                    case_id = attrs.get("value")
+        elif depth == 1 and tag != "log":
+            raise FormatError(f"expected <log> root, found <{tag if '}' not in tag else '{' + tag}>")
+        elif tag == "trace":
+            trace_depth = closes = depth
+            case_id = None
+            pending.clear()
+
+    def end(tag):
+        nonlocal depth, trace_depth, attr_depth, closes
+        if depth == closes:
+            if attr_depth:
+                attr_depth, closes = 0, trace_depth
+                if activity is None:
+                    fail("missing concept:name")
+                elif timestamp is None:
+                    fail("missing time:timestamp")
+                elif error is None:
+                    pending.append((str(activity), timestamp, attributes))
+            else:
+                trace_depth = closes = 0
+                t_index = len(trace_of_case)
+                if case_id is None:
+                    raise FormatError(f"trace {t_index}: missing concept:name")
+                if case_id in trace_of_case:
+                    raise FormatError(f"trace {t_index}: concept:name {case_id!r} already "
+                                      f"names trace {trace_of_case[case_id]}")
+                trace_of_case[case_id] = t_index
+                events.extend(Event(case_id, *fields) for fields in pending)
+                if error is not None:
+                    raise FormatError(error)
+                if not pending:
+                    raise FormatError(f"trace {t_index}: {case_id!r} holds no <event>")
+        depth -= 1
+
+    try:
+        _parse(data, start, end)
+    except PathminerError:
+        _parse(data)
+        raise
+    return EventLog(tuple(events))
 
 
 def _gamma_series(a: float, x: float, eps: float = 1e-15, itmax: int = 1000) -> float:

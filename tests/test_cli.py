@@ -12,7 +12,9 @@ import pathminer.decision_mining as decision_mining
 from conftest import DATA_DIR, GOLDEN_DIR
 from pathminer.cli import main
 from pathminer.errors import FormatError
+from pathminer.net_io import read_net_json
 from pathminer.petri import CompiledNet
+from pathminer.xes import read_xes
 
 TABLE = DATA_DIR / "patients_table.csv"
 
@@ -104,6 +106,23 @@ class TestGoldenOutputs:
 
 
 class TestPipeline:
+    def test_decide_filter_keeps_the_cases_of_one_phenotype(self, tmp_path):
+        patients, log, net = tmp_path / "patients.csv", tmp_path / "log.xes", tmp_path / "net.json"
+        run_ok(["simulate", "--patients", "240", "--seed", "7", "--output", patients])
+        run_ok(["transform", "--input", patients, "--output", log])
+        run_ok(["dejure", "--output", net])
+        counts = {}
+        for flags in ([], ["--filter", "hfref"]):
+            out = tmp_path / f"decide{len(flags)}.json"
+            run_ok(["decide", "--log", log, "--net", net, "--place", "p1", "--classifiers",
+                    "majority", *flags, "--output", out])
+            doc = json.loads(out.read_text())
+            counts[doc["filter"]] = doc["n_instances"]
+        expected = decision_mining.prepare_place(
+            read_net_json(net.read_bytes()), read_xes(log.read_bytes()), "p1", ("majority",),
+            phenotype_filter="HFrEF").report.n_instances
+        assert 0 < counts["HFrEF"] == expected < counts[None]
+
     def test_simulate_transform_conform_reports_perfect_fitness(self, tmp_path):
         patients = tmp_path / "patients.csv"
         log = tmp_path / "log.xes"
@@ -252,6 +271,17 @@ class TestErrorHandling:
         assert code == 1
         assert capsys.readouterr().err == \
             f"pathminer: error: --classifiers names {kinds.split(',')[0].strip()!r} twice\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("kinds", [",", " , "])
+    def test_a_classifier_list_naming_none_exits_1_and_writes_nothing(self, tmp_path, capsys, kinds):
+        log, net = prepare_inputs(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        code = main(["decide", "--log", str(log), "--net", str(net), "--place", "p1",
+                     "--classifiers", kinds, "--output", str(tmp_path / "d.json")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "pathminer: error: --classifiers must name at least one classifier\n"
         assert sorted(tmp_path.iterdir()) == before
 
     def test_simulate_with_a_bad_sampler_exits_1(self, tmp_path, capsys):

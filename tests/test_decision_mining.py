@@ -139,6 +139,11 @@ class TestTrainClassifier:
         with pytest.raises(InputError):
             train_classifier(Holdout([DecisionInstance("a", "p4", {}, "x")]), "majority")
 
+    @pytest.mark.parametrize("split", [0.0, 1.0, 1.5, -0.2, float("nan")])
+    def test_a_split_outside_the_open_unit_interval_rejected(self, split):
+        with pytest.raises(InputError, match=rf"^split must lie in \(0, 1\), got {split}$"):
+            Holdout(self._instances(), split=split)
+
     def test_majority_accuracy_equals_top_share(self):
         instances = self._instances(300, seed=8)
         report = train_classifier(Holdout(instances, split=0.2, seed=0), "majority")

@@ -1,3 +1,4 @@
+import re
 from datetime import date
 
 import pytest
@@ -10,7 +11,9 @@ from pathminer.model import (
     PatientDatum,
     Phenotype,
     build_sequences,
+    case_phenotype,
     classify_phenotype,
+    parse_date,
 )
 
 
@@ -96,6 +99,15 @@ class TestDatumInvariants:
         row("p", 1, 1, hfref=True, hfmref=False, hfpef=False)
         row("p", 1, 1, hfmref=True)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"lvef": 500}, r"LVEF must lie in \[0, 100\], got 500"),
+        ({"hfref": True, "hfpef": True}, "patient p: more than one phenotype flag set"),
+    ])
+    def test_replace_checks_like_the_constructor(self, fields, message):
+        with pytest.raises(InputError, match=message):
+            row("p", 1, 1)._replace(**fields)
+        assert row("p", 1, 1)._replace(lvef=40) == row("p", 1, 1, lvef=40)
+
     def test_missing_is_not_zero_or_false(self):
         datum = row("p", 1, 1)
         assert datum.lvef is None
@@ -108,6 +120,12 @@ class TestEventLog:
     def test_activity_must_be_non_empty(self):
         with pytest.raises(InputError):
             Event("c", "", date(2023, 1, 1))
+
+    def test_replace_checks_like_the_constructor(self):
+        event = Event("c", "a", date(2023, 1, 1))
+        with pytest.raises(InputError, match="event activity must be non-empty"):
+            event._replace(activity="")
+        assert event._replace(activity="b") == Event("c", "b", date(2023, 1, 1))
 
     def test_trace_view_orders_by_timestamp_then_insertion(self):
         events = (
@@ -178,3 +196,30 @@ class TestRecords:
         assert hash(EventLog()) == hash(((),))
         assert repr(row("p", 1, 1)).startswith(
             "PatientDatum(pat_id='p', timestamp=datetime.date(2023, 2, 1), row_index=1, lvef=None")
+
+
+@pytest.mark.parametrize("attributes, phenotype", [
+    ({"lvef": 40}, "HFrEF"),
+    ({"lvef": 41}, "HFmrEF"),
+    ({"lvef": 49}, "HFmrEF"),
+    ({"lvef": 50, "hfref": False, "hfmref": None}, "HFpEF"),
+    ({"lvef": 30, "hfpef": True}, "HFpEF"),  # a set flag wins over the LVEF
+    ({"lvef": 60, "hfmref": True}, "HFmrEF"),
+    ({"lvef": True}, None),  # a flag is not an LVEF
+    ({"lvef": 101}, None),
+    ({"lvef": -1}, None),
+    ({"lvef": 45.0}, None),
+    ({}, None),
+])
+def test_case_phenotype_falls_back_to_the_lvef_when_no_flag_is_set(attributes, phenotype):
+    later = Event("c", "b", date(2023, 1, 2), {"hfref": True})  # only the first event counts
+    assert case_phenotype((Event("c", "a", date(2023, 1, 1), attributes), later)) == phenotype
+
+
+@pytest.mark.parametrize("text", ["20230102", "2023-W01-1", "2023-002", "2023-01-02T00:00",
+                                  "2023-1-02", " 2023-01-02", "２０２３-01-02", "2023-01-02\n"])
+def test_a_date_is_only_yyyy_mm_dd(text):
+    # date.fromisoformat takes the first two from Python 3.11 on; 3.10 refuses them
+    with pytest.raises(ValueError, match=f"^Invalid isoformat string: {re.escape(repr(text))}$"):
+        parse_date(text)
+    assert parse_date("2023-01-02") == date(2023, 1, 2)

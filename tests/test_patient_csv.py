@@ -60,6 +60,20 @@ def test_bad_date_reports_row_number():
         parse_patient_csv(data)
 
 
+@pytest.mark.parametrize("text", ["2023-W08-1", "20230220"])
+def test_a_date_in_another_iso_form_is_a_row_error(text):
+    # Python 3.11's date.fromisoformat takes both; every reader takes YYYY-MM-DD only
+    data = csv_of(f"007,50,0,0,1,80,2017,750.5,1,,,,,,,,,,,{text}")
+    with pytest.raises(RowError, match=f"^row 1: bad date '{text}', expected YYYY-MM-DD$"):
+        parse_patient_csv(data)
+
+
+@pytest.mark.parametrize("data", [b"", ""])
+def test_an_empty_file_is_a_schema_error(data):
+    with pytest.raises(SchemaError, match="^empty file: header row required$"):
+        parse_patient_csv(data)
+
+
 def test_bad_number_reports_row_number():
     data = csv_of("007,abc,0,0,1,80,2017,750.5,1,,,,,,,,,,,2023-02-20")
     with pytest.raises(RowError, match="row 1"):
@@ -251,7 +265,8 @@ CELLS = {
     "HFrEF": _FLAG, "HFmrEF": _FLAG, "HFpEF": _FLAG, "Diabetes": _FLAG, "CKD": _FLAG,
     "HF diagnosis": (("", "2015", " 2016"), ("2015.5", "٢٠")),
     "Outcome": (("", "", "HF", "Death_HF"), ("Flu",)),
-    "Timestamp": (("2023-01-02", "2023-01-03", " 2023-01-04"), ("2023-02-30", "x")),
+    "Timestamp": (("2023-01-02", "2023-01-03", " 2023-01-04"),
+                  ("2023-02-30", "x", "20230105", "2023-W01-5")),
 }
 # What the record's own checks refuse: LVEF out of range, two flags set, no Timestamp.
 CHECKS = ({"LVEF": "101"}, {"HFrEF": "1", "HFpEF": "true"}, {"Timestamp": " "})

@@ -65,6 +65,11 @@ class TestStructure:
                 final_marking={"p1": 1},
             )
 
+    @pytest.mark.parametrize("arc", [("p0", "nowhere"), ("nowhere", "t")])
+    def test_an_arc_to_an_unknown_id_is_rejected(self, arc):
+        with pytest.raises(InputError, match=f"^arc {arc[0]}->{arc[1]} references unknown id$"):
+            PetriNet(frozenset({"p0"}), (Transition("t"),), frozenset({arc}), {"p0": 1}, {"p0": 1})
+
     def test_marking_must_reference_places(self):
         with pytest.raises(InputError):
             PetriNet(

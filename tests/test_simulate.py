@@ -116,12 +116,21 @@ class TestConfig:
             ({"places": {"p3": {"Visit after CO": 1, "None": 0}}},
              "the place weights give a walk through p2, p3 no way to reach p_end, "
              "so it never ends"),
+            ([], "config JSON must be an object"),
+            ({"attributes": {"smoker": {"kind": "absent"}}}, "unknown attribute 'smoker'"),
+            ({"gap_days": [7]}, "gap_days must be a [min, max] pair"),
+            ({"attributes": {"lvef": {"low": 10}}}, "attribute 'lvef': sampler needs a kind"),
+            # Python 3.11's date.fromisoformat takes both; every reader takes YYYY-MM-DD only
+            ({"start_date": "20190401"}, "bad config value: Invalid isoformat string: '20190401'"),
+            ({"start_date": "2019-W14-1"},
+             "bad config value: Invalid isoformat string: '2019-W14-1'"),
         ],
         ids=[
             "uniform_int-low-above-high", "non-integer-decimals", "string-p",
             "constant-lvef-abc", "fractional-patients", "negative-start-window",
             "missing-rate-7", "unknown-kind-with-no-patients", "p1-never-ends",
-            "p3-loops-forever",
+            "p3-loops-forever", "non-object", "unknown-attribute", "gap-days-single",
+            "sampler-without-kind", "compact-start-date", "week-start-date",
         ],
     )
     def test_bad_value_rejected_when_the_config_is_built(self, doc, message):

@@ -98,12 +98,16 @@ class TestKruskalWallis:
         assert result.h == 0.0 and result.p_value == 1.0
 
     def test_single_group_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^at least two groups are required$"):
             kruskal_wallis([[1, 2, 3]])
 
     def test_empty_group_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^every group must be non-empty$"):
             kruskal_wallis([[1, 2], []])
+
+    def test_fewer_than_three_observations_rejected(self):
+        with pytest.raises(InputError, match="^at least three observations are required$"):
+            kruskal_wallis([[1], [2]])
 
     def test_matches_reference_on_random_inputs(self):
         rng = random.Random(101)
@@ -131,6 +135,11 @@ class TestDunn:
     def test_worked_example_pair(self):
         matrix = dunn_bonferroni([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         assert matrix.p_values[0][2] == pytest.approx(0.022, abs=1e-3)
+
+    @pytest.mark.parametrize("labels", [("a",), ("a", "b", "c")])
+    def test_labels_of_another_length_rejected(self, labels):
+        with pytest.raises(InputError, match="^labels and groups disagree in length$"):
+            dunn_bonferroni([[1, 2, 3], [4, 5, 6]], labels)
 
     def test_identical_groups_not_flagged(self):
         matrix = dunn_bonferroni([[1, 2, 3], [1, 2, 3]])

@@ -1,14 +1,16 @@
 import random
 import re
 import tracemalloc
+import xml.etree.ElementTree as ET
 from datetime import date, datetime
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ReferenceXes, reference_write_xes
+from oracles import ReferenceXes, reference_read_xes_expat, reference_write_xes
 from pathminer import xes
 from pathminer.errors import FormatError, PathminerError
 from pathminer.model import Event, EventLog
@@ -292,6 +294,23 @@ def test_event_without_activity_rejected():
     )
     with pytest.raises(FormatError, match="concept:name"):
         read_xes(data)
+
+
+@pytest.mark.parametrize("event, missing", [
+    ('<event><string key="concept:name" value="A"/></event>', "time:timestamp"),
+    ("<event/>", "concept:name"),  # with both missing, the activity is reported
+])
+def test_an_event_missing_a_field_names_it(event, missing):
+    data = f'<log><trace><string key="concept:name" value="c"/>{event}</trace></log>'
+    with pytest.raises(FormatError, match=f"^trace 0 event 0: missing {missing}$"):
+        read_xes(data)
+
+
+def test_a_trace_below_another_element_of_the_log_is_read():
+    # as a tree reader's root.iter("trace") finds it
+    data = f"<log><global>{_one_event_trace('A')}</global>{_one_event_trace('B')}</log>"
+    assert [e.case_id for e in read_xes(data).events] == ["A", "B"]
+    assert read_xes(data) == ReferenceXes.read_xes(data)
 
 
 def test_trace_without_case_id_rejected():
@@ -653,13 +672,17 @@ def _render(node) -> str:
     return f"<{tag}{attributes}>{''.join(map(_render, children))}</{tag}>"
 
 
+def _tree_document(seed: int) -> str:
+    """A ``_random_tree`` document, one in twenty cut short."""
+    rng = random.Random(seed)
+    document = _render(_random_tree(rng))
+    return document[: len(document) * 2 // 3] if rng.random() < 0.05 else document
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_reader_agrees_with_the_reference_on_random_trees(seed):
-    rng = random.Random(seed)
-    document = _render(_random_tree(rng))
-    if rng.random() < 0.05:
-        document = document[: len(document) * 2 // 3]
+    document = _tree_document(seed)
     assert _scan_written(document.encode("utf-8")) is None
     new = _outcome(read_xes, document)
     if "misplaced" in str(new[1]):
@@ -681,13 +704,41 @@ def test_an_event_nested_below_an_attribute_is_rejected_where_the_reference_read
         read_xes(data)
 
 
+def _keyless_in_an_event(data) -> bool:
+    """Whether an event of a trace holds an ``<event>`` or ``<trace>`` without a key or value."""
+    return any(child.tag in ("event", "trace") and None in (child.get("key"), child.get("value"))
+               for trace in ET.fromstring(data).iter("trace") for event in trace.iter("event")
+               for child in event)
+
+
+TABLE_XES = (Path(__file__).parent / "golden" / "transform_table.xes").read_bytes()
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.one_of(st.integers(0, 2**32 - 1).map(_tree_document),
+                 mutated(TABLE_XES).map(lambda data: data.decode("utf-8", "replace"))),
+       st.booleans())
+def test_reader_agrees_with_the_single_pass_reader_it_replaced(document, as_bytes):
+    # the same log, or the same error, except for a keyless <event> or <trace>
+    # in an event: the parent deferred "attribute without key" to the trace's end
+    data = document.encode("utf-8") if as_bytes else document
+    new, old = _expat_only(data), _outcome(reference_read_xes_expat, data)
+    if new != old:
+        assert new[0] is FormatError and re.fullmatch(r"trace \d+: misplaced <(event|trace)>",
+                                                      new[1]), (new, old)
+        assert old[0] is FormatError and _keyless_in_an_event(data), (new, old)
+
+
 @pytest.mark.parametrize("data", [
     "<log><trace><trace/></trace></log>",
     '<log><trace><string key="concept:name" value="A"><event/></string></trace></log>',
     '<log><trace><event><event key="k" value="v"/></event></trace></log>',
+    # reported where it opens, not as an attribute without key after the trace's case id
+    '<log><trace><string key="concept:name" value="a"/><event><event/></event></trace></log>',
+    '<log><trace><event><trace value="v"/></event></trace></log>',
 ])
 def test_a_trace_or_event_where_xes_puts_none_is_rejected(data):
-    with pytest.raises(FormatError, match="misplaced"):
+    with pytest.raises(FormatError, match=r"^trace 0: misplaced <(event|trace)>$"):
         read_xes(data)
 
 
