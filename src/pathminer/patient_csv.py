@@ -6,9 +6,10 @@ NT pro-BNP, Diabetes, CKD, Outcome, WBC, hsTNT, IL-6, Urea, Beta-Blocker,
 ACE-I/ARNI, SGLT-2, MRA, Timestamp. Extra columns are carried along as text
 attributes. An empty cell means the value is absent; numbers are ASCII
 with no ``_`` digit separator, and must be finite (``nan`` and ``inf`` are
-rejected). Records are converted in chunks, column by column: each distinct
-cell text of a column is parsed once and its value shared by every row that
-holds it. A fault is still reported for the first faulty row in file order.
+rejected). The parser converts records in chunks, column by column, each
+distinct cell text of a column once, its value shared, and reports the first
+faulty row in file order. The writer formats by column too, and refuses an
+extra cell that would not read back as written.
 """
 
 import csv
@@ -18,7 +19,7 @@ from datetime import date
 from itertools import islice
 from operator import itemgetter
 
-from .errors import PathminerError, RowError, SchemaError
+from .errors import InputError, PathminerError, RowError, SchemaError
 from .model import CLINICAL_FIELDS, Outcome, PatientDatum, parse_date
 
 # Column name -> PatientDatum field, in canonical file order.
@@ -212,13 +213,13 @@ def _chunk_rows(chunk, width: int, columns, extras) -> list[PatientDatum]:
     return rows
 
 
+_TEXTS = {None: "", True: "1", False: "0", **{outcome: outcome.value for outcome in Outcome}}
+_AS_IS = {type(None), int, float, str, date}  # the classes csv writes as _format_cell does
+
+
 def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, Outcome):
-        return value.value
-    if isinstance(value, bool):
-        return "1" if value else "0"
+    if value is None or isinstance(value, (bool, Outcome)):
+        return _TEXTS[value]
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, date):
@@ -230,14 +231,23 @@ def write_patient_csv(rows) -> bytes:
     """Serialize patient rows back to the canonical column layout.
 
     Absent values become empty cells and booleans are written as 0/1, so a
-    parse -> write -> parse round trip is a fixpoint.
+    parse -> write -> parse round trip is a fixpoint. An extra cell that would
+    not read back as written is an InputError naming its row and key.
     """
     extra_names = sorted({name for r in rows for name in r.extra})
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    for number, row in enumerate(rows, 1) if extra_names else ():
+        for name, text in row.extra.items():
+            if (not isinstance(text, str) or not text or text.strip(_SPACE) != text
+                    or name.strip(_SPACE) != name or "\r" in name + text
+                    or name.lower() in _REQUIRED or name in CLINICAL_FIELDS):
+                raise InputError(f"row {number}: extra {name!r} = {text!r} would not read back")
+    fields = dict(zip(PatientDatum._fields, zip(*rows)))  # field -> its column, none for no rows
+    columns = [values if (kinds := set(map(type, values))) <= _AS_IS
+               else list(map(_TEXTS.__getitem__, values)) if kinds <= {type(None), bool, Outcome}
+               else list(map(_format_cell, values))
+               for values in (fields.get(field, ()) for _, field in COLUMNS)]
+    columns += ([r.extra.get(name, "") for r in rows] for name in extra_names)
+    writer = csv.writer(out := io.StringIO(), lineterminator="\n")
     writer.writerow([column for column, _ in COLUMNS] + extra_names)
-    for row in rows:
-        cells = [_format_cell(getattr(row, field)) for _, field in COLUMNS]
-        cells.extend(row.extra.get(name, "") for name in extra_names)
-        writer.writerow(cells)
+    writer.writerows(zip(*columns))
     return out.getvalue().encode("utf-8")

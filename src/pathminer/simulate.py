@@ -13,6 +13,12 @@ by row, like the source registry) from per-attribute samplers with an
 optional missing-rate. These defaults are plumbing: they produce plausible
 but synthetic values.
 
+A seed's rows are fixed by the order of the draws. Patient ``i`` (from 0)
+draws from a generator seeded with ``f"{seed}:{i}"``: for each attribute in
+``DEFAULT_ATTRIBUTE_SAMPLERS`` order the missing-rate draw, when the rate is
+not zero, then the value; the start offset; then per step the place draw
+and, from the second visible firing on, the day gap.
+
 Configuration is also accepted as JSON::
 
     {
@@ -34,11 +40,13 @@ import json
 import math
 import random
 import sys
+from bisect import bisect
 from datetime import date, timedelta
+from itertools import accumulate
 from typing import NamedTuple, get_type_hints
 
 from .errors import ConfigError
-from .model import Outcome, PatientDatum, classify_phenotype, parse_date
+from .model import Outcome, PatientDatum, Phenotype, classify_phenotype, parse_date
 from .petri import (P1, P2, P3, P4, P_END, P_START, SILENT_CHOICE, CompiledNet, build_dejure,
                     decision_points, reachable)
 
@@ -88,19 +96,6 @@ class AttributeSampler(NamedTuple):
     p: float = 0.5
     value: object = None
     missing_rate: float = 0.0
-
-    def sample(self, rng: random.Random):
-        if self.missing_rate and rng.random() < self.missing_rate:
-            return None
-        if self.kind == "uniform":
-            return round(rng.uniform(self.low, self.high), self.decimals)
-        if self.kind == "uniform_int":
-            return rng.randint(int(self.low), int(self.high))
-        if self.kind == "bernoulli":
-            return rng.random() < self.p
-        if self.kind == "constant":
-            return self.value
-        return None  # "absent": SimulationConfig refuses every other kind
 
 
 DEFAULT_ATTRIBUTE_SAMPLERS: dict[str, AttributeSampler] = {
@@ -210,13 +205,6 @@ def _check_walk_ends(probs: dict[str, dict[str, float]]) -> None:
                           f"to reach {P_END}, so it never ends")
 
 
-def _later(day: date, days: int, pat_id: str) -> date:
-    try:
-        return day + timedelta(days=days)
-    except OverflowError:
-        raise ConfigError(f"patient {pat_id}: a timestamp falls after {date.max}") from None
-
-
 class _ConfigFields(NamedTuple):
     patients: int = 240
     seed: int = 7
@@ -309,31 +297,29 @@ def load_config(data: bytes | str, **overrides) -> SimulationConfig:
     return SimulationConfig(**kwargs)
 
 
-def _sample_patient_attrs(rng: random.Random, config: SimulationConfig) -> dict:
-    attrs = {
-        name: config.attributes[name].sample(rng) for name in _SAMPLED_FIELDS
-    }
-    lvef = attrs.get("lvef")
-    if lvef is None:
-        attrs.update(hfref=None, hfmref=None, hfpef=None)
-    else:
-        phenotype = classify_phenotype(lvef).value
-        attrs["hfref"] = phenotype == "HFrEF"
-        attrs["hfmref"] = phenotype == "HFmrEF"
-        attrs["hfpef"] = phenotype == "HFpEF"
-    return attrs
+def _draw(sampler: AttributeSampler, random_, randrange):
+    """The sampler's draw, its bounds worked out once: the missing-rate draw when the
+    rate is not zero, then the value. The random docs define ``uniform(a, b)`` as
+    ``a + (b-a) * random()`` and ``randint(a, b)`` as ``randrange(a, b+1)``."""
+    kind, low, high, decimals, p, value, rate = sampler
+    if kind == "uniform":
+        width = high - low
+        return lambda: None if rate and random_() < rate else round(low + width * random_(), decimals)
+    if kind == "uniform_int":
+        low, stop = int(low), int(high) + 1
+        return lambda: None if rate and random_() < rate else randrange(low, stop)
+    if kind == "bernoulli":
+        return lambda: None if rate and random_() < rate else random_() < p
+    value = value if kind == "constant" else None  # absent: SimulationConfig refuses other kinds
+    return lambda: None if rate and random_() < rate else value
 
 
-def _choose(rng: random.Random, probs: dict[str, float]) -> str:
-    draw = rng.random()
-    cumulative = 0.0
-    last = None
-    for label, p in probs.items():
-        cumulative += p
-        last = label
-        if draw < cumulative:
-            return label
-    return last  # guard against float round-off at the top end
+def _flags(lvef) -> tuple:
+    """The phenotype flags (hfref, hfmref, hfpef) of an LVEF."""
+    return (None,) * 3 if lvef is None else tuple(classify_phenotype(lvef) is p for p in Phenotype)
+
+
+_FLAGS = {lvef: _flags(lvef) for lvef in (None, *range(101))}  # each LVEF a config can draw
 
 
 def simulate_detailed(config: SimulationConfig):
@@ -342,40 +328,48 @@ def simulate_detailed(config: SimulationConfig):
     Returns ``(rows, decisions)`` where ``decisions`` maps each decision
     place to a label -> count dict of the choices actually drawn.
     """
-    decisions: dict[str, dict[str, int]] = {
-        place: {label: 0 for label in sorted(_PLACE_CHOICES[place])}
-        for place in _PLACE_CHOICES
-    }
-
+    rng = random.Random()
+    random_, randrange = rng.random, rng.randrange
+    plan = [_draw(config.attributes[name], random_, randrange) for name in _SAMPLED_FIELDS]
+    # Per place: the running sums of the weights over the sorted labels, a draw taking the
+    # first label whose sum exceeds it; each label's (label, next place, outcome), the last
+    # one also for a draw at or past the last sum, as float round-off allows; and how often
+    # each was drawn.
+    walks = {}
+    for place, probs in config.place_probs.items():
+        steps = [(label, _PLACE_CHOICES[place][label], _OUTCOME_BY_LABEL.get(label))
+                 for label in probs]
+        walks[place] = list(accumulate(probs.values())), steps + steps[-1:], [0] * (len(steps) + 1)
     rows: list[PatientDatum] = []
-    row_index = 0
-    gap_lo, gap_hi = config.gap_days
+    window, (gap_lo, gap_hi) = max(1, config.start_window_days), config.gap_days
+    # The values in PatientDatum's order: LVEF, its flags, up to the outcome, and after it.
+    draw_lvef, before_outcome, after_outcome = plan[0], plan[1:6], plan[6:]
     for index in range(config.patients):
-        rng = random.Random(f"{config.seed}:{index}")
-        attrs = _sample_patient_attrs(rng, config)
+        rng.seed(f"{config.seed}:{index}")  # the state of a new Random(f"{seed}:{index}")
+        lvef = draw_lvef()
+        before = (lvef, *(_FLAGS.get(lvef) or _flags(lvef)), *[draw() for draw in before_outcome])
+        after = [draw() for draw in after_outcome]
         pat_id = f"{index + 1:04d}"
-        current = _later(config.start_date, rng.randrange(max(1, config.start_window_days)), pat_id)
-        place = P_START
-        first_row = True
-        while place != P_END:
-            label = _choose(rng, config.place_probs[place])
-            decisions[place][label] += 1
-            if label != SILENT_CHOICE:
-                if not first_row:
-                    current = _later(current, rng.randint(gap_lo, gap_hi), pat_id)
-                first_row = False
-                row_index += 1
-                outcome = _OUTCOME_BY_LABEL.get(label)
-                rows.append(
-                    PatientDatum(
-                        pat_id=pat_id,
-                        timestamp=current,
-                        row_index=row_index,
-                        outcome=outcome,
-                        **attrs,
-                    )
-                )
-            place = _PLACE_CHOICES[place][label]
+        try:  # date arithmetic past date.max
+            current = config.start_date + timedelta(days=randrange(window))
+            place, first_row = P_START, True
+            while place != P_END:
+                sums, steps, tally = walks[place]
+                choice = bisect(sums, random_())
+                tally[choice] += 1
+                label, place, outcome = steps[choice]
+                if label != SILENT_CHOICE:
+                    if not first_row:
+                        current += timedelta(days=randrange(gap_lo, gap_hi + 1))
+                    first_row = False
+                    rows.append(PatientDatum(pat_id, current, len(rows) + 1,
+                                             *before, outcome, *after, {}))
+        except OverflowError:
+            raise ConfigError(f"patient {pat_id}: a timestamp falls after {date.max}") from None
+    decisions = {place: dict.fromkeys(sorted(_PLACE_CHOICES[place]), 0) for place in _PLACE_CHOICES}
+    for place, (_, steps, tally) in walks.items():
+        for (label, _, _), times in zip(steps, tally):
+            decisions[place][label] += times
     return rows, decisions
 
 

@@ -24,6 +24,7 @@ _HEAD = b"""<?xml version='1.0' encoding='UTF-8'?>
   <extension name="Time" prefix="time" uri="http://www.xes-standard.org/time.xesext" />"""
 
 _BOOLEANS = {"true": True, "false": False, "1": True, "0": False}
+_TAGS = ("string", "int", "float", "boolean", "date")  # an event attribute's element types
 _DATE = re.compile(rf"({ISO_DATE})(?:T00:00:00(?:\+00:00|Z))?", re.ASCII)
 
 # ElementTree's attribute escapes, and a character outside the XML 1.0 Char production.
@@ -67,6 +68,8 @@ def write_xes(log: EventLog) -> bytearray:
 
     buffer = bytearray(_HEAD)
     for t_index, (case_id, events) in enumerate(log.traces().items()):
+        if not (case_id and isinstance(case_id, str)):  # the reader takes no other case id
+            raise FormatError(f"trace {t_index}: case id {case_id!r} is not a non-empty string")
         lines = ["", "  <trace>", "    " + element("concept:name", case_id, f"trace {t_index}")]
         push = lines.append
         for e_index, event in enumerate(events):
@@ -113,7 +116,7 @@ _TRACE = re.compile((
     rb'\n  <trace>\n    <string key="concept:name" value="(%s)" />((?:\n    <event>'
     rb'\n      <string key="concept:name" value="%s" />\n      <date key="time:timestamp" value="%s" />'
     rb'(?:\n      <(?:string|int|float|boolean|date) key="%s" value="%s" />)*\n    </event>)+)'
-    rb'\n  </trace>') % ((_TEXT,) * 5))
+    rb'\n  </trace>') % (_TEXT[:-1] + b"+", *(_TEXT,) * 4))  # a case id is not empty
 
 
 def _text(raw: bytes) -> str:
@@ -174,9 +177,10 @@ def _parse(data: bytes | bytearray | str, start=None, end=None) -> None:
 def read_xes(data: bytes | bytearray | str) -> EventLog:
     """Parse an XES document produced by :func:`write_xes` or compatible.
 
-    The case id is the last trace-level ``concept:name``; an event's first
-    ``concept:name`` and ``time:timestamp`` are its activity and timestamp,
-    its other direct children its attributes, each key at most once.
+    The case id is the last trace-level ``concept:name``, a non-empty string; an
+    event's first ``concept:name`` and ``time:timestamp`` are its activity and
+    timestamp, its other direct children its attributes, each key at most once
+    and each a string, int, float, boolean or date element.
     Booleans must be xs:boolean, numbers ASCII with no ``_``, floats finite,
     dates midnight UTC, case ids unique, traces not empty. Errors after malformed
     XML come in document order: the root, a misplaced ``<trace>`` in a trace or
@@ -209,6 +213,9 @@ def read_xes(data: bytes | bytearray | str) -> EventLog:
         t_index, case_id = len(trace_of_case), None
         for tag, attrs, _ in nodes:
             if tag != "event" and attrs.get("key") == "concept:name":
+                if tag != "string" or attrs.get("value") == "":
+                    raise FormatError(f"trace {t_index}: the case id must be a non-empty <string>, "
+                                      f"got <{tag}> with value {attrs.get('value')!r}")
                 case_id = attrs.get("value")
         if case_id is None:
             raise FormatError(f"trace {t_index}: missing concept:name")
@@ -221,6 +228,8 @@ def read_xes(data: bytes | bytearray | str) -> EventLog:
             where = f"trace {t_index} event {e_index}"
             activity, timestamp, attributes = None, None, {}
             for tag, attrs, _ in children:
+                if tag not in _TAGS:
+                    raise FormatError(f"{where}: <{tag}> is not an attribute element")
                 try:
                     key = seen.setdefault(attrs["key"], attrs["key"])
                     text = attrs["value"]

@@ -36,9 +36,16 @@ the column-wise parser and the in-line number lines replaced.
 ``reference_read_xes_expat`` is the single-pass expat reader whose handlers
 built the events directly, deferring a trace's first event error until its
 case id was checked, that the collect-then-check reader replaced.
+``reference_simulate_detailed``, with ``reference_sample`` for
+``AttributeSampler.sample``, and ``reference_write_patient_csv`` are the
+simulator that made a new generator and a sampler call per draw and bound
+each row by keyword, and the writer that formatted cell by cell and row by
+row, which the planned simulator and the column writer replaced.
 """
 
+import csv
 import heapq
+import io
 import itertools
 import math
 import random
@@ -55,7 +62,9 @@ from pathminer.conformance import (
 )
 from pathminer.decision_mining import ClassifierReport, _stratified_split
 from pathminer.discovery import DirectlyFollowsGraph
-from pathminer.model import CLINICAL_FIELDS, AttrValue, Event, EventLog, Outcome, PatientDatum
+from pathminer.model import (
+    CLINICAL_FIELDS, AttrValue, Event, EventLog, Outcome, PatientDatum, classify_phenotype,
+)
 from pathminer.errors import (
     ConfigError, FormatError, InputError, ModelError, PathminerError, ResourceError, RowError,
     SchemaError,
@@ -63,8 +72,10 @@ from pathminer.errors import (
 from pathminer.patient_csv import (
     _BOOL_FIELDS, _INT_FIELDS, _REQUIRED, _SPACE, COLUMNS, _record_error, _records,
 )
-from pathminer.petri import P_END, P_START, CompiledNet, PetriNet, Transition
-from pathminer.simulate import _PLACE_CHOICES
+from pathminer.petri import P_END, P_START, SILENT_CHOICE, CompiledNet, PetriNet, Transition
+from pathminer.simulate import (
+    _OUTCOME_BY_LABEL, _PLACE_CHOICES, _SAMPLED_FIELDS, AttributeSampler, SimulationConfig,
+)
 from pathminer.xes import _HEAD, _escaped, _parse, _value
 
 PHENOTYPE_FLAGS = {
@@ -666,6 +677,10 @@ class ReferenceXes:
             case_id = None
             for child in trace:
                 if child.tag != "event" and child.get("key") == "concept:name":
+                    if child.tag != "string" or child.get("value") == "":
+                        raise FormatError(
+                            f"trace {t_index}: the case id must be a non-empty <string>, "
+                            f"got <{child.tag}> with value {child.get('value')!r}")
                     case_id = child.get("value")
             if case_id is None:
                 raise FormatError(f"trace {t_index}: missing concept:name")
@@ -681,6 +696,8 @@ class ReferenceXes:
                 timestamp = None
                 attributes: dict[str, AttrValue] = {}
                 for child in node:
+                    if child.tag not in ("string", "int", "float", "boolean", "date"):
+                        raise FormatError(f"{where}: <{child.tag}> is not an attribute element")
                     key = child.get("key")
                     if key is None:
                         raise FormatError(f"{where}: attribute without key")
@@ -1412,3 +1429,120 @@ class UnprunedDecisionTree(DecisionTreeClassifier):
         if -key[0] <= 1e-12:  # the gain
             return None
         return column, pivot, missing_left
+
+
+def reference_sample(sampler: AttributeSampler, rng: random.Random):
+    """``AttributeSampler.sample`` as it was before the simulator planned its draws."""
+    if sampler.missing_rate and rng.random() < sampler.missing_rate:
+        return None
+    if sampler.kind == "uniform":
+        return round(rng.uniform(sampler.low, sampler.high), sampler.decimals)
+    if sampler.kind == "uniform_int":
+        return rng.randint(int(sampler.low), int(sampler.high))
+    if sampler.kind == "bernoulli":
+        return rng.random() < sampler.p
+    if sampler.kind == "constant":
+        return sampler.value
+    return None  # "absent": SimulationConfig refuses every other kind
+
+
+def _reference_patient_attrs(rng: random.Random, config: SimulationConfig) -> dict:
+    attrs = {
+        name: reference_sample(config.attributes[name], rng) for name in _SAMPLED_FIELDS
+    }
+    lvef = attrs.get("lvef")
+    if lvef is None:
+        attrs.update(hfref=None, hfmref=None, hfpef=None)
+    else:
+        phenotype = classify_phenotype(lvef).value
+        attrs["hfref"] = phenotype == "HFrEF"
+        attrs["hfmref"] = phenotype == "HFmrEF"
+        attrs["hfpef"] = phenotype == "HFpEF"
+    return attrs
+
+
+def _later(day: date, days: int, pat_id: str) -> date:
+    try:
+        return day + timedelta(days=days)
+    except OverflowError:
+        raise ConfigError(f"patient {pat_id}: a timestamp falls after {date.max}") from None
+
+
+def _reference_choose(rng: random.Random, probs: dict[str, float]) -> str:
+    draw = rng.random()
+    cumulative = 0.0
+    last = None
+    for label, p in probs.items():
+        cumulative += p
+        last = label
+        if draw < cumulative:
+            return label
+    return last  # guard against float round-off at the top end
+
+
+def reference_simulate_detailed(config: SimulationConfig):
+    """``simulate_detailed`` before it planned each run: a new generator per
+    patient, a sampler call per draw and keyword-bound rows."""
+    decisions: dict[str, dict[str, int]] = {
+        place: {label: 0 for label in sorted(_PLACE_CHOICES[place])}
+        for place in _PLACE_CHOICES
+    }
+
+    rows: list[PatientDatum] = []
+    row_index = 0
+    gap_lo, gap_hi = config.gap_days
+    for index in range(config.patients):
+        rng = random.Random(f"{config.seed}:{index}")
+        attrs = _reference_patient_attrs(rng, config)
+        pat_id = f"{index + 1:04d}"
+        current = _later(config.start_date, rng.randrange(max(1, config.start_window_days)), pat_id)
+        place = P_START
+        first_row = True
+        while place != P_END:
+            label = _reference_choose(rng, config.place_probs[place])
+            decisions[place][label] += 1
+            if label != SILENT_CHOICE:
+                if not first_row:
+                    current = _later(current, rng.randint(gap_lo, gap_hi), pat_id)
+                first_row = False
+                row_index += 1
+                outcome = _OUTCOME_BY_LABEL.get(label)
+                rows.append(
+                    PatientDatum(
+                        pat_id=pat_id,
+                        timestamp=current,
+                        row_index=row_index,
+                        outcome=outcome,
+                        **attrs,
+                    )
+                )
+            place = _PLACE_CHOICES[place][label]
+    return rows, decisions
+
+
+def _reference_format_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, Outcome):
+        return value.value
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, date):
+        return value.isoformat()
+    return str(value)
+
+
+def reference_write_patient_csv(rows) -> bytes:
+    """The row-wise writer that formatting by column replaced: one
+    ``_format_cell`` call per cell and one ``writerow`` per row."""
+    extra_names = sorted({name for r in rows for name in r.extra})
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([column for column, _ in COLUMNS] + extra_names)
+    for row in rows:
+        cells = [_reference_format_cell(getattr(row, field)) for _, field in COLUMNS]
+        cells.extend(row.extra.get(name, "") for name in extra_names)
+        writer.writerow(cells)
+    return out.getvalue().encode("utf-8")

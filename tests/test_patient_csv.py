@@ -1,14 +1,15 @@
-from datetime import date
+import re
+from datetime import date, datetime
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_parse_patient_csv
+from oracles import reference_parse_patient_csv, reference_write_patient_csv
 from pathminer import patient_csv
-from pathminer.errors import RowError, SchemaError
-from pathminer.model import Outcome
+from pathminer.errors import InputError, RowError, SchemaError
+from pathminer.model import Outcome, PatientDatum
 from pathminer.patient_csv import parse_patient_csv, write_patient_csv
 
 HEADER = (
@@ -367,3 +368,89 @@ def test_each_distinct_cell_text_of_a_column_is_held_once():
     # a float parsed twice would be two objects; texts that differ stay apart
     assert rows[0].weight is rows[8].weight
     assert len({id(row.timestamp) for row in rows}) == 2
+
+
+def _row(extra, **fields):
+    return PatientDatum("007", date(2023, 2, 20), 1, extra=extra, **fields)
+
+
+@pytest.mark.parametrize("extra", [
+    {"beta_blocker": "1"},  # the parser refuses a column named like a clinical attribute
+    {"lvef": "x"},  # and reads this one as LVEF, a second time
+    {"Timestamp": "x"},
+    {" note": "a"},  # the parser trims ASCII whitespace from names and cells
+    {"note ": "a"},
+    {"note": " a "},
+    {"note": "a\t"},
+    {"note": ""},  # and skips empty cells
+    {"note": "a\rb"},  # and takes a bare CR, which the writer leaves unquoted, as a line end
+    {"note": 5},  # and reads every cell as text
+])
+def test_an_extra_cell_that_would_not_read_back_is_refused(extra):
+    (name, text), = extra.items()
+    rows = [_row({}), _row({"memo": "kept"}), _row(extra)]
+    message = re.escape(f"row 3: extra {name!r} = {text!r} would not read back")
+    with pytest.raises(InputError, match=f"^{message}$"):
+        write_patient_csv(rows)
+
+
+# Names and cells that read back, drawn often, and ones that do not.
+_EXTRA_NAMES = st.sampled_from(["note", "Note", "a,b", 'say "hi"', "two\nlines", "", "row_index"] * 3
+                               + [" pad", "lvef", "Outcome", "wbc", "x\ry"])
+_ANY_TEXT = st.text(st.sampled_from(["a", ",", '"', "\n", "\r", " ", "\t", "é"]), max_size=4)
+_EXTRA_TEXTS = st.one_of(*[st.builds("{}{}{}".format, st.sampled_from(["a", ",", '"', "é"]),
+                                     _ANY_TEXT.filter(lambda text: "\r" not in text),
+                                     st.sampled_from(["b", "é"]))] * 3, _ANY_TEXT)
+
+
+def _datum(number, pat_id, lvef, flag, weight, year, outcome, dose, day, extra):
+    """A checked row: ``flag`` 0-2 sets that phenotype flag, 3 clears all three, None leaves
+    them absent; the float columns take ``weight`` or ``dose``."""
+    flags = [None if flag is None else i == flag for i in range(3)] if flag != 3 else [False] * 3
+    return PatientDatum(pat_id, day, number, lvef, *flags, weight, year, weight, flag == 1,
+                        None, outcome, dose, dose, weight, dose, dose, weight, dose, dose, extra)
+
+
+_tables = st.lists(st.tuples(
+    st.sampled_from(["007", "p 1", "Ünal"]), st.one_of(st.none(), st.integers(0, 100)),
+    st.sampled_from([None, 0, 1, 2, 3]),
+    st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
+    st.one_of(st.none(), st.integers(-10**20, 10**20)), st.sampled_from([None, *Outcome]),
+    st.sampled_from([None, 0.0, -0.0, 2.5, 1e-300]),
+    st.dates(min_value=date(1, 1, 1)),
+    st.dictionaries(_EXTRA_NAMES, _EXTRA_TEXTS, max_size=3)), max_size=6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_tables)
+def test_a_written_table_parses_back_to_its_rows_or_the_writer_refuses_it(drawn):
+    rows = [_datum(number, *fields) for number, fields in enumerate(drawn, 1)]
+    try:
+        data = write_patient_csv(rows)
+    except InputError as exc:
+        assert re.match(r"row \d+: extra .* would not read back$", str(exc))
+        return
+    assert [(repr(r[:-1]), r.extra) for r in parse_patient_csv(data)] == [
+        (repr(r[:-1]), r.extra) for r in rows]  # extras in any order
+
+
+class _Float(float):
+    def __repr__(self):
+        return "a float's own repr"
+
+
+_CELL_VALUES = [True, False, 1, 0, 1.0, 0.0, -0.0, None, 2.5, -7, "x", date(2020, 1, 2),
+                Outcome.HF, _Float(1.5), datetime(2020, 1, 2, 3, 4)]
+_ACCEPTED_TEXTS = st.text(st.sampled_from(["a", ",", '"', "\n", "é"]), min_size=1,
+                          max_size=4).filter(lambda text: text.strip("\n") == text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(
+    st.lists(st.sampled_from(_CELL_VALUES), min_size=21, max_size=21),
+    st.dictionaries(st.sampled_from(["note", "a,b", 'say "hi"', "two\nlines"]),
+                    _ACCEPTED_TEXTS, max_size=3)), max_size=8))
+def test_the_column_writer_writes_the_bytes_the_row_writer_wrote(drawn):
+    # unchecked records, so that each column mixes values that are equal but print apart
+    rows = [tuple.__new__(PatientDatum, (*values, extra)) for values, extra in drawn]
+    assert write_patient_csv(rows) == reference_write_patient_csv(rows)

@@ -1,4 +1,6 @@
 import json
+import random
+import sys
 from datetime import date
 
 import pytest
@@ -6,7 +8,9 @@ import scipy.stats as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_check_walk_ends
+from oracles import (
+    reference_check_walk_ends, reference_simulate_detailed, reference_write_patient_csv,
+)
 from pathminer.conformance import conformance_report
 from pathminer.errors import ConfigError, PathminerError
 from pathminer.model import Outcome
@@ -363,3 +367,115 @@ class TestWalks:
     def test_default_weights_follow_published_shares(self):
         assert DEFAULT_PLACE_WEIGHTS["p1"]["HF"] == 5.78
         assert DEFAULT_PLACE_WEIGHTS["p4"]["Death_AnyCause"] == 1.39
+
+
+# A sampler of any kind, with a negative low (so that rounding can give -0.0), decimals from
+# -1 to 3, integer draws and int constants on float fields, and missing rates of 0, 0.5 and 1.
+_any_sampler = st.builds(
+    lambda kind, low, width, decimals, p, value, rate: AttributeSampler(
+        kind, low=low, high=low + width, decimals=decimals, p=p, value=value, missing_rate=rate),
+    st.sampled_from(["uniform", "uniform_int", "bernoulli", "constant", "absent"]),
+    st.sampled_from([-3, -1, 0, 0.5, 10, 40]),
+    st.sampled_from([0, 1, 2.5, 50]),
+    st.integers(-1, 3),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.sampled_from([None, 0, 7, -0.0, 0.0, 1.5, True, False]),
+    st.sampled_from([0, 0.5, 1.0]),
+)
+
+
+def _ending(probs):
+    """Weights whose walks end: a positive choice out of each place, and out of the loops."""
+    for place, label in (("p0", "None"), ("p1", "None"), ("p2", "None"), ("p3", "None"),
+                         ("p4", "None")):
+        if place in ("p1", "p3") or not any(probs[place].values()):
+            probs[place][label] = probs[place][label] or 0.5
+    return probs
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:  # both sides must fail alike, in type and message
+        return exc.__class__, str(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 40), st.integers(0, 10**6), _place_weights.map(_ending),
+       st.sampled_from([date(2019, 4, 1)] * 5 + [date(9999, 10, 1)]),
+       st.fixed_dictionaries({name: _any_sampler for name in DEFAULT_ATTRIBUTE_SAMPLERS}))
+def test_the_planned_simulator_draws_what_the_one_it_replaced_drew(patients, seed, probs, start,
+                                                                  samplers):
+    config = SimulationConfig(patients=patients, seed=seed, start_date=start, place_probs=probs)
+    config.attributes.update(samplers)  # unchecked, so that every kind meets every attribute
+    expected = _outcome(reference_simulate_detailed, config)
+    got = _outcome(simulate_detailed, config)
+    if isinstance(expected[0], type):
+        assert got == expected
+        return
+    (rows, decisions), (reference_rows, reference_decisions) = got, expected
+    assert list(map(repr, rows)) == list(map(repr, reference_rows))
+    assert decisions == reference_decisions
+    assert _outcome(write_patient_csv, rows) == _outcome(reference_write_patient_csv, rows)
+
+
+@pytest.mark.parametrize("name, sampler", [
+    ("weight", AttributeSampler("uniform", low=0, high=int(sys.float_info.max))),  # an int at the top
+    ("weight", AttributeSampler("uniform", low=0.0, high=sys.float_info.max)),  # high - low at the top
+    ("weight", AttributeSampler("uniform", low=5, high=5)),
+    ("diabetes", AttributeSampler("bernoulli", p=1, missing_rate=1)),
+    ("lvef", AttributeSampler("uniform_int", low=0, high=100)),
+    ("lvef", AttributeSampler("constant", value=100)),
+])
+def test_a_sampler_at_the_end_of_each_range_is_accepted(name, sampler):
+    assert SimulationConfig(attributes={name: sampler}).attributes[name] == sampler
+
+
+@pytest.mark.parametrize("fields", [{"start_window_days": 0}, {"gap_days": (1, 3)},
+                                    {"gap_days": (5, 5)}])
+def test_a_config_at_the_end_of_each_range_is_accepted(fields):
+    rows = simulate(SimulationConfig(patients=30, seed=3, **fields))
+    first_days = {}
+    for row in rows:
+        first_days.setdefault(row.pat_id, row.timestamp)
+    gaps = {(b.timestamp - a.timestamp).days for a, b in zip(rows, rows[1:]) if a.pat_id == b.pat_id}
+    lo, hi = fields.get("gap_days", (7, 120))
+    assert gaps and lo <= min(gaps) and max(gaps) <= hi
+    if "start_window_days" in fields:  # no window: every patient starts on the start date
+        assert set(first_days.values()) == {date(2019, 4, 1)}
+
+
+# Every attribute before ``weight`` or ``diabetes`` drawing nothing, so that patient 0's first
+# random() is that attribute's missing-rate draw and its second the value's.
+_SILENT = {name: AttributeSampler("constant", value=None)
+           for name in ("lvef", "weight", "hf_diagnosis_year", "nt_pro_bnp")}
+
+
+@pytest.mark.parametrize("name, sampler", [
+    ("weight", AttributeSampler("uniform", low=50, high=120)),
+    ("weight", AttributeSampler("uniform_int", low=50, high=120)),
+    ("weight", AttributeSampler("constant", value=80.5)),
+    ("diabetes", AttributeSampler("bernoulli", p=0.5)),
+])
+def test_a_draw_equal_to_the_missing_rate_keeps_the_value(name, sampler):
+    # the missing-rate draw replaces the value only when it falls below the rate, and a
+    # bernoulli value is true only when its draw falls below p
+    first, second = (stream := random.Random("3:0")).random(), stream.random()
+    attributes = {**_SILENT, name: sampler._replace(missing_rate=first, p=second)}
+    row = simulate(SimulationConfig(patients=1, seed=3, attributes=attributes))[0]
+    assert getattr(row, name) is not None
+    if sampler.kind == "bernoulli":
+        assert getattr(row, name) is False
+
+
+def test_a_place_draw_equal_to_a_running_sum_takes_the_next_label():
+    # with no attribute draws, patient 0 draws its start offset, then its first place
+    stream = random.Random("3:0")
+    stream.randrange(365)
+    draw = stream.random()
+    config = SimulationConfig(patients=1, seed=3, place_probs={
+        "p0": {"None": draw, "Visit before CO": 1 - draw}},
+        attributes=dict.fromkeys(DEFAULT_ATTRIBUTE_SAMPLERS, AttributeSampler("absent")))
+    assert config.place_probs["p0"]["None"] == draw  # the weights sum to exactly 1
+    _, decisions = simulate_detailed(config)
+    assert decisions["p0"] == {"None": 0, "Visit before CO": 1}

@@ -711,6 +711,17 @@ def _keyless_in_an_event(data) -> bool:
                for child in event)
 
 
+def _breaks_the_element_rules(data) -> bool:
+    """Whether a trace's concept:name is not a non-empty string element, or an event holds
+    an element of another type than an attribute's."""
+    traces = list(ET.fromstring(data).iter("trace"))
+    return any(child.tag != "event" and child.get("key") == "concept:name"
+               and (child.tag != "string" or child.get("value") == "")
+               for trace in traces for child in trace) or any(
+        child.tag not in ("string", "int", "float", "boolean", "date", "event", "trace")
+        for trace in traces for event in trace.iter("event") for child in event)
+
+
 TABLE_XES = (Path(__file__).parent / "golden" / "transform_table.xes").read_bytes()
 
 
@@ -720,13 +731,17 @@ TABLE_XES = (Path(__file__).parent / "golden" / "transform_table.xes").read_byte
        st.booleans())
 def test_reader_agrees_with_the_single_pass_reader_it_replaced(document, as_bytes):
     # the same log, or the same error, except for a keyless <event> or <trace>
-    # in an event: the parent deferred "attribute without key" to the trace's end
+    # in an event: the parent deferred "attribute without key" to the trace's end;
+    # and a case id or event attribute that the parent took and this reader refuses
     data = document.encode("utf-8") if as_bytes else document
     new, old = _expat_only(data), _outcome(reference_read_xes_expat, data)
-    if new != old:
-        assert new[0] is FormatError and re.fullmatch(r"trace \d+: misplaced <(event|trace)>",
-                                                      new[1]), (new, old)
+    if new != old and re.fullmatch(r"trace \d+: misplaced <(event|trace)>", str(new[1])):
         assert old[0] is FormatError and _keyless_in_an_event(data), (new, old)
+    elif new != old:
+        assert new[0] is FormatError and re.fullmatch(
+            r"trace \d+: the case id must .*|trace \d+ event \d+: <.*> is not an attribute element",
+            new[1]), (new, old)
+        assert _breaks_the_element_rules(data), (new, old)
 
 
 @pytest.mark.parametrize("data", [
@@ -754,3 +769,59 @@ def test_case_id_may_follow_the_events():
             '<string key="concept:name" value="first"/>'
             '<string key="concept:name" value="last"/></trace></log>')
     assert [e.case_id for e in read_xes(data).events] == ["last"]
+
+
+@pytest.mark.parametrize("element", [
+    '<int key="concept:name" value="abc"/>',
+    '<date key="concept:name" value="abc"/>',
+    '<foo key="concept:name" value="abc"/>',
+    '<string key="concept:name" value=""/>',
+])
+@pytest.mark.parametrize("read", [read_xes, ReferenceXes.read_xes])
+def test_a_case_id_is_a_non_empty_string_element(element, read):
+    data = ("<log><trace>" + element + '<event><string key="concept:name" value="X"/>'
+            '<date key="time:timestamp" value="2020-01-01T00:00:00+00:00"/></event></trace></log>')
+    tag = element[1:element.index(" ")]
+    value = "'abc'" if "abc" in element else "''"
+    message = f"^trace 0: the case id must be a non-empty <string>, got <{tag}> with value {value}$"
+    for document in (data, data.encode()):
+        with pytest.raises(FormatError, match=message):
+            read(document)
+
+
+def test_the_scan_declines_an_empty_case_id_and_the_fallback_reports_it():
+    written = bytes(write_xes(EventLog((Event("c", "a", date(2020, 1, 1)),))))
+    data = written.replace(b'<string key="concept:name" value="c" />', b'<string key="concept:name" value="" />')
+    assert data != written and _scan_written(data) is None
+    with pytest.raises(FormatError, match="^trace 0: the case id must be a non-empty <string>"):
+        read_xes(data)
+
+
+@pytest.mark.parametrize("case_id", ["", 7])
+def test_the_writer_refuses_a_case_id_the_reader_would_not_read_back(case_id):
+    log = EventLog((Event(case_id, "x", date(2020, 1, 1)),))
+    with pytest.raises(FormatError, match=f"^trace 0: case id {case_id!r} is not a non-empty string$"):
+        write_xes(log)
+
+
+@pytest.mark.parametrize("read", [read_xes, ReferenceXes.read_xes])
+def test_an_event_attribute_of_another_element_type_is_refused(read):
+    data = "<log>" + _one_event_trace("A", '<foo key="k" value="v"/>') + "</log>"
+    with pytest.raises(FormatError, match=r"^trace 0 event 0: <foo> is not an attribute element$"):
+        read(data)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.builds(Event, case_id=st.sampled_from(["", "a", "b"]), activity=names,
+                          timestamp=st.dates(min_value=date(2000, 1, 1),
+                                             max_value=date(2030, 12, 31)),
+                          attributes=st.dictionaries(names, attr_values, max_size=3)),
+                max_size=6))
+def test_what_the_writer_writes_reads_back_as_the_log(events):
+    log = EventLog(tuple(events))
+    try:
+        data = write_xes(log)
+    except FormatError:
+        assert "" in {e.case_id for e in events}
+        return
+    assert read_xes(data).traces() == log.traces()
