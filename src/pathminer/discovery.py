@@ -57,7 +57,7 @@ def _retained_edges(dfg: DirectlyFollowsGraph, paths: float) -> tuple[set, list]
     retained: set[tuple[str, str]] = set()
     cumulative = 0
     index = 0
-    while cumulative < threshold and index < len(ranked):
+    while cumulative < threshold:  # paths <= 1, so the last edge meets it at the latest
         edge, freq = ranked[index]
         retained.add(edge)
         cumulative += freq
@@ -88,11 +88,10 @@ def _repair_connectivity(dfg: DirectlyFollowsGraph, retained: set, dropped: list
     covered = _coverage(dfg, retained)
     while len(covered) < len(dfg.activities):
         uncovered = set(dfg.activities) - covered
-        candidate = next(
-            (e for e in remaining if e[0] in uncovered or e[1] in uncovered), None
-        )
-        if candidate is None:
-            break
+        # There always is a candidate. An uncovered activity lies on a trace, which runs from
+        # a start to an activity wired to the sink; the edge where it first leaves the forward
+        # reach, or last enters the backward one, has an uncovered end and is not retained.
+        candidate = next(e for e in remaining if e[0] in uncovered or e[1] in uncovered)
         remaining.remove(candidate)
         retained.add(candidate)
         covered = _coverage(dfg, retained)

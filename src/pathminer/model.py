@@ -110,6 +110,11 @@ class PatientDatum(_PatientFields):
         return self
 
 
+# Each field's class but the extras': a clinical field's ``X | None`` holds an X, or None.
+FIELD_CLASSES: dict[str, type] = {name: getattr(hint, "__args__", (hint,))[0]
+                                  for name, hint in _PatientFields.__annotations__.items()
+                                  if name != "extra"}
+
 # Clinical fields copied onto events by the transform stage, in the order of the source
 # table: every PatientDatum field but the row's identity (the first three) and extras (the last).
 CLINICAL_FIELDS: tuple[str, ...] = tuple(

@@ -6,21 +6,21 @@ NT pro-BNP, Diabetes, CKD, Outcome, WBC, hsTNT, IL-6, Urea, Beta-Blocker,
 ACE-I/ARNI, SGLT-2, MRA, Timestamp. Extra columns are carried along as text
 attributes. An empty cell means the value is absent; numbers are ASCII
 with no ``_`` digit separator, and must be finite (``nan`` and ``inf`` are
-rejected). The parser converts records in chunks, column by column, each
-distinct cell text of a column once, its value shared, and reports the first
-faulty row in file order. The writer formats by column too, and refuses an
-extra cell that would not read back as written.
+rejected); a NUL anywhere is an error naming its record. The parser converts
+records in chunks, column by column, each distinct cell text of a column once,
+its value shared, and reports the first faulty row in file order. The writer
+formats by column too, and refuses a cell or an extra that would not read back.
 """
 
 import csv
 import io
 import math
-from datetime import date
+import re
 from itertools import islice
 from operator import itemgetter
 
 from .errors import InputError, PathminerError, RowError, SchemaError
-from .model import CLINICAL_FIELDS, Outcome, PatientDatum, parse_date
+from .model import CLINICAL_FIELDS, FIELD_CLASSES, Outcome, PatientDatum, parse_date
 
 # Column name -> PatientDatum field, in canonical file order.
 COLUMNS: tuple[tuple[str, str], ...] = (
@@ -48,8 +48,8 @@ COLUMNS: tuple[tuple[str, str], ...] = (
 # Lower-cased column name -> column name: header names match case-insensitively.
 _REQUIRED = {column.lower(): column for column, _ in COLUMNS}
 
-_INT_FIELDS = {"lvef", "hf_diagnosis_year"}
-_BOOL_FIELDS = {"hfref", "hfmref", "hfpef", "diabetes", "ckd"}
+_INT_FIELDS = {field for field in CLINICAL_FIELDS if FIELD_CLASSES[field] is int}
+_BOOL_FIELDS = {field for field in CLINICAL_FIELDS if FIELD_CLASSES[field] is bool}
 
 # Cells and header names are trimmed of ASCII whitespace only: str.strip()
 # would also drop U+00A0 or U+3000 from a PatID or around a number.
@@ -135,13 +135,15 @@ def parse_patient_csv(data: bytes | str) -> list[PatientDatum]:
     Row indices are assigned in file order starting at 1 and are later used
     to break timestamp ties deterministically.
     """
+    fault = ""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
-        # the record holding the byte
-        record = sum(1 for _ in _records(data[: exc.start].decode("utf-8") + "x")) - 1
-        message = f"byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8"
-        raise _record_error(record, message) from None
+        text, fault = data[: exc.start].decode("utf-8"), f"byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8"
+    if "\x00" in text:  # 3.10's csv refuses the record, 3.11's reads it
+        text, fault = text[: text.index("\x00")], "line contains NUL"
+    if fault:  # the record holding the byte or the NUL
+        raise _record_error(sum(1 for _ in _records(text + "x")) - 1, fault)
     records = _records(text)
     try:
         _, header = next(records)
@@ -214,38 +216,58 @@ def _chunk_rows(chunk, width: int, columns, extras) -> list[PatientDatum]:
 
 
 _TEXTS = {None: "", True: "1", False: "0", **{outcome: outcome.value for outcome in Outcome}}
-_AS_IS = {type(None), int, float, str, date}  # the classes csv writes as _format_cell does
+
+# The classes each column takes: its field's, None where a clinical value is absent, and an
+# int where a float belongs, which the parser reads back as the equal float.
+_TAKES = {field: {kind, *(type(None),) * (field in CLINICAL_FIELDS), *(int,) * (kind is float)}
+          for field, kind in FIELD_CLASSES.items()}
+# What no text holds: a CR, which csv leaves unquoted and the reader takes as a line end, a
+# NUL, and a lone surrogate, which UTF-8 cannot encode. A printable text holds none.
+_UNWRITABLE = re.compile("[\r\x00\ud800-\udfff]")
 
 
-def _format_cell(value) -> str:
-    if value is None or isinstance(value, (bool, Outcome)):
-        return _TEXTS[value]
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, date):
-        return value.isoformat()
-    return str(value)
+def _is_text(text) -> bool:
+    """Whether a PatID or an extra cell's text reads back as written: a non-empty str with no
+    leading or trailing ASCII whitespace, which the parser trims, and no _UNWRITABLE."""
+    return text.__class__ is str and text.strip(_SPACE) == text != "" and (
+        text.isprintable() or not _UNWRITABLE.search(text))
+
+
+def _writes(field: str, values) -> bool:
+    """Whether the parser reads each of ``values`` back from its cell in ``field``'s column;
+    False, too, where finite floats sum past the largest float."""
+    if not set(map(type, values)) <= _TAKES[field]:
+        return False
+    if field == "pat_id":
+        return all(map(_is_text, set(values)))
+    try:  # NaN and inf propagate through the sum, and an int past the largest float raises
+        return FIELD_CLASSES[field] is not float or math.isfinite(sum(filter(None, values), 0.0))
+    except OverflowError:
+        return False
 
 
 def write_patient_csv(rows) -> bytes:
-    """Serialize patient rows back to the canonical column layout.
-
-    Absent values become empty cells and booleans are written as 0/1, so a
-    parse -> write -> parse round trip is a fixpoint. An extra cell that would
-    not read back as written is an InputError naming its row and key.
+    """Serialize patient rows back to the canonical column layout, flags as 0/1 and an absent
+    value as an empty cell, so a parse -> write -> parse round trip is a fixpoint. A cell that
+    would not read back as written is an InputError naming the first column at fault and its
+    first row at fault, or after the columns the first extra.
     """
+    fields = dict(zip(PatientDatum._fields, zip(*rows)))  # field -> its column, none for no rows
+    columns = []
+    for column, field in COLUMNS:
+        values = fields.get(field, ())
+        if not _writes(field, values):  # and unless only a sum of finite floats overflowed:
+            bad = next((i for i, value in enumerate(values) if not _writes(field, (value,))), None)
+            if bad is not None:
+                raise InputError(f"row {bad + 1}: {column} {values[bad]!r} would not read back")
+        columns.append(list(map(_TEXTS.__getitem__, values)) if FIELD_CLASSES[field] in (bool, Outcome)
+                       else values)
     extra_names = sorted({name for r in rows for name in r.extra})
     for number, row in enumerate(rows, 1) if extra_names else ():
         for name, text in row.extra.items():
-            if (not isinstance(text, str) or not text or text.strip(_SPACE) != text
-                    or name.strip(_SPACE) != name or "\r" in name + text
+            if (not (_is_text(text) and (name == "" or _is_text(name)))
                     or name.lower() in _REQUIRED or name in CLINICAL_FIELDS):
                 raise InputError(f"row {number}: extra {name!r} = {text!r} would not read back")
-    fields = dict(zip(PatientDatum._fields, zip(*rows)))  # field -> its column, none for no rows
-    columns = [values if (kinds := set(map(type, values))) <= _AS_IS
-               else list(map(_TEXTS.__getitem__, values)) if kinds <= {type(None), bool, Outcome}
-               else list(map(_format_cell, values))
-               for values in (fields.get(field, ()) for _, field in COLUMNS)]
     columns += ([r.extra.get(name, "") for r in rows] for name in extra_names)
     writer = csv.writer(out := io.StringIO(), lineterminator="\n")
     writer.writerow([column for column, _ in COLUMNS] + extra_names)

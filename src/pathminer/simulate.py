@@ -43,10 +43,11 @@ import sys
 from bisect import bisect
 from datetime import date, timedelta
 from itertools import accumulate
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple
 
 from .errors import ConfigError
-from .model import Outcome, PatientDatum, Phenotype, classify_phenotype, parse_date
+from .model import FIELD_CLASSES, Outcome, PatientDatum, Phenotype, classify_phenotype, parse_date
+from .patient_csv import _writes
 from .petri import (P1, P2, P3, P4, P_END, P_START, SILENT_CHOICE, CompiledNet, build_dejure,
                     decision_points, reachable)
 
@@ -117,10 +118,6 @@ DEFAULT_ATTRIBUTE_SAMPLERS: dict[str, AttributeSampler] = {
 
 _SAMPLED_FIELDS = tuple(DEFAULT_ATTRIBUTE_SAMPLERS)
 
-# The type a sampled attribute holds in a PatientDatum: int for ``int | None``.
-_FIELD_TYPES = {name: hint.__args__[0] for name, hint in get_type_hints(PatientDatum).items()
-                if name in _SAMPLED_FIELDS}
-
 
 # The sampler kinds whose draws have a field's type, so that the CSV written
 # parses back: an int is also a float field's number.
@@ -157,17 +154,11 @@ def _check_sampler(name: str, sampler: AttributeSampler) -> None:
         bad("high - low must be a finite float")
     if not _is_integer(sampler.decimals):
         bad(f"decimals must be an integer, got {sampler.decimals!r}")
-    kind = _FIELD_TYPES[name]
+    kind = FIELD_CLASSES[name]
     if sampler.kind not in _DRAWS[kind] + ("constant", "absent"):
         bad(f"sampler kind {sampler.kind!r} does not draw values of type {kind.__name__}")
-    if sampler.kind == "constant" and sampler.value is not None:
-        fits = (
-            isinstance(sampler.value, bool) if kind is bool
-            else _is_integer(sampler.value) if kind is int
-            else _is_number(sampler.value)
-        )
-        if not fits:
-            bad(f"constant value {sampler.value!r} is not of type {kind.__name__}")
+    if sampler.kind == "constant" and not _writes(name, (sampler.value,)):  # as the CSV takes it
+        bad(f"constant value {sampler.value!r} is not of type {kind.__name__}")
     if name == "lvef":  # a PatientDatum holds an LVEF in [0, 100]
         ends = {"uniform_int": (int(sampler.low), int(sampler.high)), "constant": (sampler.value,)}
         if any(end is not None and not 0 <= end <= 100 for end in ends.get(sampler.kind, ())):

@@ -2,12 +2,13 @@
 
 The activity and the case id live under ``concept:name``, the timestamp under
 ``time:timestamp`` (dates are midnight UTC). Attributes are typed
-string/int/float/boolean/date elements; absent values are omitted. The writer
-encodes each trace of its fixed layout into one buffer, writes an exact float,
-int or bool of an already-escaped key in line, and refuses a string outside
-the XML 1.0 ``Char`` production, and a ``datetime``, whose time a date would
-drop. The reader scans that layout; any other document, and any error, goes
-to one strict expat pass that collects each trace and checks it once it closes.
+string/int/float/boolean/date elements; absent (None) values are omitted. The
+writer encodes each trace of its fixed layout into one buffer, spelling each
+value through one table of the classes the reader returns, and refuses any
+other value (a subclass, a ``datetime``, a non-finite float, a string outside
+the XML 1.0 ``Char`` production), so what it writes reads back as it was. The
+reader scans that layout; any other document, and any error, goes to one
+strict expat pass that collects each trace and checks it once it closes.
 """
 
 import re
@@ -24,7 +25,6 @@ _HEAD = b"""<?xml version='1.0' encoding='UTF-8'?>
   <extension name="Time" prefix="time" uri="http://www.xes-standard.org/time.xesext" />"""
 
 _BOOLEANS = {"true": True, "false": False, "1": True, "0": False}
-_TAGS = ("string", "int", "float", "boolean", "date")  # an event attribute's element types
 _DATE = re.compile(rf"({ISO_DATE})(?:T00:00:00(?:\+00:00|Z))?", re.ASCII)
 
 # ElementTree's attribute escapes, and a character outside the XML 1.0 Char production.
@@ -34,60 +34,92 @@ _ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
 _NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
-def _escaped(text: str, texts: dict[str, str], where: str) -> str:
-    """``text`` checked and escaped as ElementTree escapes attributes; memoised."""
-    bad = _NOT_XML_CHAR.search(text)
-    if bad:
-        raise FormatError(f"{where} holds {bad.group()!r}, which XML 1.0 cannot represent")
-    texts[text] = escaped = text.translate(_ESCAPES)
-    return escaped
+def _escape(text: str) -> str:
+    """``text`` escaped as ElementTree escapes attributes; a ValueError if XML 1.0 cannot carry it."""
+    if text.__class__ is not str:
+        raise ValueError
+    if bad := _NOT_XML_CHAR.search(text):
+        raise ValueError(f"holds {bad.group()!r}, which XML 1.0 cannot represent")
+    return text.translate(_ESCAPES)
+
+
+def _finite(value: float) -> str:
+    if not isfinite(value):
+        raise ValueError  # read_xes takes finite floats only
+    return repr(value)
+
+
+# The class of each value read_xes returns -> its element and the spelling of its value, a
+# ValueError if it has none. write_xes writes no other class, subclasses included.
+_ELEMENTS = {str: ("string", _escape), bool: ("boolean", {True: "true", False: "false"}.__getitem__),
+             int: ("int", repr), float: ("float", _finite),
+             date: ("date", "{}T00:00:00+00:00".format)}  # midnight UTC
+_TAGS = tuple(tag for tag, _ in _ELEMENTS.values())  # an event attribute's element types
+
+
+class _Spelled(dict):
+    """One write's memo of one class's spelling, value -> text. A falsy value is spelled each
+    time: 0.0 and -0.0 are equal keys."""
+
+    def __init__(self, spell):
+        self.spell = spell
+
+    def __missing__(self, value):
+        text = self.spell(value)
+        if value:
+            self[value] = text
+        return text
+
+
+def _refusal(t_index: int, case_id, events) -> FormatError:
+    """The first fault of a trace, in the order write_xes writes it: the case id, then per event
+    the activity, the timestamp, and each attribute's value before its key."""
+    if case_id.__class__ is not str or not case_id:  # the reader takes no other case id
+        return FormatError(f"trace {t_index}: case id {case_id!r} is not a non-empty string")
+    written = [(f"trace {t_index}", "'concept:name'", case_id, (str,))]
+    for e_index, (_, activity, timestamp, attributes) in enumerate(events):
+        where = f"trace {t_index} event {e_index}"
+        written += [(where, "'concept:name'", activity, (str,)), (where, "'time:timestamp'", timestamp, (date,))]
+        for key, value in sorted(attributes.items()):
+            if value is not None:
+                written += [(where, repr(key), value, _ELEMENTS), (where, f"key {key!r}", key, (str,))]
+    for where, subject, value, classes in written:  # written if of its classes and spelled
+        if isinstance(value, datetime):  # midnight UTC of its date would drop the time
+            return FormatError(f"{where}: {subject} holds the datetime {value}, not a date")
+        try:
+            if value.__class__ not in classes:
+                raise ValueError
+            _ELEMENTS[value.__class__][1](value)
+        except ValueError as exc:
+            fault = str(exc) or f"holds {value!r}, which read_xes would not read back"
+            return FormatError(f"{where}: {subject} {fault}")
 
 
 def write_xes(log: EventLog) -> bytearray:
-    """Serialize a log to XES in a stable element order, each trace encoded into one buffer;
-    a string XML 1.0 cannot represent, or a datetime, is a FormatError naming trace and key."""
-    texts: dict[str, str] = {}
-
-    def element(key: str, value: AttrValue, where: str) -> str:
-        if value.__class__ is str:
-            tag, text = "string", texts.get(value) or _escaped(value, texts, f"{where}: {key!r}")
-        elif isinstance(value, bool):
-            tag, text = "boolean", "true" if value else "false"
-        elif isinstance(value, int):
-            tag, text = "int", str(value)
-        elif isinstance(value, float):
-            tag, text = "float", repr(value)
-        elif isinstance(value, date):
-            if isinstance(value, datetime):  # midnight UTC of its date would drop the time
-                raise FormatError(f"{where}: {key!r} holds the datetime {value}, not a date")
-            tag, text = "date", f"{date.isoformat(value)}T00:00:00+00:00"  # midnight UTC
-        else:
-            tag, text = "string", _escaped(str(value), texts, f"{where}: {key!r}")
-        name = texts.get(key) or _escaped(key, texts, f"{where}: key {key!r}")
-        return f'<{tag} key="{name}" value="{text}" />'
-
+    """Serialize a log to XES in a stable element order, each trace encoded into one buffer, every
+    value spelled through ``_ELEMENTS`` and None omitted; a FormatError for any other value."""
+    elements = {kind: (tag, _Spelled(spell)) for kind, (tag, spell) in _ELEMENTS.items()}
+    texts = elements[str][1]  # the keys', case ids' and activities' too
     buffer = bytearray(_HEAD)
     for t_index, (case_id, events) in enumerate(log.traces().items()):
-        if not (case_id and isinstance(case_id, str)):  # the reader takes no other case id
-            raise FormatError(f"trace {t_index}: case id {case_id!r} is not a non-empty string")
-        lines = ["", "  <trace>", "    " + element("concept:name", case_id, f"trace {t_index}")]
-        push = lines.append
-        for e_index, event in enumerate(events):
-            where = f"trace {t_index} event {e_index}"
-            push("    <event>")
-            push("      " + element("concept:name", event.activity, where))
-            push("      " + element("time:timestamp", event.timestamp, where))
-            for key, value in sorted(event.attributes.items()):
-                kind = value.__class__  # an exact number or flag of an escaped key goes in line
-                if kind is float and key in texts:
-                    push(f'      <float key="{texts[key]}" value="{value!r}" />')
-                elif kind is int and key in texts:
-                    push(f'      <int key="{texts[key]}" value="{value}" />')
-                elif kind is bool and key in texts:
-                    push(f'      <boolean key="{texts[key]}" value="{"true" if value else "false"}" />')
-                elif value is not None:
-                    push("      " + element(key, value, where))
-            push("    </event>")
+        try:
+            if case_id.__class__ is not str or not case_id:
+                raise ValueError
+            lines = ["", "  <trace>", f'    <string key="concept:name" value="{texts[case_id]}" />']
+            push = lines.append
+            for _, activity, timestamp, attributes in events:
+                if activity.__class__ is not str or timestamp.__class__ is not date:
+                    raise ValueError
+                push("    <event>")
+                push(f'      <string key="concept:name" value="{texts[activity]}" />')
+                push(f'      <date key="time:timestamp" value="{timestamp}T00:00:00+00:00" />')
+                for key, value in sorted(attributes.items()):
+                    if value is not None:
+                        tag, spelled = elements[value.__class__]  # a KeyError for another class
+                        push(f'      <{tag} key="{texts[key]}" value="{spelled[value]}" />')
+                push("    </event>")
+        except (KeyError, ValueError):
+            raise _refusal(t_index, case_id, events) from None
         push("  </trace>")
         buffer += "\n".join(lines).encode("utf-8")
     buffer += b"\n</log>\n"
@@ -109,14 +141,15 @@ def _value(tag: str, text: str) -> AttrValue:
     return _BOOLEANS[text] if tag == "boolean" else text
 
 
-# One trace of write_xes's layout, (case id, events), whose values expat reads as they stand.
-# Value runs end at quotes and repeats open with distinct prefixes, so failing is linear.
+# One trace of write_xes's layout, (case id, events), whose values expat reads as they stand:
+# a case id is not empty. Value runs end at quotes and repeats open with distinct prefixes,
+# so failing is linear.
 _TEXT = rb'[^"<&\x00-\x1f]*'  # no markup, reference or control character
 _TRACE = re.compile((
     rb'\n  <trace>\n    <string key="concept:name" value="(%s)" />((?:\n    <event>'
     rb'\n      <string key="concept:name" value="%s" />\n      <date key="time:timestamp" value="%s" />'
-    rb'(?:\n      <(?:string|int|float|boolean|date) key="%s" value="%s" />)*\n    </event>)+)'
-    rb'\n  </trace>') % (_TEXT[:-1] + b"+", *(_TEXT,) * 4))  # a case id is not empty
+    rb'(?:\n      <(?:%s) key="%s" value="%s" />)*\n    </event>)+)'
+    rb'\n  </trace>') % (_TEXT[:-1] + b"+", _TEXT, _TEXT, "|".join(_TAGS).encode(), _TEXT, _TEXT))
 
 
 def _text(raw: bytes) -> str:
@@ -242,6 +275,9 @@ def read_xes(data: bytes | bytearray | str) -> EventLog:
                                       else "attribute element without value" if "value" not in attrs
                                       else f"bad {tag} value {attrs['value']!r}")) from None
                 if activity is None and key == "concept:name":
+                    if tag != "string" or not value:
+                        raise FormatError(f"{where}: the activity must be a non-empty <string>, "
+                                          f"got <{tag}> with value {text!r}")
                     activity = value
                 elif timestamp is None and key == "time:timestamp":
                     if not isinstance(value, date):
@@ -254,7 +290,7 @@ def read_xes(data: bytes | bytearray | str) -> EventLog:
             if activity is None or timestamp is None:
                 missing = "concept:name" if activity is None else "time:timestamp"
                 raise FormatError(f"{where}: missing {missing}")
-            events.append(Event(case_id, str(activity), timestamp, attributes))
+            events.append(Event(case_id, activity, timestamp, attributes))
         if not trace:  # an EventLog holds no case without events
             raise FormatError(f"trace {t_index}: {case_id!r} holds no <event>")
 

@@ -32,7 +32,8 @@ logistic design matrix built from a list of parts and transposed, and
 code that the in-place matrix and the pruned split screen replaced.
 ``reference_parse_patient_csv`` and ``reference_write_xes`` are the row-wise
 CSV parser and the writer with one ``element`` call per attribute line that
-the column-wise parser and the in-line number lines replaced.
+the column-wise parser and the in-line number lines replaced; ``_escaped`` is
+that writer's escaping helper, which the one value table replaced in ``xes``.
 ``reference_read_xes_expat`` is the single-pass expat reader whose handlers
 built the events directly, deferring a trace's first event error until its
 case id was checked, that the collect-then-check reader replaced.
@@ -76,7 +77,7 @@ from pathminer.petri import P_END, P_START, SILENT_CHOICE, CompiledNet, PetriNet
 from pathminer.simulate import (
     _OUTCOME_BY_LABEL, _PLACE_CHOICES, _SAMPLED_FIELDS, AttributeSampler, SimulationConfig,
 )
-from pathminer.xes import _HEAD, _escaped, _parse, _value
+from pathminer.xes import _ESCAPES, _HEAD, _NOT_XML_CHAR, _parse, _value
 
 PHENOTYPE_FLAGS = {
     "HFrEF": {"hfref": True, "hfmref": False, "hfpef": False},
@@ -703,6 +704,10 @@ class ReferenceXes:
                         raise FormatError(f"{where}: attribute without key")
                     value = ReferenceXes._parse_value(child, where)
                     if key == "concept:name" and activity is None:
+                        if child.tag != "string" or not value:
+                            raise FormatError(
+                                f"{where}: the activity must be a non-empty <string>, "
+                                f"got <{child.tag}> with value {child.get('value')!r}")
                         activity = value
                     elif key == "time:timestamp" and timestamp is None:
                         if not isinstance(value, date):
@@ -716,7 +721,7 @@ class ReferenceXes:
                     raise FormatError(f"{where}: missing concept:name")
                 if timestamp is None:
                     raise FormatError(f"{where}: missing time:timestamp")
-                events.append(Event(case_id, str(activity), timestamp, attributes))
+                events.append(Event(case_id, activity, timestamp, attributes))
             if next(trace.iter("event"), None) is None:
                 raise FormatError(f"trace {t_index}: {case_id!r} holds no <event>")
         return EventLog(tuple(events))
@@ -819,6 +824,15 @@ def reference_parse_patient_csv(data: bytes | str) -> list[PatientDatum]:
         except Exception as exc:
             raise RowError(row_index, str(exc)) from None
     return rows
+
+
+def _escaped(text: str, texts: dict[str, str], where: str) -> str:
+    """``text`` checked and escaped as ElementTree escapes attributes; memoised."""
+    bad = _NOT_XML_CHAR.search(text)
+    if bad:
+        raise FormatError(f"{where} holds {bad.group()!r}, which XML 1.0 cannot represent")
+    texts[text] = escaped = text.translate(_ESCAPES)
+    return escaped
 
 
 def reference_write_xes(log: EventLog) -> bytearray:

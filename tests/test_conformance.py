@@ -437,3 +437,7 @@ class TestReportAgainstReference:
         report = assert_same_as_reference(linear_net("a", "b"), make_log(*[("a", "b")] * 3))
         assert (report.fitness, report.precision) == (1.0, 1.0)
         assert report.generalization == 1.0 - (2 / 3 ** 0.5) / 2
+
+
+def test_simplicity_of_a_net_with_no_places_and_no_transitions_is_one():
+    assert simplicity(PetriNet(frozenset(), (), frozenset(), {}, {})) == 1.0

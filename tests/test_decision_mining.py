@@ -321,3 +321,23 @@ def test_mine_place_with_no_kinds_draws_no_holdout(dejure):
     log = make_log(("Visit before CO",))
     report = mine_place(dejure, log, "p1", ())
     assert (report.n_instances, report.classifiers) == (1, ())
+
+
+def test_a_date_attribute_is_no_feature(tmp_path):
+    # decide reads an XES whose events carry a <date> attribute, and encodes no column for it
+    from pathminer.cli import main
+    from pathminer.decision_mining import prepare_place
+    from pathminer.xes import read_xes, write_xes
+
+    log = transform_log(simulate(SimulationConfig(patients=60, seed=3)))
+    dated = EventLog(tuple(e._replace(attributes={**e.attributes, "seen": e.timestamp}) for e in log))
+    data = write_xes(dated)
+    assert b'<date key="seen" value="' in data
+    (tmp_path / "log.xes").write_bytes(data)
+    assert main(["dejure", "--output", str(tmp_path / "dejure.json")]) == 0
+    assert main(["decide", "--log", str(tmp_path / "log.xes"), "--net", str(tmp_path / "dejure.json"),
+                 "--place", "p1", "--classifiers", "naive-bayes,decision-tree",
+                 "--output", str(tmp_path / "decide.json")]) == 0
+    names = [column.name for column in
+             prepare_place(build_dejure(), read_xes(data), "p1", ("naive-bayes",)).holdout.columns]
+    assert "lvef" in names and "seen" not in names

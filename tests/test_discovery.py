@@ -20,6 +20,7 @@ from pathminer.discovery import (
 )
 from pathminer.errors import InputError
 from pathminer.model import EventLog
+from pathminer.petri import reachable
 
 
 class TestBuildDfg:
@@ -69,6 +70,25 @@ class TestMineDfm:
         net = mine_dfm(log, 0.0)
         assert {t.label for t in net.transitions if not t.silent} == {"a", "b", "c"}
         assert conformance_report(net, log).fitness > 0.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=7).map(tuple),
+                    min_size=1, max_size=12), st.floats(0, 1))
+    def test_every_activity_lies_on_a_source_to_sink_path_at_any_paths(self, traces, paths):
+        net = mine_dfm(make_log(*traces), paths)
+        forward, backward = {}, {}
+        for a, b in net.arcs:
+            forward.setdefault(a, set()).add(b)
+            backward.setdefault(b, set()).add(a)
+        on_a_path = reachable(["source"], forward) & reachable(["sink"], backward)
+        assert ({t.label for t in net.transitions if t.id in on_a_path and not t.silent}
+                == {activity for trace in traces for activity in trace})
+
+    def test_edges_are_retained_until_their_share_reaches_paths_and_no_further(self):
+        dfg = build_dfg(make_log(("a", "b", "c")))  # two edges, one case each
+        assert _retained_edges(dfg, 0.5) == ({("a", "b")}, [("b", "c")])
+        assert _retained_edges(dfg, 1.0) == ({("a", "b"), ("b", "c")}, [])
+        assert _retained_edges(dfg, 0.0) == (set(), [("a", "b"), ("b", "c")])
 
     def test_paths_out_of_range_rejected(self):
         with pytest.raises(InputError):

@@ -1,15 +1,17 @@
+import csv
 import re
 from datetime import date, datetime
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_parse_patient_csv, reference_write_patient_csv
 from pathminer import patient_csv
-from pathminer.errors import InputError, RowError, SchemaError
-from pathminer.model import Outcome, PatientDatum
+from pathminer.errors import InputError, PathminerError, RowError, SchemaError
+from pathminer.model import FIELD_CLASSES, Outcome, PatientDatum, Phenotype
 from pathminer.patient_csv import parse_patient_csv, write_patient_csv
 
 HEADER = (
@@ -231,6 +233,25 @@ def test_non_utf8_byte_in_the_header_is_a_schema_error():
         parse_patient_csv(b"P\xe9tID,LVEF\n1,50\n")
 
 
+@pytest.mark.parametrize(("data", "error", "message"), [
+    (csv_of("q\x00z,50,0,0,1,,,,,,,,,,,,,,,2023-01-01"), RowError, "row 1: line contains NUL"),
+    # the record holding it, after a quoted newline, and before a byte that is not UTF-8
+    ((HEADER + ',Note\n001,50,0,0,1,,,,,,,,,,,,,,,2023-01-01,"two\nli\x00nes\xff"\n').encode("latin-1"),
+     RowError, "row 1: line contains NUL"),
+    (HEADER.replace("MRA", "M\x00RA") + "\n", SchemaError, "header row: line contains NUL"),
+], ids=["bytes", "quoted", "header-str"])
+def test_a_nul_anywhere_is_an_error_naming_its_record(data, error, message):
+    # under 3.11 the csv module reads a NUL, and under 3.10 it refuses the record
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        parse_patient_csv(data)
+
+
+def test_a_byte_that_is_not_utf8_before_a_nul_is_reported_first():
+    data = csv_of("0X1,50,0,0,1,,,,,,,,,,,,,,,2023-01-01", "q\x00z,50,0,0,1,,,,,,,,,,,,,,,2023-01-02")
+    with pytest.raises(RowError, match=r"^row 1: byte 0xff at offset \d+ is not UTF-8$"):
+        parse_patient_csv(data.replace(b"0X1", b"0\xff1"))
+
+
 # A cell one character over the csv module's default field size limit.
 LONG_CELL = '"' + "x" * 131_073 + '"'
 
@@ -384,6 +405,9 @@ def _row(extra, **fields):
     {"note": "a\t"},
     {"note": ""},  # and skips empty cells
     {"note": "a\rb"},  # and takes a bare CR, which the writer leaves unquoted, as a line end
+    {"note": "a\x00b"},  # and refuses a NUL, which 3.10's csv module cannot write
+    {"no\x00te": "a"},
+    {"note": "\ud800"},  # which UTF-8 cannot encode
     {"note": 5},  # and reads every cell as text
 ])
 def test_an_extra_cell_that_would_not_read_back_is_refused(extra):
@@ -445,12 +469,168 @@ _ACCEPTED_TEXTS = st.text(st.sampled_from(["a", ",", '"', "\n", "é"]), min_size
                           max_size=4).filter(lambda text: text.strip("\n") == text)
 
 
+def _exactly(rows) -> list:
+    """Each row as its class and repr, field by field, with an int in a float column read as
+    its float and the extras in any order; the row index, which the file does not hold, aside."""
+    def exact(value):
+        return value.__class__.__qualname__, repr(value)
+
+    return [([exact(float(v) if v.__class__ is int and FIELD_CLASSES.get(field) is float else v)
+              for field, v in zip(PatientDatum._fields, row) if field not in ("row_index", "extra")],
+             [(exact(k), exact(v)) for k, v in sorted(row.extra.items(), key=repr)])
+            for row in rows]
+
+
+def table_reads_back(data: bytes, rows) -> bool:
+    """Whether ``data`` parses back to ``rows``, as ``_exactly`` compares them."""
+    try:
+        return _exactly(parse_patient_csv(data)) == _exactly(rows)
+    except PathminerError:
+        return False
+
+
+def reference_reads_back(rows) -> bool:
+    """Whether the row writer's table of ``rows`` parses back to them; one it cannot
+    write does not: UTF-8 has no lone surrogate, and 3.10's csv writes no NUL."""
+    try:
+        data = reference_write_patient_csv(rows)
+    except (UnicodeEncodeError, csv.Error):
+        return False
+    return table_reads_back(data, rows)
+
+
+def written(rows):
+    """The writer's bytes, or its refusal, which must be an InputError naming a row."""
+    try:
+        return write_patient_csv(rows)
+    except InputError as exc:
+        assert re.fullmatch(r"row \d+: .* would not read back", str(exc)), exc
+        return exc
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(
     st.lists(st.sampled_from(_CELL_VALUES), min_size=21, max_size=21),
     st.dictionaries(st.sampled_from(["note", "a,b", 'say "hi"', "two\nlines"]),
                     _ACCEPTED_TEXTS, max_size=3)), max_size=8))
 def test_the_column_writer_writes_the_bytes_the_row_writer_wrote(drawn):
-    # unchecked records, so that each column mixes values that are equal but print apart
+    # unchecked records, so that each column mixes values that are equal but print apart;
+    # the column writer refuses only rows whose table from the row writer does not parse back
     rows = [tuple.__new__(PatientDatum, (*values, extra)) for values, extra in drawn]
-    assert write_patient_csv(rows) == reference_write_patient_csv(rows)
+    new = written(rows)
+    if isinstance(new, InputError):
+        assert not reference_reads_back(rows), new
+    else:
+        assert new == reference_write_patient_csv(rows)
+
+
+class _Text(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+# Cells of every kind: each column's class and its edge values, subclasses, numpy
+# scalars, enums, a list, a datetime, non-finite floats, texts that the parser trims.
+_ANY_CELLS = st.one_of(
+    st.sampled_from([None, True, False, 0, 1, -0.0, 2**1100, -(2**1100), 40.5, 2010.0, "HF",
+                     " a", "a\r", "q\x00z", "\ud800", "", date(2020, 1, 2), datetime(2020, 1, 2),
+                     [1, 2], Outcome.HF, Phenotype.HFREF, _Text("x"), _Int(3), _Float(1.5),
+                     np.float64(2.5), np.int64(5), np.bool_(True), float("nan"), float("inf")]),
+    st.integers(), st.floats(), st.text(max_size=3), st.dates(min_value=date(1, 1, 1)))
+
+
+_FLOATS = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False),
+                   st.integers(-2**60, 2**60))
+# The values of the written fields that _FLOATS does not draw; None where a field may be absent.
+_OWN = {"pat_id": st.sampled_from(["007", "p 1", "Ünal"]), "timestamp": st.dates(min_value=date(1, 1, 1)),
+        "lvef": st.one_of(st.none(), st.integers(0, 100)), "hf_diagnosis_year": st.one_of(st.none(), st.integers()),
+        "diabetes": st.sampled_from([None, True, False]), "ckd": st.sampled_from([None, True, False]),
+        "outcome": st.sampled_from([None, *Outcome])}
+_WRITTEN = ("pat_id", "timestamp", *PatientDatum._fields[3:-1])
+_PHENOTYPES = ("hfref", "hfmref", "hfpef")
+
+
+@st.composite
+def any_rows(draw):
+    """Checked rows, most of whose cells are of their column's own class: in each row one
+    cell, or one extra's name or text, may be of any kind, or none is."""
+    rows = []
+    for number in range(1, draw(st.integers(0, 4)) + 1):
+        values = {field: draw(_OWN.get(field, _FLOATS)) for field in _WRITTEN if field not in _PHENOTYPES}
+        flag = draw(st.sampled_from([None, 0, 1, 2, 3]))  # the flag set, as in _datum
+        values.update(zip(_PHENOTYPES, [None] * 3 if flag is None else [False] * 3 if flag == 3
+                          else [i == flag for i in range(3)]))
+        extra = draw(st.dictionaries(st.sampled_from(["note", "a,b", "two\nlines"]), _ACCEPTED_TEXTS,
+                                     max_size=2))
+        spoilt = draw(st.integers(0, 3 * len(_WRITTEN)))
+        if spoilt < len(_WRITTEN):
+            values[_WRITTEN[spoilt]] = draw(_ANY_CELLS)
+        elif spoilt == len(_WRITTEN):
+            name = draw(st.one_of(_EXTRA_NAMES, st.sampled_from(["n\x00", "\ud800", _Text("n")])))
+            extra[name] = draw(st.one_of(_EXTRA_TEXTS, _ANY_CELLS))
+        try:
+            rows.append(PatientDatum(row_index=number, extra=extra, **values))
+        except (InputError, TypeError):  # the row's own checks: LVEF range, phenotype flags
+            continue
+    return rows
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(any_rows())
+def test_a_table_is_written_to_parse_back_as_its_rows_or_refused(rows):
+    # an int in a float column is read back as its float; a refused table is one whose
+    # bytes from the writer that formatted every cell would not parse back either
+    data = written(rows)
+    if isinstance(data, InputError):
+        assert not reference_reads_back(rows), data
+    else:
+        assert _exactly(parse_patient_csv(data)) == _exactly(rows)
+
+
+@pytest.mark.parametrize(("field", "value", "message"), [
+    ("weight", True, "Weight True"),
+    ("diabetes", 1, "Diabetes 1"),
+    ("outcome", "HF", "Outcome 'HF'"),
+    ("lvef", 40.5, "LVEF 40.5"),
+    ("hf_diagnosis_year", 2010.0, "HF diagnosis 2010.0"),
+    ("weight", date(2020, 1, 2), "Weight datetime.date(2020, 1, 2)"),
+    ("weight", np.float64(2.5), "Weight np.float64(2.5)"),
+    ("weight", float("nan"), "Weight nan"),
+    ("wbc", 2**1100, f"WBC {2**1100}"),
+    ("timestamp", datetime(2020, 1, 2), "Timestamp datetime.datetime(2020, 1, 2, 0, 0)"),
+    ("timestamp", None, "Timestamp None"),
+    ("pat_id", " a", "PatID ' a'"),
+    ("pat_id", "a\r", "PatID 'a\\r'"),
+    ("pat_id", "q\x00z", "PatID 'q\\x00z'"),
+    ("pat_id", "", "PatID ''"),
+    ("pat_id", 7, "PatID 7"),
+], ids=lambda v: v if isinstance(v, str) and v.isidentifier() else None)
+def test_a_cell_that_would_not_read_back_is_refused(field, value, message):
+    rows = [_row({}), _row({}), _row({})._replace(**{field: value})]
+    with pytest.raises(InputError, match=f"^{re.escape(f'row 3: {message} would not read back')}$"):
+        write_patient_csv(rows)
+
+
+def test_an_int_in_a_float_column_is_written_and_read_back_as_its_float():
+    row = _row({})._replace(weight=80, wbc=-(2**60))
+    back, = parse_patient_csv(write_patient_csv([row]))
+    assert (back.weight, back.wbc) == (80.0, float(-(2**60))) and back.weight.__class__ is float
+
+
+def test_finite_floats_whose_sum_overflows_are_written():
+    rows = [_row({})._replace(weight=1.7e308, wbc=-1.7e308) for _ in range(3)]
+    assert [(r.weight, r.wbc) for r in parse_patient_csv(write_patient_csv(rows))] == [(1.7e308, -1.7e308)] * 3
+
+
+def test_the_first_column_at_fault_is_named_with_its_first_row_then_the_first_extra():
+    rows = [_row({}), _row({"memo": " x"})._replace(weight="a", outcome="b"), _row({})._replace(lvef=1.5),
+            _row({})._replace(weight=[1])]
+    with pytest.raises(InputError, match="^row 3: LVEF 1.5 would not read back$"):
+        write_patient_csv(rows)
+    with pytest.raises(InputError, match="^row 2: Weight 'a' would not read back$"):
+        write_patient_csv(rows[:2] + rows[3:])
+    with pytest.raises(InputError, match="^row 2: extra 'memo' = ' x' would not read back$"):
+        write_patient_csv([rows[0], _row({"memo": " x"})])

@@ -12,7 +12,7 @@ from oracles import (
     reference_check_walk_ends, reference_simulate_detailed, reference_write_patient_csv,
 )
 from pathminer.conformance import conformance_report
-from pathminer.errors import ConfigError, PathminerError
+from pathminer.errors import ConfigError, InputError, PathminerError
 from pathminer.model import Outcome
 from pathminer.patient_csv import parse_patient_csv, write_patient_csv
 from pathminer.simulate import (
@@ -27,6 +27,7 @@ from pathminer.simulate import (
     simulate_detailed,
 )
 from pathminer.transform import transform_log
+from test_patient_csv import reference_reads_back
 
 
 class TestConfig:
@@ -416,7 +417,13 @@ def test_the_planned_simulator_draws_what_the_one_it_replaced_drew(patients, see
     (rows, decisions), (reference_rows, reference_decisions) = got, expected
     assert list(map(repr, rows)) == list(map(repr, reference_rows))
     assert decisions == reference_decisions
-    assert _outcome(write_patient_csv, rows) == _outcome(reference_write_patient_csv, rows)
+    # the CSV of the writer that formatted each cell, or a refusal where that CSV would
+    # not parse back to the rows (an unchecked sampler's values of another class)
+    written = _outcome(write_patient_csv, rows)
+    if written[0] is InputError:
+        assert not reference_reads_back(rows), written
+    else:
+        assert written == _outcome(reference_write_patient_csv, rows)
 
 
 @pytest.mark.parametrize("name, sampler", [

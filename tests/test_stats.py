@@ -306,3 +306,13 @@ def _null_log(seed, cases_per_group=20):
                         day += timedelta(days=1)
                         events.append(Event(cid, activity, day, dict(attrs)))
     return EventLog(tuple(events))
+
+
+def test_dunn_on_groups_all_tied_gives_p_one_for_every_pair():
+    assert dunn_bonferroni([[1, 1], [1, 1, 1]]).p_values == ((1.0, 1.0), (1.0, 1.0))
+
+
+def test_kruskal_wallis_clips_a_round_off_below_zero():
+    # equal mean ranks, so H is 0; in floats its raw sum comes to -2.8e-14 at N = 66
+    groups = [[*range(1, 17), *range(51, 67)], list(range(17, 51))]
+    assert kruskal_wallis(groups) == (0.0, 1, 1.0)
